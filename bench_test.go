@@ -18,17 +18,13 @@ import (
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
-	"mmreliable/internal/cluster"
 	"mmreliable/internal/cmx"
 	"mmreliable/internal/core/manager"
-	"mmreliable/internal/core/multibeam"
 	"mmreliable/internal/core/superres"
-	"mmreliable/internal/dsp"
 	"mmreliable/internal/env"
 	"mmreliable/internal/experiments"
 	"mmreliable/internal/hybrid"
 	"mmreliable/internal/link"
-	"mmreliable/internal/metro"
 	"mmreliable/internal/nr"
 	"mmreliable/internal/scratch"
 	"mmreliable/internal/seeds"
@@ -113,66 +109,6 @@ func benchChannel() *channel.Model {
 	})
 }
 
-func BenchmarkMultibeamWeights(b *testing.B) {
-	u := antenna.NewULA(64, 28e9)
-	beams := []multibeam.Beam{
-		multibeam.Reference(0),
-		{Angle: dsp.Rad(30), Amp: 0.6, Phase: 1.0},
-		{Angle: dsp.Rad(-25), Amp: 0.4, Phase: -0.5},
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := multibeam.Weights(u, beams); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkEffectiveWideband(b *testing.B) {
-	m := benchChannel()
-	w := m.Tx.SingleBeam(0)
-	offs := channel.SubcarrierOffsets(400e6, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = m.EffectiveWideband(w, offs)
-	}
-}
-
-func BenchmarkSounderProbe(b *testing.B) {
-	m := benchChannel()
-	s, err := nr.NewSounder(nr.Mu3(), 400e6, 64, 1e-6, nr.DefaultImpairments(), rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := m.Tx.SingleBeam(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = s.Probe(m, w)
-	}
-}
-
-// BenchmarkSuperresExtract measures the Eq. 23 solve — the paper completes
-// its CVX solve in ~100 µs on a host PC; the dedicated Go solver should be
-// comfortably inside that.
-func BenchmarkSuperresExtract(b *testing.B) {
-	m := benchChannel()
-	s, err := nr.NewSounder(nr.Mu3(), 400e6, 64, 1e-6, nr.DefaultImpairments(), rand.New(rand.NewSource(2)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	w := m.PerAntennaCSI(0).Conj().Normalize()
-	cir := s.CIR(s.Probe(m, w))
-	rel := []float64{0, 8e-9, 15e-9}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := superres.Extract(cir, rel, s.DelayKernel, s.SampleSpacing(), superres.DefaultConfig()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRayTrace(b *testing.B) {
 	e := env.ConferenceRoom(env.Band28GHz())
 	gnb := env.GNBPose(true)
@@ -214,99 +150,6 @@ func BenchmarkEffectiveWidebandInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = m.EffectiveWidebandInto(w, offs, dst)
 	}
-}
-
-// BenchmarkEffectiveWidebandBatch measures the planar batch evaluator on a
-// frame's worth of UEs: 8 clustered channels × 64 subcarriers per Eval,
-// through one shared workspace — the kernel the station's frame-barrier
-// batch pass and the cluster's monitor round both run on.
-func BenchmarkEffectiveWidebandBatch(b *testing.B) {
-	u := antenna.NewULA(8, 28e9)
-	fOffs := channel.SubcarrierOffsets(400e6, 64)
-	rng := rand.New(rand.NewSource(23))
-	const n = 8
-	models := make([]*channel.Model, n)
-	weights := make([]cmx.Vector, n)
-	for i := range models {
-		models[i] = channel.Cluster(rng, env.Band28GHz(), u, channel.DefaultClusterParams())
-		models[i].Reuse = true
-		weights[i] = u.SingleBeam(0.05 * float64(i))
-	}
-	ws := scratch.New()
-	var batch channel.WidebandBatch
-	batch.Reset(fOffs)
-	for i := range models {
-		batch.Add(models[i], weights[i])
-	}
-	mk := ws.Mark()
-	batch.Eval(ws) // warm caches and workspace
-	ws.Release(mk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Reset(fOffs)
-		for k := range models {
-			batch.Add(models[k], weights[k])
-		}
-		m := ws.Mark()
-		batch.Eval(ws)
-		ws.Release(m)
-	}
-}
-
-// BenchmarkBatchedSlot measures the station's frame-barrier batch pass as
-// composed from the public pieces: gather each established grant's active
-// weights and channel model, run one WidebandBatch evaluation over the
-// frame's UEs, and fold every row to a wideband entry SNR. This is the
-// per-frame coordinator-side cost the batched planar backend adds (and the
-// per-slot work it amortises away); the station package pins the in-engine
-// variant.
-func BenchmarkBatchedSlot(b *testing.B) {
-	const ues = 8
-	mgrs := make([]*manager.Manager, ues)
-	models := make([]*channel.Model, ues)
-	for i := range mgrs {
-		mgr, err := manager.New(fmt.Sprintf("m%d", i), antenna.NewULA(8, 28e9),
-			link.DefaultBudget(), nr.Mu3(), manager.DefaultConfig(),
-			rand.New(rand.NewSource(seeds.Mix(41, int64(i)))))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sc := sim.StaticIndoor(seeds.Mix(41, int64(i)))
-		if _, err := (sim.Runner{}).Run(sc, mgr); err != nil {
-			b.Fatal(err)
-		}
-		if !mgr.Established() {
-			b.Fatalf("manager %d not established after run", i)
-		}
-		m := sc.ChannelAt(sc.Duration)
-		m.Reuse = true
-		mgrs[i], models[i] = mgr, m
-	}
-	txLin, noiseLin := link.DefaultBudget().SNRTerms()
-	ws := scratch.New()
-	var batch channel.WidebandBatch
-	var sink float64
-	frame := func() {
-		batch.Reset(mgrs[0].Offsets())
-		for i := range mgrs {
-			batch.Add(models[i], mgrs[i].ActiveWeightsView())
-		}
-		mk := ws.Mark()
-		batch.Eval(ws)
-		for r := range mgrs {
-			re, im := batch.Row(r)
-			sink = link.WidebandSNRdBSplitTerms(re, im, txLin, noiseLin)
-		}
-		ws.Release(mk)
-	}
-	frame() // warm caches and workspace
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		frame()
-	}
-	_ = sink
 }
 
 // BenchmarkSuperresExtractInto is the frequency-domain fit on a
@@ -364,98 +207,12 @@ func BenchmarkManagerMaintainTick(b *testing.B) {
 	}
 }
 
-// BenchmarkStationSlot measures the serving engine's steady-state per-
-// session-slot cost through the public station API: an 8-UE station
-// stepping whole frames on the inline single-worker path. Must report
-// 0 allocs/op — the station package's TestStationSlotAllocs pins the same
-// loop exactly.
-func BenchmarkStationSlot(b *testing.B) {
-	st, err := station.New(nr.Mu3(), station.Config{
-		ProbeBudget: 8, FramePeriod: 20e-3, MaxSessions: 64,
-		Workers: 1, Warmup: sim.StandardWarmup, AgingBoost: 0.25,
-		Manager: manager.DefaultConfig(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const ues = 8
-	for i := 0; i < ues; i++ {
-		s := seeds.Mix(41, int64(i))
-		if _, err := st.Attach(station.SessionConfig{
-			Scenario: sim.StaticIndoor(s),
-			Budget:   sim.IndoorBudget(),
-			Seed:     s,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		st.AdvanceFrame() // establish sessions + warm buffers
-	}
-	slotsPerOp := ues * st.SlotsPerFrame()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.AdvanceFrame()
-	}
-	b.StopTimer()
-	perSlot := float64(b.Elapsed().Nanoseconds()) / float64(b.N*slotsPerOp)
-	b.ReportMetric(perSlot, "ns/sessionslot")
-	b.ReportMetric(1e9/perSlot, "sessionslots/s")
-}
-
-// BenchmarkStationSlotQuiescent is BenchmarkStationSlot with fading
-// disabled: the static, unblocked sessions are then temporally coherent
-// slot to slot and the incremental frame engine's quiescent fast paths
-// carry the frame (run with MMR_INCREMENTAL=off for the full-recompute
-// cost of the same fixture). The gap between this and BenchmarkStationSlot
-// is the fading-driven recompute floor, not engine overhead.
-func BenchmarkStationSlotQuiescent(b *testing.B) {
-	st, err := station.New(nr.Mu3(), station.Config{
-		ProbeBudget: 8, FramePeriod: 20e-3, MaxSessions: 64,
-		Workers: 1, Warmup: sim.StandardWarmup, AgingBoost: 0.25,
-		Manager: manager.DefaultConfig(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const ues = 8
-	for i := 0; i < ues; i++ {
-		s := seeds.Mix(41, int64(i))
-		sc := sim.StaticIndoor(s)
-		sc.Fading = nil
-		if _, err := st.Attach(station.SessionConfig{
-			Scenario: sc,
-			Budget:   sim.IndoorBudget(),
-			Seed:     s,
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 20; i++ {
-		st.AdvanceFrame()
-	}
-	slotsPerOp := ues * st.SlotsPerFrame()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.AdvanceFrame()
-	}
-	b.StopTimer()
-	perSlot := float64(b.Elapsed().Nanoseconds()) / float64(b.N*slotsPerOp)
-	b.ReportMetric(perSlot, "ns/sessionslot")
-	b.ReportMetric(1e9/perSlot, "sessionslots/s")
-}
-
 // BenchmarkHybridSlot measures the hybrid SDMA tier's steady-state per-
 // session-slot cost: 4 fading-free spread UEs forced into shared slots
 // (thresholds wide open) on the inline single-worker path, so every owned
 // data slot runs the per-slot MMSE combine. Must report 0 allocs/op — the
 // station package's TestHybridSlotAllocs pins the same loop exactly.
 func BenchmarkHybridSlot(b *testing.B) {
-	was := hybrid.Enabled
-	hybrid.Enabled = true
-	defer func() { hybrid.Enabled = was }()
 	cfg := station.DefaultConfig()
 	cfg.Workers = 1
 	cfg.SDMA = station.SDMAConfig{Chains: 4, MinSeparationDeg: 0, MinSINRdB: -100}
@@ -528,115 +285,5 @@ func BenchmarkMMSECombiner(b *testing.B) {
 		for u := 0; u < k; u++ {
 			_ = c.UserSINRdB(u, txLin, noiseLin)
 		}
-	}
-}
-
-// BenchmarkClusterFrame measures the CoMP coordinator's steady-state cost
-// through the public cluster API: a quiescent 2-cell/2-UE hall deployment
-// (single-worker stations, tracking ablated as in the cluster package's
-// own alloc pin), one 20 ms cluster frame per iteration — both member
-// stations' slot loops plus the coordinator's monitor/harvest work.
-func BenchmarkClusterFrame(b *testing.B) {
-	e, poses := env.MultiCellHall(env.Band28GHz(), 2)
-	ccfg := cluster.DefaultConfig()
-	ccfg.Seed = 31
-	ccfg.Station.Workers = 1
-	ccfg.Station.Manager.ProactiveTracking = false
-	cl, err := cluster.New(nr.Mu3(), ccfg, cluster.Deployment{
-		Env: e, Cells: poses, Budget: sim.IndoorBudget(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, pos := range env.HallUEPositions(2) {
-		if _, err := cl.AddUE(cluster.UEConfig{Pos: pos}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 40; i++ {
-		cl.AdvanceFrame() // admit, establish both legs, warm buffers
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cl.AdvanceFrame()
-	}
-}
-
-// BenchmarkMetroFrame measures the sharded metro layer's steady-state cost
-// through the public metro API: an 8-site quiescent city (2 cells and 2 UEs
-// per site, churn off, fading ablated) advancing one lock-step frame per
-// iteration on the single-worker inline path, so the number is comparable
-// across runner core counts. Must report 0 allocs/op; the UEs/sec custom
-// metric is the city-throughput headline tracked by benchjson. The metro
-// package's own BenchmarkMetroFrame sweeps site and worker counts.
-func BenchmarkMetroFrame(b *testing.B) {
-	cfg := metro.DefaultConfig()
-	cfg.Workers = 1
-	cfg.ChurnArrivalRate = 0
-	m, err := metro.New(nr.Mu3(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-	for i := 0; i < 40; i++ {
-		m.AdvanceFrame() // admit, establish, warm every per-site buffer
-	}
-	ues := m.ResidentUEs()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.AdvanceFrame()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(ues*b.N)/b.Elapsed().Seconds(), "UEs/sec")
-}
-
-// BenchmarkMetroFrameMixed measures the incremental frame engine's honest
-// metro workload through the public API: an 8-site city where a quarter of
-// the UEs pace the hall at walking speed (full recompute every slot), the
-// rest sit still (quiescent fast paths), and session churn keeps arrivals
-// and harvests flowing. UEs/sec counts resident-UE-frames per wall-clock
-// second, sampled every frame because churn moves the population.
-func BenchmarkMetroFrameMixed(b *testing.B) {
-	cfg := metro.DefaultConfig()
-	cfg.Clusters = 8
-	cfg.Workers = 1
-	cfg.MobileFraction = 0.25
-	m, err := metro.New(nr.Mu3(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-	for i := 0; i < 40; i++ {
-		m.AdvanceFrame()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	ueFrames := 0
-	for i := 0; i < b.N; i++ {
-		ueFrames += m.ResidentUEs()
-		m.AdvanceFrame()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(ueFrames)/b.Elapsed().Seconds(), "UEs/sec")
-}
-
-// BenchmarkTraceIndexed measures the spatial-indexed ray tracer on the
-// 1024-wall metro grid (16×16 Manhattan blocks): one street-level trace per
-// iteration, occlusion tested against the whole city through the uniform
-// grid. The env package's BenchmarkTraceIndexed/BenchmarkTraceReference
-// pair sweeps wall counts for the sublinear-scaling comparison; this
-// wrapper pins the largest indexed configuration in BENCH_results.json.
-func BenchmarkTraceIndexed(b *testing.B) {
-	e, poses := env.MetroGrid(env.Band28GHz(), 16)
-	e.MaxOrder = 2
-	tx := poses[1]
-	rx := env.Pose{Pos: tx.Pos.Add(env.Vec2{X: 21, Y: 0}), Facing: 3.0}
-	buf := make([]env.Path, 0, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = e.TraceAppend(buf[:0], tx, rx)
 	}
 }

@@ -1,7 +1,7 @@
 // Command benchjson converts `go test -bench` text output into a compact
 // JSON map for machine comparison across commits:
 //
-//	go test -bench 'Probe|EffectiveWideband' -benchmem -run '^$' . | benchjson > BENCH_results.json
+//	go test -bench 'Probe$|EffectiveWidebandInto$' -benchmem -run '^$' ./... | benchjson > BENCH_results.json
 //
 // Each benchmark line
 //

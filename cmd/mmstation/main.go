@@ -23,10 +23,9 @@
 //
 // -sdma-chains N (default 0 = off) enables the hybrid multi-panel tier
 // (internal/hybrid): slots are shared across interference-screened session
-// groups of up to N UEs. With the default 0 — or MMR_HYBRID=off regardless —
-// the output is byte-for-byte the legacy dedicated-airtime run; CI pins that
-// oracle. The shared runner lives in internal/station/stationcli; cmd/mmhybrid
-// is the same runner with SDMA defaults switched on.
+// groups of up to N UEs, and an extra "sdma:" summary line is printed. With
+// the default 0 the output is byte-for-byte the legacy dedicated-airtime
+// run.
 package main
 
 import (
@@ -35,15 +34,19 @@ import (
 	"os"
 
 	"mmreliable/internal/core"
+	"mmreliable/internal/link"
+	"mmreliable/internal/nr"
+	"mmreliable/internal/seeds"
+	"mmreliable/internal/sim"
 	"mmreliable/internal/station"
-	"mmreliable/internal/station/stationcli"
+	"mmreliable/internal/stats"
 )
 
 func main() {
 	def := station.DefaultConfig()
 	sdmaDef := station.DefaultSDMAConfig(0)
 	ues := flag.Int("ues", 8, "number of UE sessions to attach")
-	scenario := flag.String("scenario", "mixed", stationcli.Scenarios)
+	scenario := flag.String("scenario", "mixed", "mixed | spread | indoor | indoor-mobile | outdoor | walking-blocker | small-spread | rotating-ue")
 	budget := flag.Int("budget", def.ProbeBudget, "probe grants per frame across all sessions (0 = unlimited, every session self-schedules)")
 	frameMS := flag.Float64("frame-ms", def.FramePeriod*1e3, "scheduling frame period in milliseconds")
 	duration := flag.Float64("duration", 0.5, "simulated duration in seconds (warmup included)")
@@ -75,25 +78,96 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	opts := stationcli.Options{
-		UEs:         *ues,
-		Scenario:    *scenario,
-		Budget:      *budget,
-		FrameMS:     *frameMS,
-		Duration:    *duration,
-		Seed:        *seed,
-		Workers:     *workers,
-		MaxSessions: *maxSessions,
-		Churn:       *churn,
-		PerUE:       *perUE,
-		SDMA: station.SDMAConfig{
-			Chains:           *sdmaChains,
-			MinSeparationDeg: *sdmaSep,
-			MinSINRdB:        *sdmaMinSINR,
-		},
+
+	cfg := def
+	cfg.ProbeBudget = *budget
+	cfg.FramePeriod = *frameMS * 1e-3
+	cfg.MaxSessions = *maxSessions
+	cfg.Workers = *workers
+	cfg.SDMA = station.SDMAConfig{
+		Chains:           *sdmaChains,
+		MinSeparationDeg: *sdmaSep,
+		MinSINRdB:        *sdmaMinSINR,
 	}
-	if err := stationcli.Run(os.Stdout, opts); err != nil {
+	st, err := station.New(nr.Mu3(), cfg)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
+	}
+	for i := 0; i < *ues; i++ {
+		sseed := seeds.Mix(*seed, 981, int64(i))
+		sc, bud, err := mkScenario(*scenario, i, *ues, sseed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		scfg := station.SessionConfig{Scenario: sc, Budget: bud, Seed: sseed}
+		if *churn {
+			if i%4 == 3 {
+				scfg.AttachAt = 0.3 * *duration
+			}
+			if i%5 == 4 {
+				scfg.DetachAt = 0.7 * *duration
+			}
+		}
+		if _, err := st.Attach(scfg); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
+
+	res := st.Run(*duration)
+	c := res.Counters
+	w := os.Stdout
+	fmt.Fprintf(w, "station: %d UEs, scenario %s, %.1f s, budget %d grants/frame, frame %.1f ms (seed %d)\n",
+		*ues, *scenario, *duration, *budget, *frameMS, *seed)
+	fmt.Fprintf(w, "frames %d  session-slots %d  admitted %d  rejected %d  detached %d\n",
+		c.Frames, c.SessionSlots, c.AttachesAdmitted, c.AttachesRejected, c.Detaches)
+	fmt.Fprintf(w, "probes %d  grants %d  denials %d  preemptions %d  realigns %d  retrains %d  training-slots %d\n",
+		c.ProbesIssued, c.Grants, c.BudgetDenials, c.Preemptions, c.Realigns, c.Retrains, c.TrainingSlots)
+	overheadPct := 0.0
+	if c.SessionSlots > 0 {
+		overheadPct = 100 * float64(c.TrainingSlots) / float64(c.SessionSlots)
+	}
+	fmt.Fprintf(w, "mean reliability %s  median SNR %s dB  training overhead %s%%  min/max grant ratio %s\n",
+		stats.Fmt(res.MeanReliability), stats.Fmt(res.MedianSNRdB),
+		stats.Fmt(overheadPct), stats.Fmt(res.MinMaxGrantRatio))
+	if *sdmaChains >= 1 {
+		fmt.Fprintf(w, "sdma: chains %d  groups %d  pair-rejects %d  combined-slots %d  sum-throughput %s Mbps\n",
+			*sdmaChains, c.SDMAGroups, c.SDMAPairRejects, c.SDMASlots, stats.Fmt(res.SumThroughputBps/1e6))
+	}
+	if *perUE {
+		table := stats.NewTable("per-UE results",
+			"ue", "state", "slots", "reliability", "snr_dB", "thr_Mbps", "grants", "denials", "preempt", "retrain")
+		for _, ur := range res.PerUE {
+			s := ur.Summary
+			table.AddRow(fmt.Sprintf("%03d", ur.ID), ur.State, fmt.Sprintf("%d", ur.Slots),
+				stats.Fmt(s.Reliability), stats.Fmt(s.MeanSNRdB), stats.Fmt(s.MeanThroughput/1e6),
+				fmt.Sprintf("%d", ur.Grants), fmt.Sprintf("%d", ur.BudgetDenials),
+				fmt.Sprintf("%d", ur.Preemptions), fmt.Sprintf("%d", ur.Retrains))
+		}
+		table.Render(w)
+	}
+}
+
+// mkScenario builds session id's world. "mixed" alternates static-indoor /
+// walking-blocker (the CI determinism workload); "spread" fans the ues
+// sessions across a ±40° arc of distinct AoDs (the SDMA workload);
+// everything else is the sim.Named set.
+func mkScenario(name string, id, ues int, sseed int64) (*sim.Scenario, link.Budget, error) {
+	switch name {
+	case "mixed":
+		if id%2 == 0 {
+			return sim.StaticIndoor(sseed), sim.IndoorBudget(), nil
+		}
+		return sim.WalkingBlockerIndoor(sseed), sim.IndoorBudget(), nil
+	case "spread":
+		frac := 0.5
+		if ues > 1 {
+			frac = float64(id) / float64(ues-1)
+		}
+		return sim.SpreadStaticIndoor(sseed, frac), sim.IndoorBudget(), nil
+	default:
+		return sim.Named(name, sseed)
 	}
 }

@@ -26,7 +26,7 @@ type prober struct {
 	m *channel.Model
 }
 
-func (p *prober) Probe(w cmx.Vector) cmx.Vector { return p.s.Probe(p.m, w) }
+func (p *prober) ProbeInto(w, dst cmx.Vector) cmx.Vector { return p.s.ProbeInto(p.m, w, dst) }
 
 func main() {
 	// A 7 m indoor link: LOS at 0° plus a strong reflection at 30° that is
@@ -48,28 +48,28 @@ func main() {
 
 	// Beam training found the two departure angles; measure each beam once.
 	angles := []float64{0, dsp.Rad(30)}
-	m1 := pr.Probe(u.SingleBeam(angles[0])).Abs()
-	m2 := pr.Probe(u.SingleBeam(angles[1])).Abs()
+	m1 := pr.ProbeInto(u.SingleBeam(angles[0]), nil).Abs()
+	m2 := pr.ProbeInto(u.SingleBeam(angles[1]), nil).Abs()
 
 	// Two extra magnitude-only probes recover the relative channel (δ, σ)
 	// despite CFO/SFO (§3.3, Eq. 11–12, wideband fusion Eq. 14).
-	est, err := probe.EstimatePairWithDelay(pr, u, angles[0], angles[1], m1, m2, 0.9e-9, budget.BandwidthHz)
+	est, err := probe.EstimatePairWithDelayWS(pr, u, angles[0], angles[1], m1, m2, 0.9e-9, budget.BandwidthHz, nil)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Printf("two-probe estimate: δ = %.2f dB, σ = %.2f rad\n", dsp.AmpDB(est.Delta), est.Sigma)
 
 	// Synthesize the constructive multi-beam and compare.
-	w, err := multibeam.Weights(u, []multibeam.Beam{
+	w, err := multibeam.WeightsInto(u, []multibeam.Beam{
 		multibeam.Reference(angles[0]),
 		{Angle: angles[1], Amp: est.Delta, Phase: est.Sigma},
-	})
+	}, nil, nil)
 	if err != nil {
 		panic(err)
 	}
 	offs := channel.SubcarrierOffsets(budget.BandwidthHz, 64)
-	single := budget.WidebandSNRdB(m.EffectiveWideband(u.SingleBeam(angles[0]), offs))
-	multi := budget.WidebandSNRdB(m.EffectiveWideband(w, offs))
+	single := budget.WidebandSNRdB(m.EffectiveWidebandInto(u.SingleBeam(angles[0]), offs, nil))
+	multi := budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))
 	fmt.Printf("single beam SNR : %.2f dB → %.0f Mbps\n", single, link.Throughput(single, budget.BandwidthHz, 0)/1e6)
 	fmt.Printf("multi-beam SNR  : %.2f dB → %.0f Mbps\n", multi, link.Throughput(multi, budget.BandwidthHz, 0)/1e6)
 	fmt.Printf("constructive combining gain: %.2f dB\n", multi-single)

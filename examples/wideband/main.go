@@ -32,10 +32,10 @@ func main() {
 	offs := channel.SubcarrierOffsets(400e6, 48)
 
 	single := u.SingleBeam(0)
-	plain, err := multibeam.Weights(u, []multibeam.Beam{
+	plain, err := multibeam.WeightsInto(u, []multibeam.Beam{
 		multibeam.Reference(0),
 		{Angle: dsp.Rad(30), Amp: delta, Phase: sigma},
-	})
+	}, nil, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -49,14 +49,9 @@ func (u *ULA) Validate() error {
 	return nil
 }
 
-// Steering returns the steering vector a(φ) for departure angle phi.
-func (u *ULA) Steering(phi float64) cmx.Vector {
-	return u.SteeringInto(phi, make(cmx.Vector, u.N))
-}
-
-// SteeringInto writes the steering vector a(φ) into dst and returns it,
-// allocating only when dst is nil. len(dst) must equal u.N. This is the
-// scratch-reusing variant the probing hot path runs on.
+// SteeringInto writes the steering vector a(φ) for departure angle phi
+// into dst and returns it, allocating only when dst is nil. len(dst) must
+// equal u.N.
 func (u *ULA) SteeringInto(phi float64, dst cmx.Vector) cmx.Vector {
 	if dst == nil {
 		dst = make(cmx.Vector, u.N)
@@ -101,7 +96,7 @@ func (u *ULA) SingleBeamInto(phi float64, dst cmx.Vector) cmx.Vector {
 // Gain returns the power gain |a(θ)ᵀw|² of the weight vector w observed
 // from direction theta. For a unit-norm matched beam this peaks at N.
 func (u *ULA) Gain(w cmx.Vector, theta float64) float64 {
-	g := u.Steering(theta).Dot(w)
+	g := u.SteeringInto(theta, nil).Dot(w)
 	return real(g)*real(g) + imag(g)*imag(g)
 }
 

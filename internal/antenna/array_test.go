@@ -17,7 +17,7 @@ func TestSteeringProperties(t *testing.T) {
 	if err := u.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := u.Steering(dsp.Rad(20))
+	a := u.SteeringInto(dsp.Rad(20), nil)
 	if len(a) != 8 {
 		t.Fatalf("steering length %d", len(a))
 	}
@@ -27,7 +27,7 @@ func TestSteeringProperties(t *testing.T) {
 		}
 	}
 	// Broadside steering vector is all ones.
-	b := u.Steering(0)
+	b := u.SteeringInto(0, nil)
 	for i, x := range b {
 		if cmplx.Abs(x-1) > 1e-12 {
 			t.Fatalf("broadside element %d = %v", i, x)

@@ -54,7 +54,7 @@ func (u *ULA) SteeringGrid(lo, hi float64, points int) *SteeringGrid {
 			th = lo + (hi-lo)*float64(i)/float64(points-1)
 		}
 		g.Thetas[i] = th
-		g.vecs[i] = u.Steering(th)
+		g.vecs[i] = u.SteeringInto(th, nil)
 	}
 	v, _ := gridCache.LoadOrStore(key, g)
 	return v.(*SteeringGrid)

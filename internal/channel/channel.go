@@ -145,7 +145,7 @@ func (m *Model) rxFactor(aoa float64) complex128 {
 	if m.Rx == nil || m.RxWeights == nil {
 		return 1
 	}
-	return m.Rx.Steering(aoa).Dot(m.RxWeights)
+	return m.Rx.SteeringInto(aoa, nil).Dot(m.RxWeights)
 }
 
 // PerAntennaCSI returns h(fOff)[n] for each TX antenna n — the quantity the
@@ -173,7 +173,7 @@ func (m *Model) Effective(w cmx.Vector, fOff float64) complex128 {
 		if g == 0 {
 			continue
 		}
-		y += g * m.Tx.Steering(m.Paths[l].AoD).Dot(w)
+		y += g * m.Tx.SteeringInto(m.Paths[l].AoD, nil).Dot(w)
 	}
 	return y
 }
@@ -418,7 +418,7 @@ func (m *Model) buildCache() *modelCache {
 		if c.steerBuf != nil {
 			c.steer[l] = m.Tx.SteeringInto(p.AoD, c.steerBuf[l*n:(l+1)*n:(l+1)*n])
 		} else {
-			c.steer[l] = m.Tx.Steering(p.AoD)
+			c.steer[l] = m.Tx.SteeringInto(p.AoD, nil)
 		}
 		m.Tx.SteeringSplitInto(p.AoD, c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n])
 	}
@@ -454,14 +454,10 @@ func uniformStep(fOffs []float64) (float64, bool) {
 	return step, true
 }
 
-// EffectiveWideband evaluates Effective at each frequency offset.
-func (m *Model) EffectiveWideband(w cmx.Vector, fOffs []float64) cmx.Vector {
-	return m.EffectiveWidebandInto(w, fOffs, make(cmx.Vector, len(fOffs)))
-}
-
-// EffectiveWidebandInto writes the effective wideband channel under TX beam
-// w into dst and returns it, allocating only when dst is nil (or on a cache
-// rebuild after a model mutation). len(dst) must equal len(fOffs). The cost
+// EffectiveWidebandInto evaluates Effective at each frequency offset: it
+// writes the effective wideband channel under TX beam w into dst and
+// returns it, allocating only when dst is nil (or on a cache rebuild after
+// a model mutation). len(dst) must equal len(fOffs). The cost
 // is O(L·N + nsc·L) versus the naive O(nsc·L·N) with nsc·L complex
 // exponentials; results match the direct per-subcarrier Effective to well
 // under 1e-12 (pinned by TestEffectiveWidebandFactoredEquivalence).

@@ -48,7 +48,7 @@ func TestPerAntennaCSIMatchesAnalyticForm(t *testing.T) {
 	m := FromSpecs(env.Band28GHz(), testArray(), 80, []PathSpec{{AoDDeg: 20}})
 	h := m.PerAntennaCSI(0)
 	g := m.PathGain(0, 0)
-	a := m.Tx.Steering(dsp.Rad(20))
+	a := m.Tx.SteeringInto(dsp.Rad(20), nil)
 	for n := range h {
 		if cmplx.Abs(h[n]-g*a[n]) > 1e-12 {
 			t.Fatalf("antenna %d mismatch", n)
@@ -135,11 +135,11 @@ func TestWidebandFrequencySelectivity(t *testing.T) {
 	})
 	offs := SubcarrierOffsets(400e6, 64)
 	w := flat.Tx.SingleBeam(0)
-	flatResp := flat.EffectiveWideband(w, offs).Abs()
+	flatResp := flat.EffectiveWidebandInto(w, offs, nil).Abs()
 	// Multi-beam weights exciting both paths.
 	h := sel.PerAntennaCSI(0)
 	wmb := h.Conj().Normalize()
-	selResp := sel.EffectiveWideband(wmb, offs).Abs()
+	selResp := sel.EffectiveWidebandInto(wmb, offs, nil).Abs()
 
 	flatVar := spread(flatResp)
 	selVar := spread(selResp)

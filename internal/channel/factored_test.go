@@ -105,7 +105,7 @@ func factoredCases(t *testing.T) []struct {
 func TestEffectiveWidebandFactoredEquivalence(t *testing.T) {
 	for _, tc := range factoredCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.m.EffectiveWideband(tc.w, tc.fOffs)
+			got := tc.m.EffectiveWidebandInto(tc.w, tc.fOffs, nil)
 			want := directWideband(tc.m, tc.w, tc.fOffs)
 			if err := maxRelErr(got, want); err > 1e-12 {
 				t.Fatalf("factored vs direct relative error %.3g > 1e-12", err)
@@ -134,11 +134,11 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	w := u.SingleBeam(0)
 
 	m := twoPath(3, 0.4)
-	_ = m.EffectiveWideband(w, fOffs) // build the cache
+	_ = m.EffectiveWidebandInto(w, fOffs, nil) // build the cache
 
 	check := func(name string) {
 		t.Helper()
-		got := m.EffectiveWideband(w, fOffs)
+		got := m.EffectiveWidebandInto(w, fOffs, nil)
 		fresh := m.Clone() // cold cache
 		want := directWideband(fresh, w, fOffs)
 		if err := maxRelErr(got, want); err > 1e-12 {
@@ -272,8 +272,8 @@ func TestCopyStateFrom(t *testing.T) {
 
 	dstM := &Model{Reuse: true}
 	dstM.CopyStateFrom(src)
-	got := dstM.EffectiveWideband(w, fOffs)
-	want := src.EffectiveWideband(w, fOffs)
+	got := dstM.EffectiveWidebandInto(w, fOffs, nil)
+	want := src.EffectiveWidebandInto(w, fOffs, nil)
 	for k := range got {
 		if got[k] != want[k] {
 			t.Fatalf("subcarrier %d: copy %v vs src %v", k, got[k], want[k])

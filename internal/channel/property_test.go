@@ -90,7 +90,7 @@ func TestExtraLossMonotone(t *testing.T) {
 func TestSinglePathFlatness(t *testing.T) {
 	m := FromSpecs(env.Band28GHz(), testArray(), 80, []PathSpec{{AoDDeg: 17, DelayNs: 33}})
 	w := m.Tx.SingleBeam(m.Paths[0].AoD)
-	resp := m.EffectiveWideband(w, SubcarrierOffsets(400e6, 64)).Abs()
+	resp := m.EffectiveWidebandInto(w, SubcarrierOffsets(400e6, 64), nil).Abs()
 	for i := 1; i < len(resp); i++ {
 		if math.Abs(resp[i]-resp[0]) > 1e-12*resp[0] {
 			t.Fatalf("single-path response not flat at bin %d", i)

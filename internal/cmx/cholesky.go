@@ -16,7 +16,7 @@ var ErrNotPD = fmt.Errorf("cmx: matrix is not positive definite")
 // so a long-lived CholeskyFactor refactors with zero allocations once
 // warm. All methods are in-place and allocation-free.
 //
-// This is the per-Extract hoisted factorization of the ridged Gram in the
+// This is the per-fit hoisted factorization of the ridged Gram in the
 // super-resolution solver (Eq. 23): factor once, then every alignment
 // candidate solve is two triangular substitutions.
 type CholeskyFactor struct {

@@ -87,14 +87,9 @@ func (a *Array) Effective(m *channel.Model, fOff float64) complex128 {
 	return y
 }
 
-// EffectiveWideband evaluates Effective at each frequency offset.
-func (a *Array) EffectiveWideband(m *channel.Model, fOffs []float64) cmx.Vector {
-	return a.EffectiveWidebandInto(m, fOffs, make(cmx.Vector, len(fOffs)))
-}
-
-// EffectiveWidebandInto is EffectiveWideband writing into dst (allocated
-// when nil). Instead of re-deriving every panel's weights at every
-// frequency, it factors each panel's response as
+// EffectiveWidebandInto evaluates Effective at each frequency offset,
+// writing into dst (allocated when nil). Instead of re-deriving every
+// panel's weights at every frequency, it factors each panel's response as
 //
 //	y_g(f) = (Coeff_g/‖·‖)·e^{−j2πfΔτ_g} · h_g(f),
 //

@@ -65,7 +65,7 @@ func TestSinglePathNeedsNoDelayCompensation(t *testing.T) {
 	// beam; the delay architecture is only needed for multipath.
 	m := channel.FromSpecs(env.Band28GHz(), panel16(), 80, []channel.PathSpec{{AoDDeg: 0}})
 	w := m.Tx.SingleBeam(0)
-	resp := m.EffectiveWideband(w, offsets())
+	resp := m.EffectiveWidebandInto(w, offsets(), nil)
 	if r := RippleDB(resp); r > 0.01 {
 		t.Fatalf("single-path ripple %g dB", r)
 	}
@@ -77,14 +77,14 @@ func TestPlainMultibeamSuffersRipple(t *testing.T) {
 	for _, spread := range []float64{5, 10} {
 		m := wideChannel(spread)
 		delta, sigma := m.RelativeGain(1, 0)
-		w, err := multibeam.Weights(m.Tx, []multibeam.Beam{
+		w, err := multibeam.WeightsInto(m.Tx, []multibeam.Beam{
 			multibeam.Reference(0),
 			{Angle: dsp.Rad(30), Amp: delta, Phase: sigma},
-		})
+		}, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := m.EffectiveWideband(w, offsets())
+		resp := m.EffectiveWidebandInto(w, offsets(), nil)
 		if r := RippleDB(resp); r < 6 {
 			t.Fatalf("spread %g ns: plain multi-beam ripple only %g dB", spread, r)
 		}
@@ -102,7 +102,7 @@ func TestDelayCompensationFlattens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := a.EffectiveWideband(m, offsets())
+		resp := a.EffectiveWidebandInto(m, offsets(), nil)
 		if r := RippleDB(resp); r > 1.0 {
 			t.Fatalf("spread %g ns: compensated ripple %g dB", spread, r)
 		}
@@ -115,7 +115,7 @@ func TestDelayArrayBeatsSingleBeamAcrossBand(t *testing.T) {
 	// the 1+δ² combining gain at equal TRP.
 	m := wideChannel(10)
 	single := m.Tx.SingleBeam(0)
-	respSingle := m.EffectiveWideband(single, offsets())
+	respSingle := m.EffectiveWidebandInto(single, offsets(), nil)
 
 	delta, sigma := m.RelativeGain(1, 0)
 	a, err := ForChannel(m.Tx,
@@ -125,7 +125,7 @@ func TestDelayArrayBeatsSingleBeamAcrossBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respDelay := a.EffectiveWideband(m, offsets())
+	respDelay := a.EffectiveWidebandInto(m, offsets(), nil)
 	for k := range respDelay {
 		if cmplx.Abs(respDelay[k]) <= cmplx.Abs(respSingle[k]) {
 			t.Fatalf("subcarrier %d: delay array %g not above single beam %g",
@@ -182,7 +182,7 @@ func TestUncompensatedDelayArrayStillRipples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := a.EffectiveWideband(m, offsets())
+	resp := a.EffectiveWidebandInto(m, offsets(), nil)
 	if r := RippleDB(resp); r < 6 {
 		t.Fatalf("uncompensated ripple only %g dB", r)
 	}

@@ -157,7 +157,7 @@ func (a *Assignment) WithMultibeam(u *antenna.ULA, users []*channel.Model, budge
 			d, s := m.RelativeGain(k, ref)
 			cand := append(append([]multibeam.Beam(nil), lobes...),
 				multibeam.Beam{Angle: m.Paths[k].AoD, Amp: d, Phase: s})
-			w, err := multibeam.Weights(u, cand)
+			w, err := multibeam.WeightsInto(u, cand, nil, nil)
 			if err != nil {
 				continue
 			}

@@ -615,7 +615,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 			bestIdx, bestRSS := -1, 0.0
 			for i, v := range g.ueCB.Weights {
 				m.RxWeights = v
-				if r := nr.RSS(pr.Probe(wk)); bestIdx == -1 || r > bestRSS {
+				if r := nr.RSS(pr.ProbeInto(wk, nil)); bestIdx == -1 || r > bestRSS {
 					bestIdx, bestRSS = i, r
 				}
 			}
@@ -666,7 +666,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 	if len(angles) == 1 {
 		beams = append(g.beamStore[:0], multibeam.Reference(angles[0]))
 	} else if g.cfg.ConstructiveCombining {
-		if err := estimateWithMagsInto(&g.estBuf, pr, g.u, angles, mags, rel, g.budget.BandwidthHz, g.ws); err != nil {
+		if err := estimateWithMags(&g.estBuf, pr, g.u, angles, mags, rel, g.budget.BandwidthHz, g.ws); err != nil {
 			g.w = nil
 			g.fullReset()
 			g.beginOp(g.slotsFor(g.cfg.RetrainBackoff), g.retryEstFn)
@@ -696,7 +696,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 			// Under a directional UE the k=1 config must be re-measured
 			// with a single UE lobe.
 			bindK(1)
-			snrs[1] = g.budget.WidebandSNRdBFromMags(pr.Probe(g.u.SingleBeam(angles[0])).Abs())
+			snrs[1] = g.budget.WidebandSNRdBFromMags(pr.ProbeInto(g.u.SingleBeam(angles[0]), nil).Abs())
 		} else {
 			snrs[1] = g.budget.WidebandSNRdBFromMags(mags[0])
 		}
@@ -1085,11 +1085,11 @@ func (g *Manager) refineUE(t float64, m *channel.Model, dev float64) {
 	var r1, r2 float64
 	if g.applyUEWeights(cand1) {
 		m.RxWeights = g.ueW
-		r1 = nr.RSS(pr.Probe(g.w))
+		r1 = nr.RSS(pr.ProbeInto(g.w, nil))
 	}
 	if g.applyUEWeights(cand2) {
 		m.RxWeights = g.ueW
-		r2 = nr.RSS(pr.Probe(g.w))
+		r2 = nr.RSS(pr.ProbeInto(g.w, nil))
 	}
 	switch {
 	case r1 == 0 && r2 == 0:
@@ -1202,7 +1202,7 @@ func (g *Manager) refine(t float64, m *channel.Model, deviated []int, devs []flo
 	}
 	// Re-estimate constructive combining with refreshed magnitudes.
 	if g.cfg.ConstructiveCombining && len(g.angles) > 1 {
-		if err := estimateWithMagsInto(&g.estBuf, pr, g.u, g.angles, g.mags, g.relDelays, g.budget.BandwidthHz, g.ws); err == nil {
+		if err := estimateWithMags(&g.estBuf, pr, g.u, g.angles, g.mags, g.relDelays, g.budget.BandwidthHz, g.ws); err == nil {
 			if beams, err := g.estBuf.BeamsInto(g.angles, g.beamsBuf); err == nil {
 				g.beamsBuf = beams
 				for k := range beams {
@@ -1224,19 +1224,10 @@ func (g *Manager) refine(t float64, m *channel.Model, deviated []int, devs []flo
 
 // estimateWithMags runs the 2(K−1)-probe constructive-combining estimation
 // reusing cached per-beam magnitudes (the paper's accounting: p1, p2 known
-// from training).
-func estimateWithMags(pr probe.Prober, u *antenna.ULA, angles []float64, mags [][]float64, rel []float64, bw float64) (probe.Result, error) {
-	var res probe.Result
-	if err := estimateWithMagsInto(&res, pr, u, angles, mags, rel, bw, nil); err != nil {
-		return probe.Result{}, err
-	}
-	return res, nil
-}
-
-// estimateWithMagsInto is estimateWithMags reusing res's slice storage and
-// drawing the pair estimator's working buffers from ws (both optional —
-// the arithmetic and probe order are identical either way).
-func estimateWithMagsInto(res *probe.Result, pr probe.Prober, u *antenna.ULA, angles []float64, mags [][]float64, rel []float64, bw float64, ws *scratch.Workspace) error {
+// from training). It reuses res's slice storage and draws the pair
+// estimator's working buffers from ws (nil allocates — the arithmetic and
+// probe order are identical either way).
+func estimateWithMags(res *probe.Result, pr probe.Prober, u *antenna.ULA, angles []float64, mags [][]float64, rel []float64, bw float64, ws *scratch.Workspace) error {
 	res.PerBeamPower = res.PerBeamPower[:0]
 	res.Relative = res.Relative[:0]
 	res.Probes = 0
@@ -1285,11 +1276,7 @@ type boundProber struct {
 	m *channel.Model
 }
 
-// Probe implements probe.Prober.
-func (p *boundProber) Probe(w cmx.Vector) cmx.Vector { return p.s.Probe(p.m, w) }
-
-// ProbeInto implements probe.IntoProber: same sounding and randomness as
-// Probe, landing the CSI in dst.
+// ProbeInto implements probe.Prober.
 func (p *boundProber) ProbeInto(w, dst cmx.Vector) cmx.Vector {
 	return p.s.ProbeInto(p.m, w, dst)
 }

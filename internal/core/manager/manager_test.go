@@ -111,8 +111,8 @@ func TestMultiBeamBeatsSingleBeamSNR(t *testing.T) {
 		t.Fatalf("selected %d beams; reflector should be worth a lobe", mgr.NumBeams())
 	}
 	m := sc.ChannelAt(0.2)
-	mbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWideband(mgr.ActiveWeights(), mgr.offsets))
-	sbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWideband(m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets))
+	mbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(mgr.ActiveWeights(), mgr.offsets, nil))
+	sbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets, nil))
 	if mbSNR <= sbSNR {
 		t.Fatalf("multi-beam %g dB not above single beam %g dB", mbSNR, sbSNR)
 	}
@@ -130,8 +130,8 @@ func TestBeamSelectionNeverWorseThanSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sc.ChannelAt(0.2)
-	mbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWideband(mgr.ActiveWeights(), mgr.offsets))
-	sbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWideband(m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets))
+	mbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(mgr.ActiveWeights(), mgr.offsets, nil))
+	sbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets, nil))
 	// The manager may sacrifice up to SelectionTolDB for an extra lobe
 	// (reliability-first); allow that plus estimation slack.
 	if mbSNR < sbSNR-DefaultConfig().SelectionTolDB-0.5 {
@@ -235,7 +235,7 @@ func TestRetrainsWhenAllPathsBlocked(t *testing.T) {
 	if mgr.ActiveWeights() == nil {
 		t.Fatal("never re-established")
 	}
-	snr := link.DefaultBudget().WidebandSNRdB(m.EffectiveWideband(mgr.ActiveWeights(), mgr.offsets))
+	snr := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(mgr.ActiveWeights(), mgr.offsets, nil))
 	if snr < link.OutageThresholdDB {
 		t.Fatalf("post-recovery SNR %g", snr)
 	}

@@ -28,24 +28,20 @@ type Beam struct {
 // Reference returns the reference lobe toward the given angle.
 func Reference(angle float64) Beam { return Beam{Angle: angle, Amp: 1, Phase: 0} }
 
-// Weights synthesizes the constructive multi-beam weight vector
+// WeightsInto synthesizes the constructive multi-beam weight vector
 //
 //	w ∝ Σ_k δ_k e^{−jσ_k} w_{φ_k},  ‖w‖ = 1,
 //
 // where w_{φ} is the matched single beam toward φ. The e^{−jσ} conjugation
 // cancels the channel's per-path phase so the receiver-side copies align
 // (Eq. 10). Note δ_k and σ_k describe the *channel* of path k relative to
-// the reference path; Weights derives the transmit coefficients from them.
-func Weights(u *antenna.ULA, beams []Beam) (cmx.Vector, error) {
-	return WeightsInto(u, beams, nil, nil)
-}
-
-// WeightsInto is Weights with caller-provided buffers: dst receives the
-// synthesized weight vector and scratch holds one lobe's matched beam at a
-// time. Either may be nil (allocated on demand); when both are supplied the
-// synthesis is allocation-free. The arithmetic — per-lobe matched beam,
-// coefficient-scaled accumulation, final normalization — is identical to
-// Weights. dst must not alias a weight vector the caller still transmits.
+// the reference path; WeightsInto derives the transmit coefficients from
+// them.
+//
+// dst receives the weight vector and scratch holds one lobe's matched beam
+// at a time. Either may be nil (allocated on demand); when both are
+// supplied the synthesis is allocation-free. dst must not alias a weight
+// vector the caller still transmits.
 func WeightsInto(u *antenna.ULA, beams []Beam, dst, scratch cmx.Vector) (cmx.Vector, error) {
 	if len(beams) == 0 {
 		return nil, fmt.Errorf("multibeam: no beams")

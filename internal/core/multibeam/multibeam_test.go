@@ -31,7 +31,7 @@ func snrGainDB(m *channel.Model, w cmx.Vector) float64 {
 
 func TestWeightsUnitNormAndLobes(t *testing.T) {
 	u := ula8()
-	w, err := Weights(u, []Beam{Reference(0), {Angle: dsp.Rad(30), Amp: 1, Phase: 0}})
+	w, err := WeightsInto(u, []Beam{Reference(0), {Angle: dsp.Rad(30), Amp: 1, Phase: 0}}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,10 +53,10 @@ func TestConstructiveMultibeamBeatsSingleBeam(t *testing.T) {
 		for _, ph := range []float64{0, 1, -2, math.Pi} {
 			m := twoPathChannel(att, ph)
 			delta, sigma := m.RelativeGain(1, 0)
-			w, err := Weights(m.Tx, []Beam{
+			w, err := WeightsInto(m.Tx, []Beam{
 				Reference(0),
 				{Angle: dsp.Rad(30), Amp: delta, Phase: sigma},
-			})
+			}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -76,7 +76,7 @@ func TestConstructiveMultibeamBeatsSingleBeam(t *testing.T) {
 func TestTwoEqualPathsGiveThreeDB(t *testing.T) {
 	m := twoPathChannel(0, 0.8)
 	delta, sigma := m.RelativeGain(1, 0)
-	w, _ := Weights(m.Tx, []Beam{Reference(0), {Angle: dsp.Rad(30), Amp: delta, Phase: sigma}})
+	w, _ := WeightsInto(m.Tx, []Beam{Reference(0), {Angle: dsp.Rad(30), Amp: delta, Phase: sigma}}, nil, nil)
 	gain := snrGainDB(m, w)
 	if math.Abs(gain-3.01) > 0.7 {
 		t.Fatalf("equal-path gain %g dB, want ≈3", gain)
@@ -106,7 +106,7 @@ func TestMultibeamApproachesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, err := Weights(m.Tx, beams)
+		w, err := WeightsInto(m.Tx, beams, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,17 +130,17 @@ func TestOptimalErrors(t *testing.T) {
 
 func TestWeightsErrors(t *testing.T) {
 	u := ula8()
-	if _, err := Weights(u, nil); err == nil {
+	if _, err := WeightsInto(u, nil, nil, nil); err == nil {
 		t.Fatal("empty beams should fail")
 	}
-	if _, err := Weights(u, []Beam{{Angle: 0, Amp: -1}}); err == nil {
+	if _, err := WeightsInto(u, []Beam{{Angle: 0, Amp: -1}}, nil, nil); err == nil {
 		t.Fatal("negative amplitude should fail")
 	}
 	// Exact cancellation: two identical beams with opposite sign.
-	if _, err := Weights(u, []Beam{
+	if _, err := WeightsInto(u, []Beam{
 		{Angle: 0, Amp: 1, Phase: 0},
 		{Angle: 0, Amp: 1, Phase: math.Pi},
-	}); err == nil {
+	}, nil, nil); err == nil {
 		t.Fatal("cancelling beams should fail")
 	}
 }
@@ -199,10 +199,10 @@ func TestTheoreticalGainMatchesSimulation(t *testing.T) {
 	for _, phaseErr := range []float64{0, dsp.Rad(40), dsp.Rad(100)} {
 		for _, ampErrDB := range []float64{0, -6} {
 			applied := delta * dsp.AmpFromDB(ampErrDB)
-			w, err := Weights(m.Tx, []Beam{
+			w, err := WeightsInto(m.Tx, []Beam{
 				Reference(0),
 				{Angle: dsp.Rad(30), Amp: applied, Phase: sigma + phaseErr},
-			})
+			}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -220,7 +220,7 @@ func TestSubArraySplitIsSubOptimal(t *testing.T) {
 	m := twoPathChannel(3, 1.0)
 	delta, sigma := m.RelativeGain(1, 0)
 	beams := []Beam{Reference(0), {Angle: dsp.Rad(30), Amp: delta, Phase: sigma}}
-	wFull, err := Weights(m.Tx, beams)
+	wFull, err := WeightsInto(m.Tx, beams, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,13 +260,13 @@ func TestPerBeamPowerFractions(t *testing.T) {
 	u := ula8()
 	angles := []float64{0, dsp.Rad(40)}
 	// Equal-amplitude multi-beam → roughly equal fractions.
-	w, _ := Weights(u, []Beam{Reference(0), {Angle: angles[1], Amp: 1}})
+	w, _ := WeightsInto(u, []Beam{Reference(0), {Angle: angles[1], Amp: 1}}, nil, nil)
 	fr := PerBeamPowerFractions(u, w, angles)
 	if math.Abs(fr[0]-0.5) > 0.05 || math.Abs(fr[1]-0.5) > 0.05 {
 		t.Fatalf("equal split fractions %v", fr)
 	}
 	// Unbalanced multi-beam → fractions follow amp².
-	w2, _ := Weights(u, []Beam{Reference(0), {Angle: angles[1], Amp: 0.5}})
+	w2, _ := WeightsInto(u, []Beam{Reference(0), {Angle: angles[1], Amp: 0.5}}, nil, nil)
 	fr2 := PerBeamPowerFractions(u, w2, angles)
 	// Steering vectors at 0° and 40° are not exactly orthogonal for 8
 	// elements, so the projection picks up crosstalk; allow that bias.
@@ -333,7 +333,7 @@ func TestThreeBeamOutperformsTwo(t *testing.T) {
 			d, s := m.RelativeGain(i, 0)
 			beams = append(beams, Beam{Angle: m.Paths[i].AoD, Amp: d, Phase: s})
 		}
-		w, err := Weights(m.Tx, beams)
+		w, err := WeightsInto(m.Tx, beams, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +382,7 @@ func TestWeightsUnitNormProperty(t *testing.T) {
 				Phase: rng.Float64() * 2 * math.Pi,
 			})
 		}
-		w, err := Weights(u, beams)
+		w, err := WeightsInto(u, beams, nil, nil)
 		if err != nil {
 			continue // rare near-cancellation is allowed to error
 		}

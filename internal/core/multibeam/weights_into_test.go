@@ -7,9 +7,9 @@ import (
 	"mmreliable/internal/cmx"
 )
 
-// TestWeightsIntoMatchesWeights pins the buffer-reusing synthesis to the
-// allocating one bit for bit, including when dst/scratch carry stale content
-// from a previous synthesis.
+// TestWeightsIntoMatchesWeights pins synthesis into caller buffers to the
+// nil-buffer (allocating) call bit for bit, including when dst/scratch carry
+// stale content from a previous synthesis.
 func TestWeightsIntoMatchesWeights(t *testing.T) {
 	u := antenna.NewULA(8, 28e9)
 	beams := []Beam{
@@ -17,7 +17,7 @@ func TestWeightsIntoMatchesWeights(t *testing.T) {
 		{Angle: -0.4, Amp: 0.6, Phase: 1.2},
 		{Angle: 0.7, Amp: 0.3, Phase: -2.0},
 	}
-	want, err := Weights(u, beams)
+	want, err := WeightsInto(u, beams, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

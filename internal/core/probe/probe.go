@@ -26,31 +26,12 @@ import (
 	"mmreliable/internal/scratch"
 )
 
-// Prober issues one channel sounding with the given TX weights and returns
-// the per-subcarrier CSI estimate. Implementations wrap nr.Sounder plus the
-// live channel; probes are counted by the implementation for overhead
-// accounting.
+// Prober issues one channel sounding with the given TX weights and writes
+// the per-subcarrier CSI estimate into dst (allocating when dst is nil),
+// returning it. Implementations wrap nr.Sounder plus the live channel;
+// probes are counted by the implementation for overhead accounting.
 type Prober interface {
-	Probe(w cmx.Vector) cmx.Vector
-}
-
-// IntoProber is an optional Prober extension for zero-alloc callers:
-// ProbeInto writes the CSI estimate into dst (allocating only when dst is
-// nil). Implementations must consume their randomness exactly as Probe
-// does, so the two entry points are interchangeable without perturbing
-// any noise stream.
-type IntoProber interface {
-	Prober
 	ProbeInto(w, dst cmx.Vector) cmx.Vector
-}
-
-// probeInto sounds through p, landing the CSI in dst when p supports the
-// zero-alloc path. dst may be nil.
-func probeInto(p Prober, w, dst cmx.Vector) cmx.Vector {
-	if ip, ok := p.(IntoProber); ok {
-		return ip.ProbeInto(w, dst)
-	}
-	return p.Probe(w)
 }
 
 // Estimate is the relative channel of one beam with respect to the
@@ -91,53 +72,39 @@ func (r Result) BeamsInto(angles []float64, dst []multibeam.Beam) ([]multibeam.B
 	return beams, nil
 }
 
-// combinedBeam returns the probing pattern w(φ_ref, φ_k, 1, ψ): the
+// combinedBeam builds the probing pattern w(φ_ref, φ_k, 1, ψ) in dst: the
 // normalized sum of the two matched beams with coefficient e^{jψ} on the
-// second, plus the squared norm of the unnormalized sum (needed to undo
-// the TRP normalization when converting measured power back to |h1+e^{jψ}h2|²).
-func combinedBeam(u *antenna.ULA, phiRef, phiK, psi float64) (cmx.Vector, float64) {
-	return combinedBeamInto(u, phiRef, phiK, psi, nil, nil)
-}
-
-// combinedBeamInto is combinedBeam building the pattern in dst with tmp as
-// the second-beam staging buffer (both allocated when nil). The arithmetic
-// is element-for-element identical to the allocating path: matched beam,
-// plus e^{jψ} times the second matched beam, then L2 normalization.
-func combinedBeamInto(u *antenna.ULA, phiRef, phiK, psi float64, dst, tmp cmx.Vector) (cmx.Vector, float64) {
+// second, with tmp as the second-beam staging buffer (both allocated when
+// nil). It also returns the squared norm of the unnormalized sum (needed to
+// undo the TRP normalization when converting measured power back to
+// |h1+e^{jψ}h2|²).
+func combinedBeam(u *antenna.ULA, phiRef, phiK, psi float64, dst, tmp cmx.Vector) (cmx.Vector, float64) {
 	sum := u.SingleBeamInto(phiRef, dst)
 	sum = sum.AddScaled(cmplx.Exp(complex(0, psi)), u.SingleBeamInto(phiK, tmp))
 	n2 := sum.Norm2()
 	return sum.Normalize(), n2
 }
 
-// EstimatePair estimates the relative channel of the beam at phiK with
-// respect to the reference beam at phiRef, given their per-subcarrier
-// single-beam magnitudes m1, m2 (|h| per subcarrier, from training probes).
-// It issues exactly two probes. The wideband fusion of Eq. 14 reduces the
-// per-subcarrier estimates to one (δ, σ).
-func EstimatePair(p Prober, u *antenna.ULA, phiRef, phiK float64, m1, m2 []float64) (Estimate, error) {
-	return EstimatePairWithDelay(p, u, phiRef, phiK, m1, m2, 0, 0)
-}
-
-// EstimatePairWithDelay is EstimatePair with relative-ToF compensation.
+// EstimatePairWithDelayWS estimates the relative channel of the beam at
+// phiK with respect to the reference beam at phiRef, given their
+// per-subcarrier single-beam magnitudes m1, m2 (|h| per subcarrier, from
+// training probes). It issues exactly two probes. The wideband fusion of
+// Eq. 14 reduces the per-subcarrier estimates to one (δ, σ).
+//
 // When the excess delay Δτ of the probed path (relative to the reference)
 // is known — mmReliable learns it from the training CIR and tracks it via
 // super-resolution — the per-subcarrier ratio's linear phase ramp
-// e^{−j2πfΔτ} can be removed before the Eq. 14 fusion. Without this, plain
+// e^{−j2πfΔτ} is removed before the Eq. 14 fusion. Without this, plain
 // fusion only works while 2π·B·Δτ ≲ 1 rad (the regime of the paper's
 // Fig. 15c); with it, wideband 400 MHz probing stays unbiased at any
 // realistic delay spread. relDelay is Δτ in seconds; bandwidthHz is the
 // sounder bandwidth (both 0 to disable compensation).
-func EstimatePairWithDelay(p Prober, u *antenna.ULA, phiRef, phiK float64, m1, m2 []float64, relDelay, bandwidthHz float64) (Estimate, error) {
-	return EstimatePairWithDelayWS(p, u, phiRef, phiK, m1, m2, relDelay, bandwidthHz, nil)
-}
-
-// EstimatePairWithDelayWS is EstimatePairWithDelay drawing every working
-// buffer — both probing patterns, both CSI landings (when p implements
-// IntoProber), and the per-subcarrier channel reconstruction — from ws
-// under a mark/release pair, so a steady-state refinement round runs
-// without touching the allocator. ws may be nil (plain allocation); the
-// arithmetic and the probe/randomness order are identical either way.
+//
+// Every working buffer — both probing patterns, both CSI landings, and the
+// per-subcarrier channel reconstruction — comes from ws under a
+// mark/release pair, so a steady-state refinement round runs without
+// touching the allocator. ws may be nil (plain allocation); the arithmetic
+// and the probe/randomness order are identical either way.
 func EstimatePairWithDelayWS(p Prober, u *antenna.ULA, phiRef, phiK float64, m1, m2 []float64, relDelay, bandwidthHz float64, ws *scratch.Workspace) (Estimate, error) {
 	if len(m1) != len(m2) || len(m1) == 0 {
 		return Estimate{}, fmt.Errorf("probe: magnitude length mismatch %d vs %d", len(m1), len(m2))
@@ -154,10 +121,10 @@ func EstimatePairWithDelayWS(p Prober, u *antenna.ULA, phiRef, phiK float64, m1,
 		h1 = make(cmx.Vector, len(m1))
 		h2 = make(cmx.Vector, len(m1))
 	}
-	w3, n3 := combinedBeamInto(u, phiRef, phiK, 0, wa, wtmp)
-	w4, n4 := combinedBeamInto(u, phiRef, phiK, math.Pi/2, wb, wtmp)
-	csi3 := probeInto(p, w3, ca)
-	csi4 := probeInto(p, w4, cb)
+	w3, n3 := combinedBeam(u, phiRef, phiK, 0, wa, wtmp)
+	w4, n4 := combinedBeam(u, phiRef, phiK, math.Pi/2, wb, wtmp)
+	csi3 := p.ProbeInto(w3, ca)
+	csi4 := p.ProbeInto(w4, cb)
 	if len(csi3) != len(m1) || len(csi4) != len(m1) {
 		return Estimate{}, fmt.Errorf("probe: CSI length %d != %d", len(csi3), len(m1))
 	}
@@ -196,18 +163,13 @@ func EstimatePairWithDelayWS(p Prober, u *antenna.ULA, phiRef, phiK float64, m1,
 	return Estimate{Delta: cmplx.Abs(ratio), Sigma: cmplx.Phase(ratio)}, nil
 }
 
-// EstimateMultiBeam runs the full estimation round for a K-beam multi-beam
-// over the given path angles (reference first): one single-beam probe per
-// angle to refresh per-beam magnitudes, then two combined probes per
-// non-reference beam — K + 2(K−1) probes total, independent of array size.
-func EstimateMultiBeam(p Prober, u *antenna.ULA, angles []float64) (Result, error) {
-	return EstimateMultiBeamWithDelays(p, u, angles, nil, 0)
-}
-
-// EstimateMultiBeamWithDelays is EstimateMultiBeam with per-beam relative
-// ToF compensation (see EstimatePairWithDelay). relDelays[k] is the excess
-// delay of angles[k] relative to angles[0] (relDelays[0] is ignored); pass
-// nil to disable compensation.
+// EstimateMultiBeamWithDelays runs the full estimation round for a K-beam
+// multi-beam over the given path angles (reference first): one single-beam
+// probe per angle to refresh per-beam magnitudes, then two combined probes
+// per non-reference beam — K + 2(K−1) probes total, independent of array
+// size. relDelays[k] is the excess delay of angles[k] relative to
+// angles[0] (relDelays[0] is ignored) for the per-beam ToF compensation of
+// EstimatePairWithDelayWS; pass nil to disable compensation.
 func EstimateMultiBeamWithDelays(p Prober, u *antenna.ULA, angles []float64, relDelays []float64, bandwidthHz float64) (Result, error) {
 	if len(angles) < 2 {
 		return Result{}, fmt.Errorf("probe: need ≥2 angles, got %d", len(angles))
@@ -218,7 +180,7 @@ func EstimateMultiBeamWithDelays(p Prober, u *antenna.ULA, angles []float64, rel
 	res := Result{}
 	mags := make([][]float64, len(angles))
 	for k, a := range angles {
-		csi := p.Probe(u.SingleBeam(a))
+		csi := p.ProbeInto(u.SingleBeam(a), nil)
 		res.Probes++
 		mags[k] = csi.Abs()
 		res.PerBeamPower = append(res.PerBeamPower, meanPower(mags[k]))
@@ -228,7 +190,7 @@ func EstimateMultiBeamWithDelays(p Prober, u *antenna.ULA, angles []float64, rel
 		if relDelays != nil {
 			rd = relDelays[k]
 		}
-		est, err := EstimatePairWithDelay(p, u, angles[0], angles[k], mags[0], mags[k], rd, bandwidthHz)
+		est, err := EstimatePairWithDelayWS(p, u, angles[0], angles[k], mags[0], mags[k], rd, bandwidthHz, nil)
 		res.Probes += 2
 		if err != nil {
 			return Result{}, fmt.Errorf("probe: beam %d: %w", k, err)
@@ -266,12 +228,12 @@ func NarrowbandEstimate(p1, p2, p3, p4 float64) (Estimate, error) {
 }
 
 // PhaseStability returns the per-subcarrier phase of the ratio h2/h1
-// reconstructed by EstimatePair-style probing — used to verify that the
-// optimal per-beam phase is stable across the band (Fig. 15c). It reuses
-// the same two probes' CSI.
+// reconstructed by EstimatePairWithDelayWS-style probing — used to verify
+// that the optimal per-beam phase is stable across the band (Fig. 15c). It
+// reuses the same two probes' CSI.
 func PhaseStability(u *antenna.ULA, phiRef, phiK float64, m1, m2 []float64, csi3, csi4 cmx.Vector) []float64 {
-	_, n3 := combinedBeam(u, phiRef, phiK, 0)
-	_, n4 := combinedBeam(u, phiRef, phiK, math.Pi/2)
+	_, n3 := combinedBeam(u, phiRef, phiK, 0, nil, nil)
+	_, n4 := combinedBeam(u, phiRef, phiK, math.Pi/2, nil, nil)
 	out := make([]float64, len(m1))
 	for f := range m1 {
 		p1 := m1[f] * m1[f]

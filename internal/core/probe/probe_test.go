@@ -22,7 +22,7 @@ type liveProber struct {
 	m *channel.Model
 }
 
-func (p *liveProber) Probe(w cmx.Vector) cmx.Vector { return p.s.Probe(p.m, w) }
+func (p *liveProber) ProbeInto(w, dst cmx.Vector) cmx.Vector { return p.s.ProbeInto(p.m, w, dst) }
 
 func newProber(t *testing.T, m *channel.Model, bw, noise float64, imp nr.Impairments, seed int64) *liveProber {
 	t.Helper()
@@ -72,9 +72,9 @@ func TestEstimatePairNoiseless(t *testing.T) {
 	} {
 		m := twoPath(tc.att, tc.phase)
 		p := newProber(t, m, 100e6, 0, nr.Impairments{}, 1)
-		m1 := p.Probe(m.Tx.SingleBeam(0)).Abs()
-		m2 := p.Probe(m.Tx.SingleBeam(dsp.Rad(30))).Abs()
-		est, err := EstimatePair(p, m.Tx, 0, dsp.Rad(30), m1, m2)
+		m1 := p.ProbeInto(m.Tx.SingleBeam(0), nil).Abs()
+		m2 := p.ProbeInto(m.Tx.SingleBeam(dsp.Rad(30)), nil).Abs()
+		est, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), m1, m2, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,9 +95,9 @@ func TestEstimatePairSurvivesCFOSFO(t *testing.T) {
 	// random phase and a random SFO slope.
 	m := twoPath(5, 1.3)
 	p := newProber(t, m, 100e6, 1e-6, nr.DefaultImpairments(), 7)
-	m1 := p.Probe(m.Tx.SingleBeam(0)).Abs()
-	m2 := p.Probe(m.Tx.SingleBeam(dsp.Rad(30))).Abs()
-	est, err := EstimatePair(p, m.Tx, 0, dsp.Rad(30), m1, m2)
+	m1 := p.ProbeInto(m.Tx.SingleBeam(0), nil).Abs()
+	m2 := p.ProbeInto(m.Tx.SingleBeam(dsp.Rad(30)), nil).Abs()
+	est, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), m1, m2, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +122,17 @@ func TestDelayCompensationUnbiasesWideband(t *testing.T) {
 	wantDelta, wantSigma := m.RelativeGain(1, 0)
 
 	p := newProber(t, m, 400e6, 0, nr.Impairments{}, 3)
-	m1 := p.Probe(m.Tx.SingleBeam(0)).Abs()
-	m2 := p.Probe(m.Tx.SingleBeam(dsp.Rad(30))).Abs()
+	m1 := p.ProbeInto(m.Tx.SingleBeam(0), nil).Abs()
+	m2 := p.ProbeInto(m.Tx.SingleBeam(dsp.Rad(30)), nil).Abs()
 
-	plain, err := EstimatePair(p, m.Tx, 0, dsp.Rad(30), m1, m2)
+	plain, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), m1, m2, 0, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Delta > 0.2*wantDelta {
 		t.Fatalf("plain fusion should collapse at this delay spread: δ = %g", plain.Delta)
 	}
-	comp, err := EstimatePairWithDelay(p, m.Tx, 0, dsp.Rad(30), m1, m2, 10e-9, 400e6)
+	comp, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), m1, m2, 10e-9, 400e6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +152,9 @@ func TestEstimateAccuracyUnderNoise(t *testing.T) {
 	var worstPhase float64
 	for seed := int64(0); seed < 20; seed++ {
 		p := newProber(t, m, 100e6, 3e-6, nr.DefaultImpairments(), seed)
-		m1 := p.Probe(m.Tx.SingleBeam(0)).Abs()
-		m2 := p.Probe(m.Tx.SingleBeam(dsp.Rad(30))).Abs()
-		est, err := EstimatePair(p, m.Tx, 0, dsp.Rad(30), m1, m2)
+		m1 := p.ProbeInto(m.Tx.SingleBeam(0), nil).Abs()
+		m2 := p.ProbeInto(m.Tx.SingleBeam(dsp.Rad(30)), nil).Abs()
+		est, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), m1, m2, 0, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,7 +200,7 @@ func TestEstimateMultiBeamProbeCountAndQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := multibeam.Weights(m.Tx, beams)
+	w, err := multibeam.WeightsInto(m.Tx, beams, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestEstimateMultiBeamProbeCountAndQuality(t *testing.T) {
 func TestEstimateMultiBeamErrors(t *testing.T) {
 	m := twoPath(3, 0)
 	p := newProber(t, m, 100e6, 0, nr.Impairments{}, 1)
-	if _, err := EstimateMultiBeam(p, m.Tx, []float64{0}); err == nil {
+	if _, err := EstimateMultiBeamWithDelays(p, m.Tx, []float64{0}, nil, 0); err == nil {
 		t.Fatal("single angle should fail")
 	}
 	if _, err := EstimateMultiBeamWithDelays(p, m.Tx, []float64{0, 0.5}, []float64{0}, 400e6); err == nil {
@@ -240,10 +240,10 @@ func TestBeamsShapeValidation(t *testing.T) {
 func TestEstimatePairLengthValidation(t *testing.T) {
 	m := twoPath(3, 0)
 	p := newProber(t, m, 100e6, 0, nr.Impairments{}, 1)
-	if _, err := EstimatePair(p, m.Tx, 0, dsp.Rad(30), []float64{1}, []float64{1, 2}); err == nil {
+	if _, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), []float64{1}, []float64{1, 2}, 0, 0, nil); err == nil {
 		t.Fatal("length mismatch should fail")
 	}
-	if _, err := EstimatePair(p, m.Tx, 0, dsp.Rad(30), nil, nil); err == nil {
+	if _, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), nil, nil, 0, 0, nil); err == nil {
 		t.Fatal("empty magnitudes should fail")
 	}
 }
@@ -265,12 +265,12 @@ func TestPhaseStabilityAcrossBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := &liveProber{s: s, m: m}
-	m1 := p.Probe(m.Tx.SingleBeam(0)).Abs()
-	m2 := p.Probe(m.Tx.SingleBeam(dsp.Rad(30))).Abs()
-	w3, _ := combinedBeam(m.Tx, 0, dsp.Rad(30), 0)
-	w4, _ := combinedBeam(m.Tx, 0, dsp.Rad(30), math.Pi/2)
-	csi3 := p.Probe(w3)
-	csi4 := p.Probe(w4)
+	m1 := p.ProbeInto(m.Tx.SingleBeam(0), nil).Abs()
+	m2 := p.ProbeInto(m.Tx.SingleBeam(dsp.Rad(30)), nil).Abs()
+	w3, _ := combinedBeam(m.Tx, 0, dsp.Rad(30), 0, nil, nil)
+	w4, _ := combinedBeam(m.Tx, 0, dsp.Rad(30), math.Pi/2, nil, nil)
+	csi3 := p.ProbeInto(w3, nil)
+	csi4 := p.ProbeInto(w4, nil)
 	phases := PhaseStability(m.Tx, 0, dsp.Rad(30), m1, m2, csi3, csi4)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, ph := range phases {

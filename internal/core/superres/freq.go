@@ -12,8 +12,8 @@ import (
 )
 
 // wsPool recycles throwaway workspaces for ExtractInto(…, nil) callers, so
-// the compat path stays cheap without requiring every caller to thread a
-// Workspace.
+// a nil workspace stays cheap without requiring every caller to thread
+// one.
 var wsPool = sync.Pool{New: func() any { return scratch.New() }}
 
 // phasorReseed bounds unit-phasor recurrence drift: the recurrence is
@@ -22,8 +22,13 @@ var wsPool = sync.Pool{New: func() any { return scratch.New() }}
 // channel kernel).
 const phasorReseed = 64
 
-// ExtractInto recovers per-beam complex amplitudes from a measured CIR
-// with the frequency-domain solver; it is Extract for hot-path callers.
+// ExtractInto recovers per-beam complex amplitudes from a measured CIR.
+// relDelays[k] is the delay of beam k's path relative to the first
+// (reference) path — relDelays[0] must be 0; sampleSpacing is the CIR
+// sample period (1/bandwidth). The CIR is circularly aligned so its
+// strongest tap sits at index 0, then a grid of base delays around 0 is
+// searched; at each candidate the ridge system (Eq. 23) is solved and the
+// best-residual solution wins.
 //
 // The delay dictionary is a pure-delay family — column k is the IFFT of
 // K_τ[m] = e^{−j2πf_m τ} over the centered subcarrier grid
@@ -248,7 +253,7 @@ func ExtractInto(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg
 	return Result{Amp: amp, Power: pow, BaseDelay: bestBase, Residual: bestRes}, nil
 }
 
-// validate holds the shared argument checks of every Extract variant.
+// validate holds the argument checks shared by ExtractInto and ExtractKernel.
 func validate(cir cmx.Vector, relDelays []float64, sampleSpacing float64) error {
 	if len(cir) == 0 {
 		return fmt.Errorf("superres: empty CIR")
@@ -367,8 +372,8 @@ func delayGramEntry(bw float64, n int, delta float64) complex128 {
 // delayKernelInto writes the time-domain CIR signature of a unit path at
 // delay tau — the IFFT of e^{−j2πf_k·tau} over the centered subcarrier
 // grid — into dst (allocated when nil). It mirrors the sounder's
-// closed-form delay kernel so the non-power-of-two fallback and the
-// Extract compat probe share its exact rounding.
+// closed-form delay kernel so the non-power-of-two fallback shares its
+// exact rounding.
 func delayKernelInto(bw float64, n int, tau float64, dst cmx.Vector) cmx.Vector {
 	if dst == nil {
 		dst = make(cmx.Vector, n)

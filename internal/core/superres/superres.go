@@ -22,10 +22,6 @@ import (
 	"mmreliable/internal/scratch"
 )
 
-// KernelFunc returns the CIR signature of a unit path at the given absolute
-// delay (seconds). nr.(*Sounder).DelayKernel satisfies this.
-type KernelFunc func(tau float64) cmx.Vector
-
 // KernelIntoFunc writes the CIR signature of a unit path at the given
 // absolute delay into dst and returns it (dst may be nil, in which case the
 // kernel allocates). nr.(*Sounder).DelayKernelInto satisfies this; the
@@ -65,81 +61,14 @@ type Result struct {
 	Residual float64
 }
 
-// Extract recovers per-beam complex amplitudes from a measured CIR.
-// relDelays[k] is the delay of beam k's path relative to the first
-// (reference) path — relDelays[0] must be 0. kernel generates dictionary
-// columns; sampleSpacing is the CIR sample period (1/bandwidth).
-//
-// The CIR is circularly aligned so its strongest tap sits at index 0, then
-// a grid of base delays around 0 is searched; at each candidate the ridge
-// system (Eq. 23) is solved and the best-residual solution wins.
-//
-// Extract probes the supplied kernel once against the closed-form delay
-// kernel: when it matches (the sounder's DelayKernel — every known
-// caller), the whole fit runs through the frequency-domain solver of
-// ExtractInto and the kernel is never called again, so legacy callers no
-// longer pay one fresh dictionary column per alignment candidate. A
-// non-delay kernel falls back to the direct time-domain solver
-// ExtractKernel (whose per-candidate allocations are then inherent to the
-// allocating KernelFunc signature).
-func Extract(cir cmx.Vector, relDelays []float64, kernel KernelFunc, sampleSpacing float64, cfg Config) (Result, error) {
-	if err := validate(cir, relDelays, sampleSpacing); err != nil {
-		return Result{}, err
-	}
-	if isDelayKernel(kernel, 1/sampleSpacing, len(cir)) {
-		return ExtractInto(cir, relDelays, sampleSpacing, cfg, nil)
-	}
-	return ExtractKernel(cir, relDelays, func(tau float64, _ cmx.Vector) cmx.Vector {
-		return kernel(tau)
-	}, sampleSpacing, cfg)
-}
-
-// isDelayKernel reports whether kernel is the pure-delay (sounder)
-// kernel, by spot-checking one probe column at a fractional delay against
-// the closed form.
-func isDelayKernel(kernel KernelFunc, bw float64, n int) bool {
-	const probeSamples = 0.37 // arbitrary fractional, non-degenerate delay
-	probe := probeSamples / bw
-	col := kernel(probe)
-	if len(col) != n {
-		return false
-	}
-	for _, i := range [...]int{0, 1, n / 2, n - 1} {
-		i %= n
-		if i < 0 {
-			i += n
-		}
-		if cmplx.Abs(col[i]-delayKernelTap(bw, n, probe, i)) > 1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-// delayKernelTap evaluates a single tap of the closed-form delay kernel
-// (see delayKernelInto).
-func delayKernelTap(bw float64, n int, tau float64, i int) complex128 {
-	nf := float64(n)
-	bTau := bw * tau
-	lead := cmplx.Exp(complex(0, -2*math.Pi*(-bw/2+bw/(2*nf))*tau))
-	scale := complex(1/nf, 0)
-	rho := cmplx.Exp(complex(0, 2*math.Pi*float64(i)/nf-2*math.Pi*bTau/nf))
-	den := rho - 1
-	if cmplx.Abs(den) < 1e-12 {
-		return lead * scale * complex(nf, 0)
-	}
-	num := cmplx.Exp(complex(0, -2*math.Pi*bTau)) - 1
-	return lead * scale * (num / den)
-}
-
 // ExtractKernel is the direct time-domain solver for arbitrary dictionary
 // kernels: every candidate correlation synthesizes the dictionary column
 // kernel(base+rel_k) through one reused scratch buffer and inner-products
 // it against the aligned CIR. It is the reference implementation the
 // frequency-domain ExtractInto is pinned against (within 1e-12; see
-// TestFreqDomainMatchesTimeDomain) and the fallback for kernels that are
-// not a pure delay. Hot-path callers with the standard sounder kernel
-// should use ExtractInto instead.
+// TestFreqDomainMatchesTimeDomain) and the fallback ExtractInto takes when
+// the CIR length is not a power of two. Callers with the standard sounder
+// kernel use ExtractInto.
 func ExtractKernel(cir cmx.Vector, relDelays []float64, kernel KernelIntoFunc, sampleSpacing float64, cfg Config) (Result, error) {
 	if err := validate(cir, relDelays, sampleSpacing); err != nil {
 		return Result{}, err
@@ -249,17 +178,13 @@ func rotate(v cmx.Vector, k int) cmx.Vector {
 	return out
 }
 
-// EstimateDelay returns the sub-sample delay (seconds) of the strongest
+// EstimateDelayWS returns the sub-sample delay (seconds) of the strongest
 // tap of a CIR, in [0, N·Ts), via parabolic interpolation of the magnitude
 // peak. The manager uses this during establishment to learn each beam's
 // absolute ToF; differences of these across beams give the relative ToFs
-// that anchor the super-resolution dictionary.
-func EstimateDelay(cir cmx.Vector, sampleSpacing float64) (float64, error) {
-	return EstimateDelayWS(cir, sampleSpacing, nil)
-}
-
-// EstimateDelayWS is EstimateDelay drawing the magnitude scratch from ws —
-// allocation-free when ws is non-nil, identical arithmetic either way.
+// that anchor the super-resolution dictionary. The magnitude scratch comes
+// from ws — allocation-free when ws is non-nil, identical arithmetic either
+// way.
 func EstimateDelayWS(cir cmx.Vector, sampleSpacing float64, ws *scratch.Workspace) (float64, error) {
 	if len(cir) == 0 {
 		return 0, fmt.Errorf("superres: empty CIR")

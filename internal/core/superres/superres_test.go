@@ -36,7 +36,7 @@ func measure(t *testing.T, s *nr.Sounder, relAttDB, excessNs float64) (cmx.Vecto
 	truth := make([]float64, len(m.Paths))
 	for k := range m.Paths {
 		g := m.PathGain(k, 0)
-		ar := m.Tx.Steering(m.Paths[k].AoD).Dot(w)
+		ar := m.Tx.SteeringInto(m.Paths[k].AoD, nil).Dot(w)
 		p := g * ar
 		truth[k] = real(p)*real(p) + imag(p)*imag(p)
 	}
@@ -48,7 +48,7 @@ func TestExtractTwoResolvedPaths(t *testing.T) {
 	// 10 ns excess delay = 4 samples at 400 MHz: fully resolved.
 	s := newSounder(t, 0, 1)
 	cir, truth := measure(t, s, 3, 10)
-	res, err := Extract(cir, []float64{0, 10e-9}, s.DelayKernel, s.SampleSpacing(), DefaultConfig())
+	res, err := ExtractInto(cir, []float64{0, 10e-9}, s.SampleSpacing(), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestExtractBelowResolution(t *testing.T) {
 	s := newSounder(t, 0, 2)
 	for _, excessNs := range []float64{0.8, 1.2, 1.8} {
 		cir, truth := measure(t, s, 3, excessNs)
-		res, err := Extract(cir, []float64{0, excessNs * 1e-9}, s.DelayKernel, s.SampleSpacing(), DefaultConfig())
+		res, err := ExtractInto(cir, []float64{0, excessNs * 1e-9}, s.SampleSpacing(), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("excess %g ns: %v", excessNs, err)
 		}
@@ -93,7 +93,7 @@ func TestExtractWithNoise(t *testing.T) {
 	var worst float64
 	for trial := 0; trial < 10; trial++ {
 		cir, truth := measure(t, s, 5, 7.5)
-		res, err := Extract(cir, []float64{0, 7.5e-9}, s.DelayKernel, s.SampleSpacing(), DefaultConfig())
+		res, err := ExtractInto(cir, []float64{0, 7.5e-9}, s.SampleSpacing(), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,11 +123,11 @@ func TestExtractTracksBlockageOfOneBeam(t *testing.T) {
 	m.Paths[1].ExtraLossDB = 10 // blocker on the NLOS path, same beam
 	cirB := s.CIR(s.Probe(m, w))
 	cfg := DefaultConfig()
-	resA, err := Extract(cirA, []float64{0, 10e-9}, s.DelayKernel, s.SampleSpacing(), cfg)
+	resA, err := ExtractInto(cirA, []float64{0, 10e-9}, s.SampleSpacing(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := Extract(cirB, []float64{0, 10e-9}, s.DelayKernel, s.SampleSpacing(), cfg)
+	resB, err := ExtractInto(cirB, []float64{0, 10e-9}, s.SampleSpacing(), cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestExtractThreeBeams(t *testing.T) {
 	h := m.PerAntennaCSI(0)
 	w := h.Conj().Normalize()
 	cir := s.CIR(s.Probe(m, w))
-	res, err := Extract(cir, []float64{0, 6e-9, 20e-9}, s.DelayKernel, s.SampleSpacing(), DefaultConfig())
+	res, err := ExtractInto(cir, []float64{0, 6e-9, 20e-9}, s.SampleSpacing(), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestExtractSurvivesTimingDrift(t *testing.T) {
 	cir, truth := measure(t, s, 3, 10)
 	for _, shift := range []int{1, 5, 17, 40} {
 		rot := rotate(cir, shift)
-		res, err := Extract(rot, []float64{0, 10e-9}, s.DelayKernel, s.SampleSpacing(), DefaultConfig())
+		res, err := ExtractInto(rot, []float64{0, 10e-9}, s.SampleSpacing(), DefaultConfig(), nil)
 		if err != nil {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
@@ -187,8 +187,6 @@ func TestExtractSurvivesTimingDrift(t *testing.T) {
 }
 
 func TestExtractValidation(t *testing.T) {
-	s := newSounder(t, 0, 7)
-	kern := s.DelayKernel
 	cir := make(cmx.Vector, 64)
 	cir[0] = 1
 	cases := []struct {
@@ -202,14 +200,14 @@ func TestExtractValidation(t *testing.T) {
 		{"too many paths", make(cmx.Vector, 2), []float64{0, 1e-9, 2e-9}},
 	}
 	for _, c := range cases {
-		if _, err := Extract(c.cir, c.rel, kern, 2.5e-9, DefaultConfig()); err == nil {
+		if _, err := ExtractInto(c.cir, c.rel, 2.5e-9, DefaultConfig(), nil); err == nil {
 			t.Errorf("%s: expected error", c.name)
 		}
 	}
-	if _, err := Extract(cir, []float64{0}, kern, 0, DefaultConfig()); err == nil {
+	if _, err := ExtractInto(cir, []float64{0}, 0, DefaultConfig(), nil); err == nil {
 		t.Error("zero sample spacing: expected error")
 	}
-	if _, err := Extract(make(cmx.Vector, 64), []float64{0}, kern, 2.5e-9, DefaultConfig()); err == nil {
+	if _, err := ExtractInto(make(cmx.Vector, 64), []float64{0}, 2.5e-9, DefaultConfig(), nil); err == nil {
 		t.Error("all-zero CIR: expected error")
 	}
 }
@@ -222,7 +220,7 @@ func TestExtractSingleBeamDegenerate(t *testing.T) {
 	})
 	w := m.Tx.SingleBeam(0)
 	cir := s.CIR(s.Probe(m, w))
-	res, err := Extract(cir, []float64{0}, s.DelayKernel, s.SampleSpacing(), DefaultConfig())
+	res, err := ExtractInto(cir, []float64{0}, s.SampleSpacing(), DefaultConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"os"
-)
+import "math"
 
 // PhasorReseed is the shared recurrence length between exact re-seeds of a
 // unit-phasor recurrence: every implementation that sweeps e^{jθ₀+jkΔθ}
@@ -83,19 +80,8 @@ func Kernels() []Kernel { return []Kernel{Reference, Planar} }
 // runs shifts results by the kernels' ≤1e-12 disagreement.
 var active = Planar
 
-func init() {
-	switch os.Getenv("MMR_DSP_KERNEL") {
-	case "reference":
-		active = Reference
-	case "planar", "":
-	default:
-		// Unknown names keep the default rather than failing init; the
-		// selection is a tuning knob, not configuration.
-	}
-}
-
 // Active returns the kernel the hot paths currently dispatch through
-// (default Planar; MMR_DSP_KERNEL=reference selects the oracle).
+// (Planar unless a test selected another with SetKernel).
 func Active() Kernel { return active }
 
 // SetKernel swaps the active kernel and returns the previous one. It is a

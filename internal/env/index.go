@@ -2,16 +2,8 @@ package env
 
 import (
 	"math"
-	"os"
 	"sync"
 )
-
-// referenceTracer forces the brute-force reference tracer even when an
-// environment has a built spatial index, mirroring MMR_DSP_KERNEL=reference
-// in the dsp package: `MMR_TRACER=reference go test ./...` runs the whole
-// suite against the oracle implementation. Read once at init so the hot
-// path never touches the environment.
-var referenceTracer = os.Getenv("MMR_TRACER") == "reference"
 
 // Index is a uniform spatial grid over an environment's walls. It turns the
 // tracer's two O(walls) inner loops into local queries:
@@ -65,19 +57,6 @@ const aabbPad = 1e-7
 // exactly as before with the brute-force loops.
 func (e *Environment) BuildIndex() {
 	e.idx = buildIndex(e.Walls)
-}
-
-// HasIndex reports whether an effective spatial index is present (false
-// under MMR_TRACER=reference, which pins the package to the oracle).
-func (e *Environment) HasIndex() bool { return e.tracerIndex() != nil }
-
-// tracerIndex returns the index the tracer should consult, or nil for the
-// brute-force reference path.
-func (e *Environment) tracerIndex() *Index {
-	if referenceTracer {
-		return nil
-	}
-	return e.idx
 }
 
 func buildIndex(walls []Wall) *Index {

@@ -30,9 +30,6 @@ func traceCachePair(t *testing.T, e *Environment, tc *TraceCache, tx, rx Pose, t
 // periodic multi-cell hops (disk rectangle change) and scene-scale
 // teleports (every leg set stale at once).
 func TestTraceCacheMatchesTraceAppend(t *testing.T) {
-	if referenceTracer {
-		t.Skip("MMR_TRACER=reference disables the spatial index the cache keys on")
-	}
 	type scene struct {
 		name  string
 		build func(rng *rand.Rand) (*Environment, []Pose)
@@ -125,9 +122,6 @@ func TestTraceCacheMatchesTraceAppend(t *testing.T) {
 // the quiescent regime: oscillating a UE between two sub-pad positions
 // must stop growing Rebuilds after the first visit.
 func TestTraceCacheReuses(t *testing.T) {
-	if referenceTracer {
-		t.Skip("MMR_TRACER=reference disables the spatial index the cache keys on")
-	}
 	e, poses := MultiCellHall(Band28GHz(), 2)
 	e.MaxRangeM = 80
 	e.BuildIndex()
@@ -159,9 +153,6 @@ func TestTraceCacheReuses(t *testing.T) {
 // drifting UE: the index-generation check must discard stale enumerations
 // the moment the blocker enters — or leaves — any cached candidate band.
 func TestTraceCacheBlockerInvalidation(t *testing.T) {
-	if referenceTracer {
-		t.Skip("MMR_TRACER=reference disables the spatial index the cache keys on")
-	}
 	base := ConferenceRoom(Band60GHz())
 	nFixed := len(base.Walls)
 	base.MaxRangeM = 40

@@ -88,7 +88,8 @@ type Environment struct {
 	MaxRangeM float64
 
 	// idx is the optional spatial index over Walls (see BuildIndex). Nil
-	// means brute-force tracing; MMR_TRACER=reference ignores it entirely.
+	// means brute-force tracing — the reference tracer the indexed one is
+	// pinned against.
 	idx *Index
 }
 
@@ -120,10 +121,10 @@ func (e *Environment) TraceAppend(dst []Path, tx, rx Pose) []Path {
 // (see TraceCache): the reflection candidate disk and the per-leg occlusion
 // candidate sets are reused across calls while their exact revalidation
 // tests hold, and only the per-pose solve runs. Output is bit-identical to
-// TraceAppend. A nil tc, an environment without an effective spatial index,
+// TraceAppend. A nil tc, an environment without a spatial index,
 // or an unbounded range (MaxRangeM == 0) all fall back to TraceAppend.
 func (e *Environment) TraceAppendCached(tc *TraceCache, dst []Path, tx, rx Pose) []Path {
-	if tc == nil || e.tracerIndex() == nil || e.MaxRangeM <= 0 {
+	if tc == nil || e.idx == nil || e.MaxRangeM <= 0 {
 		return e.TraceAppend(dst, tx, rx)
 	}
 	return e.traceAppend(tc, dst, tx, rx)
@@ -131,7 +132,7 @@ func (e *Environment) TraceAppendCached(tc *TraceCache, dst []Path, tx, rx Pose)
 
 func (e *Environment) traceAppend(tc *TraceCache, dst []Path, tx, rx Pose) []Path {
 	if tc != nil {
-		tc.ensure(e.tracerIndex())
+		tc.ensure(e.idx)
 	}
 	start := len(dst)
 	paths := dst
@@ -139,7 +140,7 @@ func (e *Environment) traceAppend(tc *TraceCache, dst []Path, tx, rx Pose) []Pat
 	if p, ok := e.losPath(tc, tx, rx); ok {
 		paths = append(paths, p)
 	}
-	if ix := e.tracerIndex(); ix != nil && e.MaxRangeM > 0 {
+	if ix := e.idx; ix != nil && e.MaxRangeM > 0 {
 		// Indexed reflection enumeration: every wall able to host a
 		// reflection point of a path with Dist ≤ MaxRangeM lies within
 		// MaxRangeM/2 of the tx–rx midpoint (ellipse containment; the
@@ -374,7 +375,7 @@ func (e *Environment) doubleReflectedPath(tx, rx Pose, wi, wj int) (Path, bool) 
 // early exit — matches the brute-force walk bit for bit.
 func (e *Environment) transmissionLoss(leg Segment, skip1, skip2 int) (lossDB float64, blocked bool) {
 	const hardBlockDB = 50
-	if ix := e.tracerIndex(); ix != nil {
+	if ix := e.idx; ix != nil {
 		sc := ix.getScratch()
 		lossDB, blocked = e.transmissionLossOver(ix.legCandidates(sc, leg), leg, skip1, skip2)
 		ix.putScratch(sc)

@@ -65,7 +65,7 @@ func AblationQuantization(cfg Config) *stats.Table {
 			d, s := m.RelativeGain(k, 0)
 			beams = append(beams, multibeam.Beam{Angle: m.Paths[k].AoD, Amp: d, Phase: s})
 		}
-		w, err := multibeam.Weights(u, beams)
+		w, err := multibeam.WeightsInto(u, beams, nil, nil)
 		if err != nil {
 			return nil
 		}
@@ -75,7 +75,7 @@ func AblationQuantization(cfg Config) *stats.Table {
 			if q.q.PhaseBits > 0 || q.q.GainRangeDB > 0 {
 				wq = q.q.Apply(w)
 			}
-			snrs[qi] = budget.WidebandSNRdB(m.EffectiveWideband(wq, offs))
+			snrs[qi] = budget.WidebandSNRdB(m.EffectiveWidebandInto(wq, offs, nil))
 		}
 		return snrs
 	})

@@ -4,8 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"mmreliable/internal/hybrid"
 )
 
 func quickCfg() Config { return Config{Seed: 1, Quick: true} }
@@ -364,9 +362,6 @@ func TestExtensionMetroLandmarks(t *testing.T) {
 }
 
 func TestExtensionHybridLandmarks(t *testing.T) {
-	was := hybrid.Enabled
-	hybrid.Enabled = true
-	defer func() { hybrid.Enabled = was }()
 	tb := ExtensionHybrid(quickCfg())
 	// The §8 claim: with ≥8 angularly separable UEs the hybrid-SDMA cell
 	// multiplies sum throughput over the single-beam TDMA baseline...

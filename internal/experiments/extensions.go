@@ -122,7 +122,7 @@ func ExtensionRateAdaptation(cfg Config) *stats.Table {
 		for s := 0; s < slots; s++ {
 			tm := float64(s) * num.SlotDuration()
 			m := sc.ChannelAt(tm)
-			truth := budget.WidebandSNRdB(m.EffectiveWideband(w, offs))
+			truth := budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))
 			if s%every == 0 {
 				adapter.Observe(budget.WidebandSNRdBFromMags(sounder.Probe(m, w).Abs()))
 			}

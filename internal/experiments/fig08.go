@@ -33,10 +33,10 @@ func Fig08DelaySpread(cfg Config) *stats.Table {
 		})
 		delta, sigma := m.RelativeGain(1, 0)
 		single := u.SingleBeam(0)
-		plain, err := multibeam.Weights(u, []multibeam.Beam{
+		plain, err := multibeam.WeightsInto(u, []multibeam.Beam{
 			multibeam.Reference(0),
 			{Angle: dsp.Rad(30), Amp: delta, Phase: sigma},
-		})
+		}, nil, nil)
 		if err != nil {
 			panic(err)
 		}

@@ -35,11 +35,11 @@ func Fig11aSuperresMSE(cfg Config) *stats.Table {
 			w := m.PerAntennaCSI(0).Conj().Normalize()
 			truth := make([]float64, 2)
 			for k := range m.Paths {
-				g := m.PathGain(k, 0) * m.Tx.Steering(m.Paths[k].AoD).Dot(w)
+				g := m.PathGain(k, 0) * m.Tx.SteeringInto(m.Paths[k].AoD, nil).Dot(w)
 				truth[k] = real(g)*real(g) + imag(g)*imag(g)
 			}
 			cir := s.CIR(s.Probe(m, w))
-			res, err := superres.Extract(cir, []float64{0, tofNs * 1e-9}, s.DelayKernel, s.SampleSpacing(), superres.DefaultConfig())
+			res, err := superres.ExtractInto(cir, []float64{0, tofNs * 1e-9}, s.SampleSpacing(), superres.DefaultConfig(), nil)
 			if err != nil {
 				continue
 			}
@@ -81,7 +81,7 @@ func Fig11bTwoSinc(cfg Config) *stats.Table {
 	})
 	w := m.PerAntennaCSI(0).Conj().Normalize()
 	cir := s.CIR(s.Probe(m, w))
-	res, err := superres.Extract(cir, []float64{0, excess}, s.DelayKernel, s.SampleSpacing(), superres.DefaultConfig())
+	res, err := superres.ExtractInto(cir, []float64{0, excess}, s.SampleSpacing(), superres.DefaultConfig(), nil)
 	if err != nil {
 		panic(err)
 	}

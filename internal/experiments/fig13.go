@@ -18,7 +18,7 @@ func Fig13dPattern(cfg Config) *stats.Table {
 		multibeam.Reference(dsp.Rad(-10)),
 		{Angle: dsp.Rad(25), Amp: 0.8, Phase: 0.5},
 	}
-	ideal, err := multibeam.Weights(u, beams)
+	ideal, err := multibeam.WeightsInto(u, beams, nil, nil)
 	if err != nil {
 		panic(err)
 	}

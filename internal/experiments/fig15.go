@@ -24,8 +24,8 @@ type liveProber struct {
 	m *channel.Model
 }
 
-// Probe implements probe.Prober.
-func (p *liveProber) Probe(w cmx.Vector) cmx.Vector { return p.s.Probe(p.m, w) }
+// ProbeInto implements probe.Prober.
+func (p *liveProber) ProbeInto(w, dst cmx.Vector) cmx.Vector { return p.s.ProbeInto(p.m, w, dst) }
 
 // fig15Channel is the paper's §6.1 setup: indoor 7 m link, LOS at 0°, NLOS
 // at 30°, with a small excess delay so constructive combining holds across
@@ -61,23 +61,23 @@ func Fig15aPhaseScan(cfg Config) *stats.Table {
 	t := stats.NewTable("Fig 15a — SNR vs second-beam phase", "phase_rad", "snr_dB")
 	best, bestPh := math.Inf(-1), 0.0
 	for _, ph := range stats.Linspace(0, 2*math.Pi, 25) {
-		w, err := multibeam.Weights(u, []multibeam.Beam{
+		w, err := multibeam.WeightsInto(u, []multibeam.Beam{
 			multibeam.Reference(0),
 			{Angle: dsp.Rad(30), Amp: delta, Phase: ph},
-		})
+		}, nil, nil)
 		if err != nil {
 			continue
 		}
-		snr := budget.WidebandSNRdB(m.EffectiveWideband(w, offs))
+		snr := budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))
 		if snr > best {
 			best, bestPh = snr, ph
 		}
 		t.AddRow(stats.Fmt(ph), stats.Fmt(snr))
 	}
 	// Two-probe estimate.
-	m1 := pr.Probe(u.SingleBeam(0)).Abs()
-	m2 := pr.Probe(u.SingleBeam(dsp.Rad(30))).Abs()
-	est, err := probe.EstimatePairWithDelay(pr, u, 0, dsp.Rad(30), m1, m2, 0.9e-9, budget.BandwidthHz)
+	m1 := pr.ProbeInto(u.SingleBeam(0), nil).Abs()
+	m2 := pr.ProbeInto(u.SingleBeam(dsp.Rad(30)), nil).Abs()
+	est, err := probe.EstimatePairWithDelayWS(pr, u, 0, dsp.Rad(30), m1, m2, 0.9e-9, budget.BandwidthHz, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -99,18 +99,18 @@ func Fig15bAmpScan(cfg Config) *stats.Table {
 
 	t := stats.NewTable("Fig 15b — SNR vs second-beam amplitude", "amp_dB", "snr_dB")
 	for _, ampDB := range stats.Linspace(-10, 2, 13) {
-		w, err := multibeam.Weights(u, []multibeam.Beam{
+		w, err := multibeam.WeightsInto(u, []multibeam.Beam{
 			multibeam.Reference(0),
 			{Angle: dsp.Rad(30), Amp: dsp.AmpFromDB(ampDB), Phase: sigma},
-		})
+		}, nil, nil)
 		if err != nil {
 			continue
 		}
-		t.AddRow(stats.Fmt(ampDB), stats.Fmt(budget.WidebandSNRdB(m.EffectiveWideband(w, offs))))
+		t.AddRow(stats.Fmt(ampDB), stats.Fmt(budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))))
 	}
-	m1 := pr.Probe(u.SingleBeam(0)).Abs()
-	m2 := pr.Probe(u.SingleBeam(dsp.Rad(30))).Abs()
-	est, err := probe.EstimatePairWithDelay(pr, u, 0, dsp.Rad(30), m1, m2, 0.9e-9, budget.BandwidthHz)
+	m1 := pr.ProbeInto(u.SingleBeam(0), nil).Abs()
+	m2 := pr.ProbeInto(u.SingleBeam(dsp.Rad(30)), nil).Abs()
+	est, err := probe.EstimatePairWithDelayWS(pr, u, 0, dsp.Rad(30), m1, m2, 0.9e-9, budget.BandwidthHz, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -129,14 +129,14 @@ func Fig15cPhaseStability(cfg Config) *stats.Table {
 	}
 	pr := &liveProber{s: s, m: fig15Channel()}
 	u := pr.m.Tx
-	m1 := pr.Probe(u.SingleBeam(0)).Abs()
-	m2 := pr.Probe(u.SingleBeam(dsp.Rad(30))).Abs()
+	m1 := pr.ProbeInto(u.SingleBeam(0), nil).Abs()
+	m2 := pr.ProbeInto(u.SingleBeam(dsp.Rad(30)), nil).Abs()
 	// Re-issue the two combined probes and reuse their CSI for the
 	// per-subcarrier phase profile.
 	w3, _ := combined(u, 0, dsp.Rad(30), 0)
 	w4, _ := combined(u, 0, dsp.Rad(30), math.Pi/2)
-	csi3 := pr.Probe(w3)
-	csi4 := pr.Probe(w4)
+	csi3 := pr.ProbeInto(w3, nil)
+	csi4 := pr.ProbeInto(w4, nil)
 	phases := probe.PhaseStability(u, 0, dsp.Rad(30), m1, m2, csi3, csi4)
 
 	t := stats.NewTable("Fig 15c — per-subcarrier optimal phase over 100 MHz", "subcarrier", "phase_rad")
@@ -181,7 +181,7 @@ func Fig15dOracleGap(cfg Config) *stats.Table {
 		m := channel.Cluster(rng, env.Band28GHz(), u, params)
 		// Order paths strongest first, as beam training would find them.
 		sortPathsByLoss(m)
-		single := budget.WidebandSNRdB(m.EffectiveWideband(u.SingleBeam(m.Paths[0].AoD), offs))
+		single := budget.WidebandSNRdB(m.EffectiveWidebandInto(u.SingleBeam(m.Paths[0].AoD), offs, nil))
 		mk := func(k int) []multibeam.Beam {
 			var beams []multibeam.Beam
 			for p := 0; p < k; p++ {
@@ -191,17 +191,17 @@ func Fig15dOracleGap(cfg Config) *stats.Table {
 			return beams
 		}
 		var tr trial
-		if w, err := multibeam.Weights(u, mk(2)); err == nil {
-			tr.g2, tr.ok2 = budget.WidebandSNRdB(m.EffectiveWideband(w, offs))-single, true
+		if w, err := multibeam.WeightsInto(u, mk(2), nil, nil); err == nil {
+			tr.g2, tr.ok2 = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
 		}
-		if w, err := multibeam.Weights(u, mk(3)); err == nil {
-			tr.g3, tr.ok3 = budget.WidebandSNRdB(m.EffectiveWideband(w, offs))-single, true
+		if w, err := multibeam.WeightsInto(u, mk(3), nil, nil); err == nil {
+			tr.g3, tr.ok3 = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
 		}
 		if w, err := multibeam.SubArraySplit(u, mk(3)); err == nil {
-			tr.gSplit, tr.okS = budget.WidebandSNRdB(m.EffectiveWideband(w, offs))-single, true
+			tr.gSplit, tr.okS = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
 		}
 		if w, err := multibeam.Optimal(m.PerAntennaCSI(0)); err == nil {
-			tr.gOracle, tr.okO = budget.WidebandSNRdB(m.EffectiveWideband(w, offs))-single, true
+			tr.gOracle, tr.okO = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
 		}
 		return tr
 	})

@@ -45,7 +45,7 @@ func Fig17aPowerVsRotation(cfg Config) *stats.Table {
 			m.Paths[k].AoD += dsp.Rad(rotDeg)
 		}
 		cir := s.CIR(s.Probe(m, w))
-		res, err := superres.Extract(cir, []float64{0, 3.2e-9}, s.DelayKernel, s.SampleSpacing(), superres.DefaultConfig())
+		res, err := superres.ExtractInto(cir, []float64{0, 3.2e-9}, s.SampleSpacing(), superres.DefaultConfig(), nil)
 		if err != nil {
 			continue
 		}

@@ -60,15 +60,15 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 		d, s := m.RelativeGain(k, 0)
 		beams = append(beams, multibeam.Beam{Angle: paths[k].AoD, Amp: d, Phase: s})
 	}
-	wMulti, err := multibeam.Weights(u, beams)
+	wMulti, err := multibeam.WeightsInto(u, beams, nil, nil)
 	if err != nil {
 		panic(err)
 	}
 	// mmReliable's beam-set selection: fall back to the single beam when
 	// wideband ripple makes the multi-beam no better on this channel (it
 	// then still wins through the §4.1 blockage response below).
-	if budget.WidebandSNRdB(m.EffectiveWideband(wMulti, offs)) <
-		budget.WidebandSNRdB(m.EffectiveWideband(wSingle, offs)) {
+	if budget.WidebandSNRdB(m.EffectiveWidebandInto(wMulti, offs, nil)) <
+		budget.WidebandSNRdB(m.EffectiveWidebandInto(wSingle, offs, nil)) {
 		wMulti = wSingle
 	}
 	// The §4.1 response steady state: all power on the best unblocked path.
@@ -103,8 +103,8 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 			wm = wBlocked
 		}
 		return rates{
-			s: link.Throughput(budget.WidebandSNRdB(mm.EffectiveWideband(wSingle, offs)), budget.BandwidthHz, 0),
-			m: link.Throughput(budget.WidebandSNRdB(mm.EffectiveWideband(wm, offs)), budget.BandwidthHz, 0),
+			s: link.Throughput(budget.WidebandSNRdB(mm.EffectiveWidebandInto(wSingle, offs, nil)), budget.BandwidthHz, 0),
+			m: link.Throughput(budget.WidebandSNRdB(mm.EffectiveWidebandInto(wm, offs, nil)), budget.BandwidthHz, 0),
 		}
 	})
 	var thrS, thrM float64

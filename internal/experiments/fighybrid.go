@@ -31,9 +31,7 @@ import (
 //
 // Each arm rebuilds its station fresh over identical per-UE streams
 // (trialSeed(labelExtHybrid, i)), so arms and rows are controlled
-// comparisons, byte-identical at any Workers value. Note the comparison
-// requires the hybrid gate: under MMR_HYBRID=off every arm degenerates to
-// the legacy dedicated-airtime engine and the table shows no spread.
+// comparisons, byte-identical at any Workers value.
 func ExtensionHybrid(cfg Config) *stats.Table {
 	ues := []int{4, 8, 16}
 	duration := 0.5

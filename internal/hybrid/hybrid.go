@@ -13,14 +13,3 @@
 // leaked by the other users' beams (internal/link's SINR helpers), and MCS /
 // outage are driven from that.
 package hybrid
-
-import "os"
-
-// Enabled gates the hybrid/SDMA tier. MMR_HYBRID=off disables it — every
-// consumer (the station scheduler's slot-sharing planner, the CLIs' extra
-// output lines) falls back to the single-beam TDMA behavior and reproduces
-// the pre-hybrid stdout byte for byte, which is the CI oracle for this
-// subsystem. Read once at init, exactly like incr.Enabled and the
-// MMR_DSP_KERNEL / MMR_TRACER switches; tests that need both modes in one
-// process flip the variable directly.
-var Enabled = os.Getenv("MMR_HYBRID") != "off"

@@ -4,10 +4,10 @@
 // bit-identical results to the full recompute it replaces, so enabling or
 // disabling it can never change a single byte of simulator output.
 //
-// MMR_INCREMENTAL=off pins the whole repo to the full-recompute oracle,
-// mirroring MMR_TRACER=reference and MMR_DSP_KERNEL=reference: CI diffs the
-// stdout of both modes against each other, and `MMR_INCREMENTAL=off go test
-// ./...` runs the suite without any reuse fast path.
+// MMR_INCREMENTAL=off pins the whole repo to the full-recompute oracle: CI
+// diffs the stdout of both modes against each other, and
+// `MMR_INCREMENTAL=off go test ./...` runs the suite without any reuse fast
+// path.
 package incr
 
 import "os"

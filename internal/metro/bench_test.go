@@ -1,17 +1,11 @@
 package metro
 
 import (
-	"fmt"
 	"testing"
 
 	"mmreliable/internal/nr"
 )
 
-// BenchmarkMetroFrame measures the steady-state cost of advancing one metro
-// frame with churn off (quiescent city: every site past warmup, sessions
-// never end, fading disabled) — the per-frame hot path with zero steady-state
-// allocations. UEs/sec is the headline throughput metric: resident UEs times
-// frames advanced per wall-clock second.
 // BenchmarkMetroFrameMixed measures the mixed mobile/static churn city —
 // the incremental frame engine's honest workload: a quarter of the UEs pace
 // the hall at walking speed (full recompute every slot — the temporal-
@@ -43,33 +37,30 @@ func BenchmarkMetroFrameMixed(b *testing.B) {
 	b.ReportMetric(float64(ueFrames)/b.Elapsed().Seconds(), "UEs/sec")
 }
 
+// BenchmarkMetroFrame measures the steady-state cost of advancing one
+// frame of the default 8-site quiescent city (2 cells and 2 UEs per site,
+// churn off, fading ablated) on the single-worker inline path, so the
+// number is comparable across core counts. Must report 0 allocs/op;
+// UEs/sec is the city-throughput headline: resident UEs times frames
+// advanced per wall-clock second.
 func BenchmarkMetroFrame(b *testing.B) {
-	for _, workers := range []int{1, 4} {
-		for _, sites := range []int{8, 64} {
-			b.Run(fmt.Sprintf("sites=%d/workers=%d", sites, workers), func(b *testing.B) {
-				cfg := DefaultConfig()
-				cfg.Clusters = sites
-				cfg.Workers = workers
-				cfg.ChurnArrivalRate = 0 // sessions never end: no harvest, no churn allocs
-				m, err := New(nr.Mu3(), cfg)
-				if err != nil {
-					b.Fatalf("New: %v", err)
-				}
-				defer m.Close()
-				// Warm past cluster warmup and the first natural retrains so
-				// every per-site scratch buffer is sized.
-				for i := 0; i < 40; i++ {
-					m.AdvanceFrame()
-				}
-				ues := m.ResidentUEs()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.AdvanceFrame()
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(ues*b.N)/b.Elapsed().Seconds(), "UEs/sec")
-			})
-		}
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.ChurnArrivalRate = 0
+	m, err := New(nr.Mu3(), cfg)
+	if err != nil {
+		b.Fatal(err)
 	}
+	defer m.Close()
+	for i := 0; i < 40; i++ {
+		m.AdvanceFrame() // admit, establish, warm every per-site buffer
+	}
+	ues := m.ResidentUEs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.AdvanceFrame()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(ues*b.N)/b.Elapsed().Seconds(), "UEs/sec")
 }

@@ -71,7 +71,7 @@ func TestNoiselessProbeIsExact(t *testing.T) {
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
 	est := s.Probe(m, w)
-	truth := m.EffectiveWideband(w, s.SubcarrierOffsets())
+	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
 	if est.Sub(truth).Norm() > 1e-12*truth.Norm() {
 		t.Fatalf("noiseless probe error %g", est.Sub(truth).Norm())
 	}
@@ -84,7 +84,7 @@ func TestCFOPreservesMagnitude(t *testing.T) {
 	s := testSounder(t, 0, DefaultImpairments())
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
-	truth := m.EffectiveWideband(w, s.SubcarrierOffsets())
+	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
 	est1 := s.Probe(m, w)
 	est2 := s.Probe(m, w)
 	for k := range truth {
@@ -106,7 +106,7 @@ func TestSFOAddsLinearPhaseOnly(t *testing.T) {
 	s := testSounder(t, 0, Impairments{SFOMaxSlope: 1.0})
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
-	truth := m.EffectiveWideband(w, s.SubcarrierOffsets())
+	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
 	est := s.Probe(m, w)
 	// The phase error est/truth must be linear in subcarrier index.
 	err0 := cmplx.Phase(est[0] / truth[0])
@@ -124,7 +124,7 @@ func TestProbeNoiseScale(t *testing.T) {
 	s := testSounder(t, noise, Impairments{})
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
-	truth := m.EffectiveWideband(w, s.SubcarrierOffsets())
+	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
 	// Average the empirical per-subcarrier noise power over many probes.
 	var acc float64
 	const probes = 200

@@ -303,7 +303,7 @@ func (s *Sounder) DelayKernelInto(tau float64, dst cmx.Vector) cmx.Vector {
 		// |den|² < (1e-12)²: same degenerate-ratio branch as an abs
 		// check, without the hypot; the ratio itself multiplies by the
 		// conjugate reciprocal instead of paying a complex division per
-		// tap (this kernel runs once per super-resolution compat probe).
+		// tap.
 		d := real(den)*real(den) + imag(den)*imag(den)
 		if d < 1e-24 {
 			out[i] = ls * complex(float64(n), 0)

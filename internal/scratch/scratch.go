@@ -25,7 +25,7 @@
 package scratch
 
 // chunk sizes double from these floors; the first complex chunk is large
-// enough that a full superres Extract (Gram + ramps + candidates for a
+// enough that a full superres ExtractInto (Gram + ramps + candidates for a
 // few beams at nsc=64) fits in one or two chunks.
 const (
 	firstComplexChunk = 512

@@ -1,9 +1,16 @@
 package station
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
+	"mmreliable/internal/antenna"
+	"mmreliable/internal/channel"
+	"mmreliable/internal/core/manager"
+	"mmreliable/internal/link"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/scratch"
 	"mmreliable/internal/seeds"
 	"mmreliable/internal/sim"
 )
@@ -85,40 +92,58 @@ func BenchmarkStationSlotQuiescent(b *testing.B) {
 	b.ReportMetric(1e9/perSlot, "sessionslots/s")
 }
 
-// BenchmarkBatchedSlot measures the frame-barrier planar batch pass alone:
-// gathering every grant-holding session, one WidebandBatch evaluation over
-// the frame's UEs, and the per-session wideband-SNR fold — the batched
-// front door of the planar DSP backend.
+// BenchmarkBatchedSlot measures the station's frame-barrier batch pass as
+// composed from the public pieces: gather each established grant's active
+// weights and channel model, run one WidebandBatch evaluation over the
+// frame's UEs, and fold every row to a wideband entry SNR. This is the
+// per-frame coordinator-side cost the batched planar backend adds (and the
+// per-slot work it amortises away).
 func BenchmarkBatchedSlot(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Workers = 1
-	cfg.ProbeBudget = 0 // unlimited tokens: every established session batches
-	st, err := New(nr.Mu3(), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
 	const ues = 8
-	for i := 0; i < ues; i++ {
-		s := seeds.Mix(41, int64(i))
-		if _, err := st.Attach(SessionConfig{
-			Scenario: sim.StaticIndoor(s),
-			Budget:   sim.IndoorBudget(),
-			Seed:     s,
-		}); err != nil {
+	mgrs := make([]*manager.Manager, ues)
+	models := make([]*channel.Model, ues)
+	for i := range mgrs {
+		mgr, err := manager.New(fmt.Sprintf("m%d", i), antenna.NewULA(8, 28e9),
+			link.DefaultBudget(), nr.Mu3(), manager.DefaultConfig(),
+			rand.New(rand.NewSource(seeds.Mix(41, int64(i)))))
+		if err != nil {
 			b.Fatal(err)
 		}
+		sc := sim.StaticIndoor(seeds.Mix(41, int64(i)))
+		if _, err := (sim.Runner{}).Run(sc, mgr); err != nil {
+			b.Fatal(err)
+		}
+		if !mgr.Established() {
+			b.Fatalf("manager %d not established after run", i)
+		}
+		m := sc.ChannelAt(sc.Duration)
+		m.Reuse = true
+		mgrs[i], models[i] = mgr, m
 	}
-	for i := 0; i < 20; i++ {
-		st.AdvanceFrame() // establish + warm buffers
+	txLin, noiseLin := link.DefaultBudget().SNRTerms()
+	ws := scratch.New()
+	var batch channel.WidebandBatch
+	var sink float64
+	frame := func() {
+		batch.Reset(mgrs[0].Offsets())
+		for i := range mgrs {
+			batch.Add(models[i], mgrs[i].ActiveWeightsView())
+		}
+		mk := ws.Mark()
+		batch.Eval(ws)
+		for r := range mgrs {
+			re, im := batch.Row(r)
+			sink = link.WidebandSNRdBSplitTerms(re, im, txLin, noiseLin)
+		}
+		ws.Release(mk)
 	}
-	if st.batch.Len() == 0 {
-		b.Fatal("no sessions batched after warmup")
-	}
+	frame() // warm caches and workspace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.batchFrameEntry()
+		frame()
 	}
+	_ = sink
 }
 
 // BenchmarkStationFrameParallel measures the same workload sharded across

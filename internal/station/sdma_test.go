@@ -4,21 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"mmreliable/internal/hybrid"
 	"mmreliable/internal/nr"
 	"mmreliable/internal/seeds"
 	"mmreliable/internal/sim"
 )
-
-// hybridOn forces the hybrid gate for the duration of a test, restoring
-// the environment-derived value afterwards — the in-process counterpart of
-// the MMR_HYBRID CI sweeps (same pattern as the incremental engine tests).
-func hybridOn(t *testing.T, on bool) {
-	t.Helper()
-	was := hybrid.Enabled
-	hybrid.Enabled = on
-	t.Cleanup(func() { hybrid.Enabled = was })
-}
 
 // buildSpreadStation assembles a station whose n static UEs sit on an arc
 // of distinct AoDs (sim.SpreadStaticIndoor) — the population the SDMA
@@ -61,7 +50,6 @@ func sdmaCfg(chains int) func(*Config) {
 // to the hybrid tier: identical Results whether scheduling units run
 // inline or across 4 workers, with grouping actually exercised.
 func TestSDMADeterministicAcrossWorkers(t *testing.T) {
-	hybridOn(t, true)
 	const dur = 0.3
 	res1 := buildSpreadStation(t, 8, 1, 7, sdmaCfg(4)).Run(dur)
 	res4 := buildSpreadStation(t, 8, 4, 7, sdmaCfg(4)).Run(dur)
@@ -76,20 +64,12 @@ func TestSDMADeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSDMAOffMatchesLegacy is the tentpole's oracle: with the hybrid gate
-// off, a station configured for SDMA must reproduce the legacy
-// dedicated-airtime results exactly — and so must an enabled gate with
-// Chains = 0.
+// TestSDMAOffMatchesLegacy is the tentpole's oracle: a station with
+// Chains = 0 must reproduce the legacy dedicated-airtime results exactly.
 func TestSDMAOffMatchesLegacy(t *testing.T) {
 	const dur = 0.25
-	hybridOn(t, false)
-	gated := buildSpreadStation(t, 6, 2, 11, sdmaCfg(4)).Run(dur)
-	hybridOn(t, true)
 	legacy := buildSpreadStation(t, 6, 2, 11, nil).Run(dur)
 	unconfigured := buildSpreadStation(t, 6, 2, 11, sdmaCfg(0)).Run(dur)
-	if !reflect.DeepEqual(gated, legacy) {
-		t.Fatalf("MMR_HYBRID=off with SDMA config diverges from legacy:\noff: %+v\nlegacy: %+v", gated, legacy)
-	}
 	if !reflect.DeepEqual(unconfigured, legacy) {
 		t.Fatalf("Chains=0 diverges from legacy:\nchains0: %+v\nlegacy: %+v", unconfigured, legacy)
 	}
@@ -103,7 +83,6 @@ func TestSDMAOffMatchesLegacy(t *testing.T) {
 // the single-beam shared-airtime baseline (Chains = 1), without giving up
 // reliability.
 func TestSDMASumThroughputGain(t *testing.T) {
-	hybridOn(t, true)
 	const dur = 0.4
 	tdma := buildSpreadStation(t, 8, 2, 5, sdmaCfg(1)).Run(dur)
 	sdma := buildSpreadStation(t, 8, 2, 5, sdmaCfg(4)).Run(dur)
@@ -123,7 +102,6 @@ func TestSDMASumThroughputGain(t *testing.T) {
 // threshold nothing may group; with churned co-located UEs (StaticIndoor —
 // all at one AoD) nothing may group either, and rejects are recorded.
 func TestSDMAPairingRespectsSeparation(t *testing.T) {
-	hybridOn(t, true)
 	wide := buildSpreadStation(t, 6, 1, 3, func(c *Config) {
 		c.SDMA = SDMAConfig{Chains: 4, MinSeparationDeg: 170, MinSINRdB: -100}
 	}).Run(0.2)
@@ -168,7 +146,6 @@ func TestSDMAChainsValidation(t *testing.T) {
 // (thresholds wide open), stepping through the digital combiner every
 // owned slot on the inline path.
 func TestHybridSlotAllocs(t *testing.T) {
-	hybridOn(t, true)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
 	cfg.SDMA = SDMAConfig{Chains: 2, MinSeparationDeg: 0, MinSINRdB: -100}

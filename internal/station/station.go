@@ -69,8 +69,8 @@ type Config struct {
 	// Costs slotsPerFrame slots of memory per session, nothing else.
 	KeepFrameSlots bool
 	// SDMA configures the hybrid slot-sharing tier (internal/hybrid). The
-	// zero value — and MMR_HYBRID=off, regardless of this field — leaves
-	// the legacy dedicated-airtime model byte-for-byte intact.
+	// zero value leaves the legacy dedicated-airtime model byte-for-byte
+	// intact.
 	SDMA SDMAConfig
 	// Manager configures every session's beam manager.
 	Manager manager.Config
@@ -79,8 +79,8 @@ type Config struct {
 // SDMAConfig tunes the interference-aware slot-sharing planner.
 type SDMAConfig struct {
 	// Chains is the RF-chain count of the hybrid front end: the maximum
-	// number of UEs one slot may serve. 0 (or MMR_HYBRID=off) disables the
-	// shared-airtime model entirely — the legacy oracle. 1 models shared
+	// number of UEs one slot may serve. 0 disables the shared-airtime
+	// model entirely — the legacy oracle. 1 models shared
 	// airtime with no spatial multiplexing (round-robin TDMA across all
 	// sessions — the single-beam baseline the e8 experiment compares
 	// against). ≥2 enables greedy angular-separation grouping with a
@@ -218,7 +218,7 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 	for k := range st.ws {
 		st.ws[k] = scratch.New()
 	}
-	st.sdmaOn = hybrid.Enabled && cfg.SDMA.Chains >= 1
+	st.sdmaOn = cfg.SDMA.Chains >= 1
 	if st.sdmaOn {
 		st.units = make([][]int, 0, cfg.MaxSessions)
 		st.unitStore = make([]int, 0, cfg.MaxSessions)
