@@ -21,11 +21,11 @@
 // or host-dependent fields — so stdout is byte-identical for any -workers
 // value. CI diffs -workers 1 against -workers 8 on a 32-UE churn run.
 //
-// -sdma-chains N (default 0 = off) enables the hybrid multi-panel tier
-// (internal/hybrid): slots are shared across interference-screened session
-// groups of up to N UEs, and an extra "sdma:" summary line is printed. With
-// the default 0 the output is byte-for-byte the legacy dedicated-airtime
-// run.
+// The UEs share the cell's airtime. -sdma-chains N sets the RF-chain
+// count of the hybrid multi-panel front end (internal/hybrid): with the
+// default 1 the cell serves one UE per slot (round-robin TDMA); with N ≥ 2
+// slots are shared across interference-screened session groups of up to N
+// UEs. The "sdma:" summary line reports the planner's outcome.
 package main
 
 import (
@@ -44,7 +44,6 @@ import (
 
 func main() {
 	def := station.DefaultConfig()
-	sdmaDef := station.DefaultSDMAConfig(0)
 	ues := flag.Int("ues", 8, "number of UE sessions to attach")
 	scenario := flag.String("scenario", "mixed", "mixed | spread | indoor | indoor-mobile | outdoor | walking-blocker | small-spread | rotating-ue")
 	budget := flag.Int("budget", def.ProbeBudget, "probe grants per frame across all sessions (0 = unlimited, every session self-schedules)")
@@ -55,9 +54,9 @@ func main() {
 	maxSessions := flag.Int("max-sessions", def.MaxSessions, "admission-control cap on concurrently attached sessions")
 	churn := flag.Bool("churn", false, "mid-run churn: every 4th UE attaches at 0.3×duration, every 5th detaches at 0.7×duration")
 	perUE := flag.Bool("per-ue", false, "print the per-UE result table")
-	sdmaChains := flag.Int("sdma-chains", 0, "hybrid RF chains: max UEs per shared slot (0 = legacy dedicated airtime, 1 = single-beam TDMA baseline)")
-	sdmaSep := flag.Float64("sdma-sep", sdmaDef.MinSeparationDeg, "minimum tracked-AoD separation in degrees between co-scheduled UEs")
-	sdmaMinSINR := flag.Float64("sdma-min-sinr", sdmaDef.MinSINRdB, "minimum predicted SINR in dB for every member of a candidate group")
+	sdmaChains := flag.Int("sdma-chains", def.SDMA.Chains, "hybrid RF chains: max UEs per shared slot (1 = single-beam TDMA)")
+	sdmaSep := flag.Float64("sdma-sep", def.SDMA.MinSeparationDeg, "minimum tracked-AoD separation in degrees between co-scheduled UEs")
+	sdmaMinSINR := flag.Float64("sdma-min-sinr", def.SDMA.MinSINRdB, "minimum predicted SINR in dB for every member of a candidate group")
 	showVersion := flag.Bool("version", false, "print version/build info and exit")
 	flag.Parse()
 
@@ -72,7 +71,7 @@ func main() {
 		core.FloatPositive("duration", *duration),
 		core.IntAtLeast("workers", *workers, 0),
 		core.IntAtLeast("max-sessions", *maxSessions, 0),
-		core.IntAtLeast("sdma-chains", *sdmaChains, 0),
+		core.IntAtLeast("sdma-chains", *sdmaChains, 1),
 		core.FloatAtLeast("sdma-sep", *sdmaSep, 0),
 	); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -132,10 +131,8 @@ func main() {
 	fmt.Fprintf(w, "mean reliability %s  median SNR %s dB  training overhead %s%%  min/max grant ratio %s\n",
 		stats.Fmt(res.MeanReliability), stats.Fmt(res.MedianSNRdB),
 		stats.Fmt(overheadPct), stats.Fmt(res.MinMaxGrantRatio))
-	if *sdmaChains >= 1 {
-		fmt.Fprintf(w, "sdma: chains %d  groups %d  pair-rejects %d  combined-slots %d  sum-throughput %s Mbps\n",
-			*sdmaChains, c.SDMAGroups, c.SDMAPairRejects, c.SDMASlots, stats.Fmt(res.SumThroughputBps/1e6))
-	}
+	fmt.Fprintf(w, "sdma: chains %d  groups %d  pair-rejects %d  combined-slots %d  sum-throughput %s Mbps\n",
+		*sdmaChains, c.SDMAGroups, c.SDMAPairRejects, c.SDMASlots, stats.Fmt(res.SumThroughputBps/1e6))
 	if *perUE {
 		table := stats.NewTable("per-UE results",
 			"ue", "state", "slots", "reliability", "snr_dB", "thr_Mbps", "grants", "denials", "preempt", "retrain")

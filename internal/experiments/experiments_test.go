@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"mmreliable/internal/link"
 )
 
 func quickCfg() Config { return Config{Seed: 1, Quick: true} }
@@ -281,6 +283,20 @@ func TestExtensionLandmarks(t *testing.T) {
 	}
 	if aware <= tdm {
 		t.Fatalf("spatial multiplexing %g not above TDM %g", aware, tdm)
+	}
+	if tdm <= naive {
+		t.Fatalf("TDM %g not above naive spatial multiplexing %g", tdm, naive)
+	}
+	// Interference-aware selection leaves both users decodable, and the
+	// multi-beam upgrade keeps every user within its 1 dB tolerance.
+	for u := 0; u < 2; u++ {
+		s := cell(t, e4, "aware-spatial", 2+u)
+		if s < link.OutageThresholdDB {
+			t.Fatalf("aware-spatial user %d SINR %g dB below outage threshold", u, s)
+		}
+		if mb := cell(t, e4, "aware+multibeam", 2+u); mb < s-1 {
+			t.Fatalf("multi-beam upgrade dropped user %d from %g to %g dB", u, s, mb)
+		}
 	}
 }
 

@@ -6,11 +6,13 @@ import (
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
+	"mmreliable/internal/cmx"
 	"mmreliable/internal/core/handover"
-	"mmreliable/internal/core/hybrid"
 	"mmreliable/internal/core/manager"
+	"mmreliable/internal/core/multibeam"
 	"mmreliable/internal/env"
 	"mmreliable/internal/events"
+	"mmreliable/internal/hybrid"
 	"mmreliable/internal/link"
 	"mmreliable/internal/motion"
 	"mmreliable/internal/nr"
@@ -146,7 +148,9 @@ func sounderOffsets(b link.Budget, n int) []float64 {
 // Compared: time-division (each user alone, half the air time), naive
 // spatial multiplexing (both chains on strongest paths), interference-aware
 // beam selection, and the reliability upgrade that adds extra lobes only
-// where they do not disturb the other user.
+// where they do not disturb the other user. Every arm is scored through the
+// hybrid tier's digital MMSE stage (hybrid.Combiner): K = 2 for the spatial
+// arms, K = 1 for each TDM link.
 func ExtensionMultiUser(cfg Config) *stats.Table {
 	u := antenna.NewULA(8, 28e9)
 	budget := sim.IndoorBudget()
@@ -158,35 +162,193 @@ func ExtensionMultiUser(cfg Config) *stats.Table {
 		{AoDDeg: 4}, // collides with user 1's LOS
 		{AoDDeg: 45, RelAttDB: 3, PhaseRad: -0.5, DelayNs: 0.8},
 	})
-	users := []*channel.Model{u1, u2}
+	sc := newMultiUserScorer(u, []*channel.Model{u1, u2}, budget)
 
-	tdm, err := hybrid.TDMRate(u, users, budget)
-	if err != nil {
-		panic(err)
-	}
-	naive, err := hybrid.NaiveBeams(u, users, budget)
-	if err != nil {
-		panic(err)
-	}
-	aware, err := hybrid.SelectBeams(u, users, budget)
-	if err != nil {
-		panic(err)
-	}
-	upgraded, err := hybrid.SelectBeams(u, users, budget)
-	if err != nil {
-		panic(err)
-	}
-	if err := upgraded.WithMultibeam(u, users, budget, 1.0); err != nil {
-		panic(err)
-	}
+	tdm := sc.tdmRate()
+	naive := sc.naiveBeams()
+	aware := sc.selectBeams()
+	upgraded := sc.withMultibeam(sc.selectBeams(), 1.0)
 
 	t := stats.NewTable("Extension E4 — 2-user hybrid beamforming (sum rate, bits/s/Hz)",
 		"scheme", "sum_rate", "user0_sinr_dB", "user1_sinr_dB")
 	t.AddRow("tdm", stats.Fmt(tdm), "", "")
-	t.AddRow("naive-spatial", stats.Fmt(naive.SumRate), stats.Fmt(naive.SINRdB[0]), stats.Fmt(naive.SINRdB[1]))
-	t.AddRow("aware-spatial", stats.Fmt(aware.SumRate), stats.Fmt(aware.SINRdB[0]), stats.Fmt(aware.SINRdB[1]))
-	t.AddRow("aware+multibeam", stats.Fmt(upgraded.SumRate), stats.Fmt(upgraded.SINRdB[0]), stats.Fmt(upgraded.SINRdB[1]))
+	t.AddRow("naive-spatial", stats.Fmt(naive.sumRate), stats.Fmt(naive.sinrDB[0]), stats.Fmt(naive.sinrDB[1]))
+	t.AddRow("aware-spatial", stats.Fmt(aware.sumRate), stats.Fmt(aware.sinrDB[0]), stats.Fmt(aware.sinrDB[1]))
+	t.AddRow("aware+multibeam", stats.Fmt(upgraded.sumRate), stats.Fmt(upgraded.sinrDB[0]), stats.Fmt(upgraded.sinrDB[1]))
 	return t
+}
+
+// multiUserScorer scores analog beam assignments for a fixed set of users
+// sharing one transmit array. Each chain drives one user's stream; user u
+// hears y_u = h_uᵀ w_u s_u + Σ_{r≠u} h_uᵀ w_r s_r + n, so selection picks,
+// for every user, the multipath direction whose beam leaks least into the
+// others. SINRs come from the digital MMSE stage over the users' wideband
+// cross channels.
+type multiUserScorer struct {
+	ula             *antenna.ULA
+	users           []*channel.Model
+	offs            []float64
+	cb              *hybrid.Combiner
+	txLin, noiseLin float64
+}
+
+// multiUserAssignment is one spatial-multiplexing configuration: per-user
+// steered path, unit-norm weights, per-user SINR and the sum rate
+// Σ log2(1+SINR) in bits/s/Hz.
+type multiUserAssignment struct {
+	pathIdx []int
+	weights []cmx.Vector
+	sinrDB  []float64
+	sumRate float64
+}
+
+func newMultiUserScorer(u *antenna.ULA, users []*channel.Model, budget link.Budget) *multiUserScorer {
+	const nsc = 64
+	txLin, noiseLin := budget.SNRTerms()
+	return &multiUserScorer{
+		ula:      u,
+		users:    users,
+		offs:     channel.SubcarrierOffsets(budget.BandwidthHz, nsc),
+		cb:       hybrid.NewCombiner(len(users), nsc),
+		txLin:    txLin,
+		noiseLin: noiseLin,
+	}
+}
+
+// sinrs returns the SINR (dB) of each of the given users when weights[v]
+// serves users[v] in one slot, writing into dst.
+func (s *multiUserScorer) sinrs(users []*channel.Model, weights []cmx.Vector, dst []float64) []float64 {
+	k := len(users)
+	if err := s.cb.Begin(k); err != nil {
+		panic(err)
+	}
+	for a := 0; a < k; a++ {
+		for b := 0; b < k; b++ {
+			re, im := s.cb.Entry(a, b)
+			users[a].EffectiveWidebandSplitInto(weights[b], s.offs, re, im)
+		}
+	}
+	if err := s.cb.Solve(s.txLin, s.noiseLin); err != nil {
+		panic(err)
+	}
+	for a := range dst[:k] {
+		dst[a] = s.cb.UserSINRdB(a, s.txLin, s.noiseLin)
+	}
+	return dst[:k]
+}
+
+// score fills a's SINRs and sum rate from its weights.
+func (s *multiUserScorer) score(a *multiUserAssignment) {
+	a.sinrDB = s.sinrs(s.users, a.weights, make([]float64, len(s.users)))
+	a.sumRate = sumRate(a.sinrDB)
+}
+
+func sumRate(sinrDB []float64) float64 {
+	var r float64
+	for _, x := range sinrDB {
+		r += math.Log2(1 + math.Pow(10, x/10))
+	}
+	return r
+}
+
+// tdmRate is the time-division baseline: each user served alone (full
+// power, strongest single beam) for a 1/U share of the time.
+func (s *multiUserScorer) tdmRate() float64 {
+	var sum float64
+	var sinr [1]float64
+	for _, m := range s.users {
+		w := s.ula.SingleBeamInto(m.Paths[m.StrongestPath()].AoD, nil)
+		s.sinrs([]*channel.Model{m}, []cmx.Vector{w}, sinr[:])
+		sum += sumRate(sinr[:]) / float64(len(s.users))
+	}
+	return sum
+}
+
+// naiveBeams steers every user's chain at that user's strongest path —
+// the interference-oblivious baseline.
+func (s *multiUserScorer) naiveBeams() multiUserAssignment {
+	var a multiUserAssignment
+	for _, m := range s.users {
+		k := m.StrongestPath()
+		a.pathIdx = append(a.pathIdx, k)
+		a.weights = append(a.weights, s.ula.SingleBeamInto(m.Paths[k].AoD, nil))
+	}
+	s.score(&a)
+	return a
+}
+
+// selectBeams exhaustively searches per-user path choices (each chain
+// steered as a single beam at one of its user's paths) and returns the
+// assignment maximizing the sum rate.
+func (s *multiUserScorer) selectBeams() multiUserAssignment {
+	n := len(s.users)
+	choice := make([]int, n)
+	best := multiUserAssignment{sumRate: math.Inf(-1)}
+	var rec func(int)
+	rec = func(depth int) {
+		if depth == n {
+			cand := multiUserAssignment{pathIdx: append([]int(nil), choice...)}
+			for i, m := range s.users {
+				cand.weights = append(cand.weights, s.ula.SingleBeamInto(m.Paths[choice[i]].AoD, nil))
+			}
+			if s.score(&cand); cand.sumRate > best.sumRate {
+				best = cand
+			}
+			return
+		}
+		for k := range s.users[depth].Paths {
+			choice[depth] = k
+			rec(depth + 1)
+		}
+	}
+	rec(0)
+	return best
+}
+
+// withMultibeam upgrades an assignment: each user's chain is tentatively
+// re-synthesized as a constructive multi-beam over more of the user's
+// paths, and each extra lobe is kept only if no user's SINR drops by more
+// than tolDB — reliability improves (multiple lobes per user) while the
+// multi-user interference structure is preserved. This realizes §8's
+// "jointly use some spatial beams for enhancing reliability while others
+// for improving multi-user coexistence".
+func (s *multiUserScorer) withMultibeam(a multiUserAssignment, tolDB float64) multiUserAssignment {
+	baseline := append([]float64(nil), a.sinrDB...)
+	trial := make([]float64, len(s.users))
+	for i, m := range s.users {
+		ref := a.pathIdx[i]
+		lobes := []multibeam.Beam{{Angle: m.Paths[ref].AoD, Amp: 1}}
+		for k := range m.Paths {
+			if k == ref {
+				continue
+			}
+			d, sg := m.RelativeGain(k, ref)
+			cand := append(append([]multibeam.Beam(nil), lobes...),
+				multibeam.Beam{Angle: m.Paths[k].AoD, Amp: d, Phase: sg})
+			w, err := multibeam.WeightsInto(s.ula, cand, nil, nil)
+			if err != nil {
+				continue
+			}
+			prev := a.weights[i]
+			a.weights[i] = w
+			s.sinrs(s.users, a.weights, trial)
+			ok := true
+			for j := range trial {
+				if trial[j] < baseline[j]-tolDB {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				lobes = cand
+				copy(baseline, trial)
+			} else {
+				a.weights[i] = prev
+			}
+		}
+	}
+	s.score(&a)
+	return a
 }
 
 // ExtensionHandover demonstrates the §4.1/§8 escape hatch: with the serving

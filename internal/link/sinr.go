@@ -2,18 +2,6 @@ package link
 
 import "math"
 
-// SINRdB returns the narrowband signal-to-interference-plus-noise ratio in
-// decibels for linear received signal power sigLin, summed co-channel
-// interference power intLin, and noise power noiseLin (all in the same
-// units). With intLin == 0 it reduces to an SNR. Returns −Inf for a
-// non-positive signal.
-func SINRdB(sigLin, intLin, noiseLin float64) float64 {
-	if sigLin <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(sigLin/(intLin+noiseLin))
-}
-
 // WidebandSINRdB returns the capacity-equivalent wideband SINR of a
 // per-subcarrier signal/interference power profile:
 //

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestSINRdB(t *testing.T) {
-	// No interference: plain SNR.
-	if got, want := SINRdB(1e-6, 0, 1e-9), 30.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("SINRdB no-interference = %.12f, want %.12f", got, want)
-	}
-	// Interference-limited: zero noise.
-	if got, want := SINRdB(1e-6, 1e-7, 0), 10.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("SINRdB interference-limited = %.12f, want %.12f", got, want)
-	}
-	if got := SINRdB(0, 1e-7, 1e-9); !math.IsInf(got, -1) {
-		t.Fatalf("zero signal = %g, want -Inf", got)
-	}
-}
-
 // TestWidebandSINRZeroInterferenceMatchesSNR: with an all-zero
 // interference profile the SINR fold must agree with the wideband SNR
 // computed from the same per-subcarrier channel.

@@ -12,7 +12,7 @@ import (
 // simulation.
 const (
 	SnapshotFormat  = "mmserved-snapshot"
-	SnapshotVersion = 1
+	SnapshotVersion = 2
 )
 
 // snapshotFile is the versioned snapshot document. It is event-sourced:

@@ -35,14 +35,51 @@ type Counters struct {
 	AttachesAdmitted int
 	AttachesRejected int
 	Detaches         int
-	// SDMA planner outcomes (zero unless the hybrid tier is on).
+	// SDMA planner outcomes (zero unless Chains ≥ 2).
 	// SDMAGroups counts frames×groups committed with ≥2 members;
 	// SDMAPairRejects counts candidates refused on angular separation or
 	// the group-SINR re-check; SDMASlots is the total session·slots served
-	// through the digital combiner (summed from sessions at Results time).
+	// through the digital combiner.
 	SDMAGroups      int
 	SDMAPairRejects int
 	SDMASlots       int64
+}
+
+// sessionTally is the part of one session's cumulative accounting that
+// the station counters aggregate. The session-summed Counters fields are
+// kept live by folding each session's per-frame tally delta in at the
+// frame barrier (harvestFrame), so CountersSnapshot is O(1) and always
+// equals Results().Counters.
+type sessionTally struct {
+	probes, grants, denials, preemptions int
+	realigns, retrains, trainingSlots    int
+	sdmaSlots                            int64
+}
+
+// tally reads the session's current cumulative accounting.
+func (ss *Session) tally() sessionTally {
+	return sessionTally{
+		probes:        ss.mgr.ProbesUsed(),
+		grants:        ss.grant.granted,
+		denials:       ss.grant.denied,
+		preemptions:   ss.grant.preempted,
+		realigns:      ss.mgr.Refinements,
+		retrains:      ss.mgr.Retrains,
+		trainingSlots: ss.mgr.TrainingSlots,
+		sdmaSlots:     ss.sdmaSlots,
+	}
+}
+
+// addDelta folds the accounting accrued between tallies prev and cur.
+func (c *Counters) addDelta(cur, prev sessionTally) {
+	c.ProbesIssued += cur.probes - prev.probes
+	c.Grants += cur.grants - prev.grants
+	c.BudgetDenials += cur.denials - prev.denials
+	c.Preemptions += cur.preemptions - prev.preemptions
+	c.Realigns += cur.realigns - prev.realigns
+	c.Retrains += cur.retrains - prev.retrains
+	c.TrainingSlots += cur.trainingSlots - prev.trainingSlots
+	c.SDMASlots += cur.sdmaSlots - prev.sdmaSlots
 }
 
 // UEResult is one session's outcome.
@@ -114,14 +151,6 @@ func (st *Station) Results() Results {
 			TrainingSlots: ss.mgr.TrainingSlots,
 		}
 		res.PerUE = append(res.PerUE, ur)
-		res.Counters.ProbesIssued += ur.Probes
-		res.Counters.Grants += ur.Grants
-		res.Counters.BudgetDenials += ur.BudgetDenials
-		res.Counters.Preemptions += ur.Preemptions
-		res.Counters.Retrains += ur.Retrains
-		res.Counters.Realigns += ur.Realigns
-		res.Counters.TrainingSlots += ur.TrainingSlots
-		res.Counters.SDMASlots += ss.sdmaSlots
 		if ss.meter.Slots() > 0 {
 			measured++
 			relSum += ur.Summary.Reliability

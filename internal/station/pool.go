@@ -8,23 +8,17 @@ import (
 	"mmreliable/internal/scratch"
 )
 
-// runSessions steps every active session through the frame starting at t0,
-// sharded across the worker pool. Sessions are claimed with an atomic
-// counter — which worker runs which session is scheduling-dependent, but
-// irrelevant to the output: a session's entire world is session-private,
-// and the per-worker scratch arenas hand out zeroed checkouts, so a
-// session computes bit-identical results on any worker. The WaitGroup
-// barrier publishes all session state back to the coordinator.
+// runSessions steps every scheduling unit planned for the frame starting
+// at t0, sharded across the worker pool. Workers claim whole units (a
+// group's members must step in lockstep within a slot) with an atomic
+// counter — which worker runs which unit is scheduling-dependent, but
+// irrelevant to the output: a unit's entire world is unit-private, and the
+// per-worker scratch arenas and combiners hand out zeroed checkouts, so a
+// unit computes bit-identical results on any worker. The WaitGroup barrier
+// publishes all session state back to the coordinator.
 func (st *Station) runSessions(t0 float64) {
-	n := len(st.active)
+	n := len(st.units)
 	if n == 0 {
-		return
-	}
-	if st.sdmaOn && len(st.units) > 0 {
-		// Shared-airtime model: workers claim whole scheduling units so a
-		// group's members step in lockstep (sdma.go). Claim order is just
-		// as output-irrelevant as in the per-session path below.
-		st.runUnits(t0)
 		return
 	}
 	w := st.workers
@@ -33,10 +27,11 @@ func (st *Station) runSessions(t0 float64) {
 	}
 	if w <= 1 {
 		// Inline path: zero goroutines, zero allocations — the path the
-		// steady-state allocation pin (TestStationSlotAllocs) exercises.
-		ws := st.ws[0]
-		for _, ss := range st.active {
-			ss.runFrame(st, t0, ws)
+		// steady-state allocation pins (TestStationSlotAllocs,
+		// TestHybridSlotAllocs) exercise.
+		ws, cb := st.ws[0], st.combiner(0)
+		for u, unit := range st.units {
+			st.runUnit(u, unit, t0, ws, cb)
 		}
 		return
 	}
@@ -44,31 +39,6 @@ func (st *Station) runSessions(t0 float64) {
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
-		go func(ws *scratch.Workspace) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				st.active[i].runFrame(st, t0, ws)
-			}
-		}(st.ws[k])
-	}
-	wg.Wait()
-}
-
-// runUnitsParallel shards SDMA scheduling units across w workers, each
-// with its own scratch arena and combiner.
-func (st *Station) runUnitsParallel(t0 float64, w, n int) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		var cb *hybrid.Combiner
-		if st.combiners != nil {
-			cb = st.combiners[k]
-		}
 		go func(ws *scratch.Workspace, cb *hybrid.Combiner) {
 			defer wg.Done()
 			for {
@@ -78,7 +48,16 @@ func (st *Station) runUnitsParallel(t0 float64, w, n int) {
 				}
 				st.runUnit(i, st.units[i], t0, ws, cb)
 			}
-		}(st.ws[k], cb)
+		}(st.ws[k], st.combiner(k))
 	}
 	wg.Wait()
+}
+
+// combiner returns worker k's digital stage, nil when Chains = 1 (units
+// never have two members, so nothing combines).
+func (st *Station) combiner(k int) *hybrid.Combiner {
+	if st.combiners == nil {
+		return nil
+	}
+	return st.combiners[k]
 }

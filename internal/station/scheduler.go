@@ -114,9 +114,13 @@ func (st *Station) priority(ss *Session) float64 {
 
 // harvestFrame runs at the barrier after session stepping: it folds each
 // session's frame outcome back into the scheduler state (staleness resets,
-// starvation aging, emergency carryover and preemption boosts).
+// starvation aging, emergency carryover and preemption boosts) and its
+// accounting delta into the station counters.
 func (st *Station) harvestFrame() {
 	for _, ss := range st.active {
+		cur := ss.tally()
+		st.counters.addDelta(cur, ss.harvested)
+		ss.harvested = cur
 		gr := &ss.grant
 		if d := gr.preempted - ss.lastPreempted; d > 0 {
 			// Emergency rounds fired mid-frame: charge them to the next

@@ -10,11 +10,12 @@ import (
 )
 
 // This file extends the scheduler from "who gets probes" to "who shares a
-// slot": the hybrid tier's SDMA planner. At every frame barrier the
-// coordinator partitions the active sessions into scheduling units — each
-// unit either a single session (TDMA) or a greedily-grown group of up to
-// Chains angularly-separated sessions — and airtime rotates round-robin
-// across units: slot k of frame f belongs to unit (f·spf+k) mod numUnits.
+// slot": the hybrid tier's SDMA planner. The cell has one airtime model:
+// at every frame barrier the coordinator partitions the active sessions
+// into scheduling units — each unit either a single session (TDMA) or,
+// with Chains ≥ 2, a greedily-grown group of up to Chains
+// angularly-separated sessions — and airtime rotates round-robin across
+// units: slot k of frame f belongs to unit (f·spf+k) mod numUnits.
 // Inside an owned slot a group runs the digital MMSE combiner and every
 // member transmits simultaneously at SINR; a non-owned data slot records
 // zero throughput (the airtime cost of sharing one radio). All planning
@@ -39,9 +40,6 @@ const sdmaMaxChains = 8
 // fail (c) or (d) stay eligible to lead or join later units: TDMA is the
 // fallback, never starvation.
 func (st *Station) planFrameUnits() {
-	if !st.sdmaOn {
-		return
-	}
 	st.units = st.units[:0]
 	st.unitStore = st.unitStore[:0]
 	n := len(st.active)
@@ -108,119 +106,97 @@ func (st *Station) planFrameUnits() {
 	}
 }
 
-// ownsSlot reports whether unit unitIdx owns slot k of the current frame
-// under the round-robin airtime rotation.
-func (st *Station) ownsSlot(unitIdx, numUnits, k int) bool {
-	return (st.frame*st.slotsPerFrame+k)%numUnits == unitIdx
-}
-
-// runFrameShared is runFrame for a singleton unit under the shared-airtime
-// model: identical stepping, but data slots outside the unit's airtime
-// share record zero throughput. Training slots are untouched — beam
-// management runs on its own cadence regardless of who owns the slot.
-func (ss *Session) runFrameShared(st *Station, t0 float64, ws *scratch.Workspace, unitIdx, numUnits int) {
-	ws.Reset()
-	ss.mgr.UseWorkspace(ws)
-	if ss.frameSlots != nil {
-		ss.frameSlots = ss.frameSlots[:0]
-	}
-	warmupEnd := ss.effectiveAttach + st.cfg.Warmup
-	for k := 0; k < st.slotsPerFrame; k++ {
-		t := t0 + float64(k)*st.slotDur
-		ss.sc.ChannelInto(t, ss.model)
-		slot := ss.mgr.Step(t, ss.model)
-		if !slot.Training && !st.ownsSlot(unitIdx, numUnits, k) {
-			slot.ThroughputBps = 0
-		}
-		if ss.frameSlots != nil {
-			ss.frameSlots = append(ss.frameSlots, slot)
-		}
-		if t >= warmupEnd {
-			ss.meter.Record(slot.SNRdB, slot.Training, slot.ThroughputBps)
-		}
-		ss.observe(slot.SNRdB)
-		ss.slotsRun++
-	}
-}
-
-// runGroupFrame steps a multi-member unit through one frame. All members'
-// managers advance every slot (training cadences, tracking, and channel
-// evolution are airtime-independent); in the unit's owned slots the
-// established, non-training members transmit simultaneously through the
-// digital MMSE combiner and their slot outcome is rewritten to SINR-driven
-// throughput. The scheduler's SNR-drop estimator always sees the own-beam
-// SNR, never the SINR — probe arbitration stays a per-link concern.
-func (st *Station) runGroupFrame(unitIdx int, unit []int, t0 float64, ws *scratch.Workspace, cb *hybrid.Combiner) {
+// runUnit steps one scheduling unit through one frame. Runs on a worker
+// goroutine; everything it touches is unit-private plus the worker's
+// scratch arena and combiner. All members' managers advance every slot
+// (training cadences, tracking, and channel evolution are
+// airtime-independent); data slots the unit does not own record zero
+// throughput, and in an owned slot two or more established, non-training
+// members transmit simultaneously through the digital MMSE combiner and
+// their slot outcome is rewritten to SINR-driven throughput. A one-member
+// unit never combines: it is a TDMA session. The scheduler's SNR-drop
+// estimator always sees the own-beam SNR, never the SINR — probe
+// arbitration stays a per-link concern.
+func (st *Station) runUnit(unitIdx int, unit []int, t0 float64, ws *scratch.Workspace, cb *hybrid.Combiner) {
 	ws.Reset()
 	numUnits := len(st.units)
-	for _, idx := range unit {
+	var mem [sdmaMaxChains]*Session
+	var warmupEnd, ownSNR [sdmaMaxChains]float64
+	var slots [sdmaMaxChains]sim.Slot
+	var ntIdx [sdmaMaxChains]int
+	members := mem[:len(unit)]
+	for m, idx := range unit {
 		ss := st.active[idx]
 		ss.mgr.UseWorkspace(ws)
 		if ss.frameSlots != nil {
 			ss.frameSlots = ss.frameSlots[:0]
 		}
+		members[m] = ss
+		warmupEnd[m] = ss.effectiveAttach + st.cfg.Warmup
 	}
-	var slots [sdmaMaxChains]sim.Slot
-	var ownSNR [sdmaMaxChains]float64
-	var ntIdx [sdmaMaxChains]int
+	// owner is the unit owning slot k: (frame·spf + k) mod numUnits,
+	// advanced one unit per slot.
+	owner := st.frame * st.slotsPerFrame % numUnits
 	for k := 0; k < st.slotsPerFrame; k++ {
 		t := t0 + float64(k)*st.slotDur
-		for m, idx := range unit {
-			ss := st.active[idx]
+		for m, ss := range members {
 			ss.sc.ChannelInto(t, ss.model)
 			slots[m] = ss.mgr.Step(t, ss.model)
 			ownSNR[m] = slots[m].SNRdB
 		}
-		if st.ownsSlot(unitIdx, numUnits, k) {
+		switch {
+		case owner != unitIdx:
+			for m := range members {
+				if !slots[m].Training {
+					slots[m].ThroughputBps = 0
+				}
+			}
+		case len(members) >= 2:
 			nt := 0
-			for m, idx := range unit {
-				if !slots[m].Training && st.active[idx].mgr.ActiveWeightsView() != nil {
+			for m, ss := range members {
+				if !slots[m].Training && ss.mgr.ActiveWeightsView() != nil {
 					ntIdx[nt] = m
 					nt++
 				}
 			}
 			if nt >= 2 {
-				st.combineSlot(unit, ntIdx[:nt], slots[:len(unit)], cb)
+				combineSlot(members, ntIdx[:nt], slots[:len(members)], cb)
 			}
 			// nt ≤ 1: degenerate share (members training or unestablished);
 			// whoever has a beam keeps its single-user slot as-is.
-		} else {
-			for m := range unit {
-				if !slots[m].Training {
-					slots[m].ThroughputBps = 0
-				}
-			}
 		}
-		for m, idx := range unit {
-			ss := st.active[idx]
+		for m, ss := range members {
 			if ss.frameSlots != nil {
 				ss.frameSlots = append(ss.frameSlots, slots[m])
 			}
-			if t >= ss.effectiveAttach+st.cfg.Warmup {
+			if t >= warmupEnd[m] {
 				ss.meter.Record(slots[m].SNRdB, slots[m].Training, slots[m].ThroughputBps)
 			}
 			ss.observe(ownSNR[m])
 			ss.slotsRun++
 		}
+		if owner++; owner == numUnits {
+			owner = 0
+		}
 	}
 }
 
 // combineSlot runs the digital MMSE stage for the nt co-transmitting
-// members (indices ntIdx into unit/slots) of one owned slot, rewriting
+// members (indices ntIdx into members/slots) of one owned slot, rewriting
 // their slot outcomes to SINR-driven throughput. On a degenerate channel
 // (Solve failure) the members keep their single-user outcomes — the slot
 // silently falls back to the analog tier.
-func (st *Station) combineSlot(unit []int, ntIdx []int, slots []sim.Slot, cb *hybrid.Combiner) {
+func combineSlot(members []*Session, ntIdx []int, slots []sim.Slot, cb *hybrid.Combiner) {
 	nt := len(ntIdx)
 	if err := cb.Begin(nt); err != nil {
 		return
 	}
-	lead := st.active[unit[ntIdx[0]]]
+	lead := members[ntIdx[0]]
 	offs := lead.mgr.Offsets()
 	for a := 0; a < nt; a++ {
-		sa := st.active[unit[ntIdx[a]]]
+		sa := members[ntIdx[a]]
 		for b := 0; b < nt; b++ {
-			sb := st.active[unit[ntIdx[b]]]
+			sb := members[ntIdx[b]]
 			re, im := cb.Entry(a, b)
 			sa.model.EffectiveWidebandSplitInto(sb.mgr.ActiveWeightsView(), offs, re, im)
 		}
@@ -230,42 +206,10 @@ func (st *Station) combineSlot(unit []int, ntIdx []int, slots []sim.Slot, cb *hy
 	}
 	for a := 0; a < nt; a++ {
 		m := ntIdx[a]
-		ss := st.active[unit[m]]
+		ss := members[m]
 		sinr := cb.UserSINRdB(a, ss.txLin, ss.noiseLin)
 		slots[m].SNRdB = sinr
 		slots[m].ThroughputBps = link.Throughput(sinr, ss.budget.BandwidthHz, 0)
 		ss.sdmaSlots++
 	}
-}
-
-// runUnits is the SDMA counterpart of runSessions: workers claim whole
-// scheduling units (a group's members must step in lockstep within a
-// slot), each with its own scratch arena and combiner.
-func (st *Station) runUnits(t0 float64) {
-	n := len(st.units)
-	w := st.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		ws := st.ws[0]
-		var cb *hybrid.Combiner
-		if st.combiners != nil {
-			cb = st.combiners[0]
-		}
-		for u, unit := range st.units {
-			st.runUnit(u, unit, t0, ws, cb)
-		}
-		return
-	}
-	st.runUnitsParallel(t0, w, n)
-}
-
-// runUnit dispatches one scheduling unit.
-func (st *Station) runUnit(unitIdx int, unit []int, t0 float64, ws *scratch.Workspace, cb *hybrid.Combiner) {
-	if len(unit) == 1 {
-		st.active[unit[0]].runFrameShared(st, t0, ws, unitIdx, len(st.units))
-		return
-	}
-	st.runGroupFrame(unitIdx, unit, t0, ws, cb)
 }

@@ -1,6 +1,7 @@
 package station
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -64,20 +65,6 @@ func TestSDMADeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSDMAOffMatchesLegacy is the tentpole's oracle: a station with
-// Chains = 0 must reproduce the legacy dedicated-airtime results exactly.
-func TestSDMAOffMatchesLegacy(t *testing.T) {
-	const dur = 0.25
-	legacy := buildSpreadStation(t, 6, 2, 11, nil).Run(dur)
-	unconfigured := buildSpreadStation(t, 6, 2, 11, sdmaCfg(0)).Run(dur)
-	if !reflect.DeepEqual(unconfigured, legacy) {
-		t.Fatalf("Chains=0 diverges from legacy:\nchains0: %+v\nlegacy: %+v", unconfigured, legacy)
-	}
-	if legacy.Counters.SDMAGroups != 0 || legacy.Counters.SDMASlots != 0 {
-		t.Fatalf("legacy run carries SDMA accounting: %+v", legacy.Counters)
-	}
-}
-
 // TestSDMASumThroughputGain is the in-package version of the e8 landmark:
 // at 8 UEs the hybrid-SDMA cell must deliver higher sum throughput than
 // the single-beam shared-airtime baseline (Chains = 1), without giving up
@@ -132,12 +119,146 @@ func TestSDMAPairingRespectsSeparation(t *testing.T) {
 	}
 }
 
-// TestSDMAChainsValidation: the group-size bound is enforced at New.
+// TestSDMAChainsValidation: the chain count must lie in [1,
+// sdmaMaxChains]; the default is the single-RF-chain TDMA cell.
 func TestSDMAChainsValidation(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SDMA.Chains = sdmaMaxChains + 1
-	if _, err := New(nr.Mu3(), cfg); err == nil {
-		t.Fatal("Chains > sdmaMaxChains accepted")
+	if c := DefaultConfig().SDMA.Chains; c != 1 {
+		t.Fatalf("default Chains = %d, want 1", c)
+	}
+	for _, chains := range []int{-1, 0, sdmaMaxChains + 1} {
+		cfg := DefaultConfig()
+		cfg.SDMA.Chains = chains
+		if _, err := New(nr.Mu3(), cfg); err == nil {
+			t.Fatalf("Chains = %d accepted", chains)
+		}
+	}
+}
+
+// TestAirtimeInvariant checks the shared-airtime model frame by frame
+// over many seeds, with churn, at the default single chain and at four:
+// every slot has exactly one owning unit, every active session sits in
+// exactly one unit of at most Chains members, and in every non-training
+// slot all sessions delivering throughput belong to that owning unit.
+func TestAirtimeInvariant(t *testing.T) {
+	const (
+		nSeeds = 16
+		nUEs   = 8
+		dur    = 0.4
+	)
+	for _, chains := range []int{1, 4} {
+		for seed := int64(1); seed <= nSeeds; seed++ {
+			t.Run(fmt.Sprintf("chains%d/seed%d", chains, seed), func(t *testing.T) {
+				t.Parallel()
+				checkAirtime(t, chains, seed, nUEs, dur)
+			})
+		}
+	}
+}
+
+func checkAirtime(t *testing.T, chains int, seed int64, n int, dur float64) {
+	cfg := DefaultConfig() // Chains = 1: the default cell must hold the invariant as is
+	if chains != 1 {
+		cfg.SDMA = DefaultSDMAConfig(chains)
+	}
+	cfg.Workers = 1
+	cfg.KeepFrameSlots = true
+	st, err := New(nr.Mu3(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		s := seeds.Mix(seed, 981, int64(i))
+		scfg := SessionConfig{Scenario: sim.SpreadStaticIndoor(s, float64(i)/float64(n-1)), Budget: sim.IndoorBudget(), Seed: s}
+		if i%3 == 2 {
+			scfg.AttachAt = 0.3 * dur
+		}
+		if i%4 == 3 {
+			scfg.DetachAt = 0.7 * dur
+		}
+		if _, err := st.Attach(scfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	spf := st.SlotsPerFrame()
+	unitOf := make([]int, len(st.sessions))
+	for st.Now() < dur {
+		st.AdvanceFrame()
+		f := st.Frame() - 1
+		numUnits := len(st.units)
+		for i := range unitOf {
+			unitOf[i] = -1
+		}
+		for u, unit := range st.units {
+			if len(unit) < 1 || len(unit) > chains {
+				t.Fatalf("frame %d: unit %d has %d members, Chains = %d", f, u, len(unit), chains)
+			}
+			for _, idx := range unit {
+				id := st.active[idx].id
+				if unitOf[id] >= 0 {
+					t.Fatalf("frame %d: session %d in units %d and %d", f, id, unitOf[id], u)
+				}
+				unitOf[id] = u
+			}
+		}
+		for _, ss := range st.active {
+			if unitOf[ss.id] < 0 {
+				t.Fatalf("frame %d: active session %d in no unit", f, ss.id)
+			}
+		}
+		owned := 0
+		for u := 0; u < numUnits; u++ {
+			for k := 0; k < spf; k++ {
+				if (f*spf+k)%numUnits == u {
+					owned++
+				}
+			}
+		}
+		if numUnits > 0 && owned != spf {
+			t.Fatalf("frame %d: units own %d slots, want %d", f, owned, spf)
+		}
+		for k := 0; k < spf; k++ {
+			for _, ss := range st.active {
+				slot := st.SessionFrameSlots(ss.id)[k]
+				if slot.Training || slot.ThroughputBps == 0 {
+					continue
+				}
+				if owner := (f*spf + k) % numUnits; unitOf[ss.id] != owner {
+					t.Fatalf("frame %d slot %d: session %d (unit %d) transmits in unit %d's slot",
+						f, k, ss.id, unitOf[ss.id], owner)
+				}
+			}
+		}
+	}
+	if chains >= 2 && st.counters.SDMASlots == 0 {
+		t.Fatalf("no combined slots: the invariant never saw a group transmit")
+	}
+	if res := st.Results(); res.Counters.AttachesAdmitted != n || res.Counters.Detaches == 0 {
+		t.Fatalf("churn not exercised: %+v", res.Counters)
+	}
+}
+
+// TestCountersLive: the session-summed counters are kept live at the
+// frame barrier, so the O(1) snapshot agrees with the full Results walk
+// after a churned run — and is not trivially zero.
+func TestCountersLive(t *testing.T) {
+	st := buildStation(t, 10, 2, 19, nil)
+	res := st.Run(0.45)
+	if got := st.CountersSnapshot(); got != res.Counters {
+		t.Fatalf("CountersSnapshot %+v != Results().Counters %+v", got, res.Counters)
+	}
+	c := res.Counters
+	if c.ProbesIssued == 0 || c.Grants == 0 || c.TrainingSlots == 0 || c.Detaches == 0 {
+		t.Fatalf("counters not exercised: %+v", c)
+	}
+	var probes, grants, training int
+	for _, ur := range res.PerUE {
+		probes += ur.Probes
+		grants += ur.Grants
+		training += ur.TrainingSlots
+	}
+	if probes != c.ProbesIssued || grants != c.Grants || training != c.TrainingSlots {
+		t.Fatalf("per-UE sums (probes %d, grants %d, training %d) disagree with counters %+v",
+			probes, grants, training, c)
 	}
 }
 

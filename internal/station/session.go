@@ -7,7 +7,6 @@ import (
 
 	"mmreliable/internal/channel"
 	"mmreliable/internal/link"
-	"mmreliable/internal/scratch"
 	"mmreliable/internal/sim"
 
 	"mmreliable/internal/core/manager"
@@ -110,9 +109,11 @@ type Session struct {
 	wantedMaintain bool
 
 	// sdmaSlots counts slots this session transmitted through the digital
-	// MMSE combiner (hybrid tier only). Written by the owning worker,
-	// summed by the coordinator at Results/Digest time.
+	// MMSE combiner (Chains ≥ 2 only). Written by the owning worker.
 	sdmaSlots int64
+	// harvested is the session's accounting as of the last frame barrier;
+	// harvestFrame folds the delta since then into the station counters.
+	harvested sessionTally
 }
 
 // Attach registers a UE session. The session becomes active at the first
@@ -163,31 +164,6 @@ func (st *Station) Attach(cfg SessionConfig) (int, error) {
 	copy(st.pending[i+1:], st.pending[i:])
 	st.pending[i] = ss
 	return id, nil
-}
-
-// runFrame steps the session through every slot of one frame. Runs on a
-// worker goroutine; everything it touches is session-private plus the
-// worker's scratch arena.
-func (ss *Session) runFrame(st *Station, t0 float64, ws *scratch.Workspace) {
-	ws.Reset()
-	ss.mgr.UseWorkspace(ws)
-	if ss.frameSlots != nil {
-		ss.frameSlots = ss.frameSlots[:0]
-	}
-	warmupEnd := ss.effectiveAttach + st.cfg.Warmup
-	for k := 0; k < st.slotsPerFrame; k++ {
-		t := t0 + float64(k)*st.slotDur
-		ss.sc.ChannelInto(t, ss.model)
-		slot := ss.mgr.Step(t, ss.model)
-		if ss.frameSlots != nil {
-			ss.frameSlots = append(ss.frameSlots, slot)
-		}
-		if t >= warmupEnd {
-			ss.meter.Record(slot.SNRdB, slot.Training, slot.ThroughputBps)
-		}
-		ss.observe(slot.SNRdB)
-		ss.slotsRun++
-	}
 }
 
 // observe feeds the scheduler's SNR-drop estimator: a fast and a slow EWMA

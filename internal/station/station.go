@@ -11,11 +11,12 @@
 // Execution model and determinism contract (see DESIGN.md "Station serving
 // layer"): time advances in frames of FramePeriod seconds. At each frame
 // boundary the coordinator — single-threaded — processes attach/detach
-// events and allocates probe tokens; inside the frame every active session
-// steps its slots independently (its scenario, channel model, sounder RNG,
-// and manager state are all session-private), sharded across a worker pool.
+// events, allocates probe tokens, and plans the scheduling units that share
+// the cell's airtime (sdma.go); inside the frame every unit steps its slots
+// independently (its sessions' scenarios, channel models, sounder RNGs, and
+// manager state are all unit-private), sharded across a worker pool.
 // Because scheduler decisions read only per-session state published at the
-// barrier, and sessions never share mutable state, the engine's output is
+// barrier, and units never share mutable state, the engine's output is
 // byte-identical at any worker count — the same contract as
 // experiments.ParallelTrials. Per-session steady-state stepping is
 // zero-alloc (pinned by TestStationSlotAllocs): persistent channel models
@@ -68,9 +69,9 @@ type Config struct {
 	// needs for UE-level metering and selection-diversity combining.
 	// Costs slotsPerFrame slots of memory per session, nothing else.
 	KeepFrameSlots bool
-	// SDMA configures the hybrid slot-sharing tier (internal/hybrid). The
-	// zero value leaves the legacy dedicated-airtime model byte-for-byte
-	// intact.
+	// SDMA configures how the cell's sessions share its airtime: the
+	// slot-sharing planner and the RF-chain count of the hybrid front end
+	// (internal/hybrid).
 	SDMA SDMAConfig
 	// Manager configures every session's beam manager.
 	Manager manager.Config
@@ -78,13 +79,11 @@ type Config struct {
 
 // SDMAConfig tunes the interference-aware slot-sharing planner.
 type SDMAConfig struct {
-	// Chains is the RF-chain count of the hybrid front end: the maximum
-	// number of UEs one slot may serve. 0 disables the shared-airtime
-	// model entirely — the legacy oracle. 1 models shared
-	// airtime with no spatial multiplexing (round-robin TDMA across all
-	// sessions — the single-beam baseline the e8 experiment compares
-	// against). ≥2 enables greedy angular-separation grouping with a
-	// per-slot digital MMSE combiner.
+	// Chains is the RF-chain count of the hybrid front end (at least 1):
+	// the maximum number of UEs one slot may serve. 1 is the paper's
+	// single-RF-chain link: round-robin TDMA across all sessions. ≥2
+	// enables greedy angular-separation grouping with a per-slot digital
+	// MMSE combiner.
 	Chains int
 	// MinSeparationDeg is the minimum tracked-AoD gap (degrees) between
 	// any two co-scheduled sessions.
@@ -107,7 +106,8 @@ func DefaultSDMAConfig(chains int) SDMAConfig {
 }
 
 // DefaultConfig returns a paper-matched serving configuration: a 20 ms
-// frame and an 8-grant budget (≈0.36% of slots per granted session, §5.2).
+// frame, an 8-grant budget (≈0.36% of slots per granted session, §5.2),
+// and one RF chain, so the cell's sessions share its airtime by TDMA.
 func DefaultConfig() Config {
 	return Config{
 		ProbeBudget: 8,
@@ -115,6 +115,7 @@ func DefaultConfig() Config {
 		MaxSessions: 64,
 		Warmup:      sim.StandardWarmup,
 		AgingBoost:  0.25,
+		SDMA:        DefaultSDMAConfig(1),
 		Manager:     manager.DefaultConfig(),
 	}
 }
@@ -166,10 +167,9 @@ type Station struct {
 	batch    channel.WidebandBatch
 	batchIdx []int // active[] indices of this frame's batch rows
 
-	// SDMA slot-sharing state (sdma.go). units/unitStore are rebuilt by
+	// Slot-sharing state (sdma.go). units/unitStore are rebuilt by
 	// planFrameUnits every frame from preallocated backing, so the steady
 	// state stays off the allocator.
-	sdmaOn       bool
 	units        [][]int // scheduling units: active[] indices sharing one airtime share
 	unitStore    []int
 	sdmaAssigned []bool
@@ -201,8 +201,8 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 	if spf < 1 {
 		spf = 1
 	}
-	if cfg.SDMA.Chains > sdmaMaxChains {
-		return nil, fmt.Errorf("station: SDMA.Chains %d > %d", cfg.SDMA.Chains, sdmaMaxChains)
+	if cfg.SDMA.Chains < 1 || cfg.SDMA.Chains > sdmaMaxChains {
+		return nil, fmt.Errorf("station: SDMA.Chains %d outside [1, %d]", cfg.SDMA.Chains, sdmaMaxChains)
 	}
 	st := &Station{
 		cfg:           cfg,
@@ -213,21 +213,18 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 		schedIdx:      make([]int, cfg.MaxSessions),
 		schedPrio:     make([]float64, cfg.MaxSessions),
 		batchIdx:      make([]int, 0, cfg.MaxSessions),
+		units:         make([][]int, 0, cfg.MaxSessions),
+		unitStore:     make([]int, 0, cfg.MaxSessions),
+		sdmaAssigned:  make([]bool, cfg.MaxSessions),
 	}
 	st.ws = make([]*scratch.Workspace, w)
 	for k := range st.ws {
 		st.ws[k] = scratch.New()
 	}
-	st.sdmaOn = cfg.SDMA.Chains >= 1
-	if st.sdmaOn {
-		st.units = make([][]int, 0, cfg.MaxSessions)
-		st.unitStore = make([]int, 0, cfg.MaxSessions)
-		st.sdmaAssigned = make([]bool, cfg.MaxSessions)
-		if cfg.SDMA.Chains >= 2 {
-			st.combiners = make([]*hybrid.Combiner, w)
-			for k := range st.combiners {
-				st.combiners[k] = hybrid.NewCombiner(cfg.SDMA.Chains, cfg.Manager.NumSC)
-			}
+	if cfg.SDMA.Chains >= 2 {
+		st.combiners = make([]*hybrid.Combiner, w)
+		for k := range st.combiners {
+			st.combiners[k] = hybrid.NewCombiner(cfg.SDMA.Chains, cfg.Manager.NumSC)
 		}
 	}
 	return st, nil
