@@ -17,9 +17,13 @@
 // diffs both. Wall-clock throughput goes to stderr so it never perturbs
 // the diff.
 //
-// Control plane (all state exchanges happen at frame boundaries):
+// Control plane. Reads are served from the view the loop publishes after
+// every frame and before replying to every write, so they never wait for a
+// frame; writes and snapshots apply at the next frame boundary. Request
+// bodies are capped at 64 KiB (413 beyond), and a client gets 5 s to send
+// its request headers.
 //
-//	GET  /status          boundary-time daemon state (JSON)
+//	GET  /status          last boundary's daemon state (JSON)
 //	GET  /metrics         Prometheus text exposition, O(sites)
 //	POST /ue/attach       {"site":0,"x":3.5,"y":1.25,"duration_s":5}
 //	POST /ue/detach       {"site":0,"ue":2}
@@ -43,6 +47,15 @@ import (
 	"mmreliable/internal/metro"
 	"mmreliable/internal/serve"
 )
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle or trickling connections cannot pile up on the daemon.
+const readHeaderTimeout = 5 * time.Second
+
+// newHTTPServer builds the control plane's HTTP server.
+func newHTTPServer(addr string, h http.Handler, headerTimeout time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: headerTimeout}
+}
 
 func main() {
 	def := metro.DefaultConfig()
@@ -141,7 +154,7 @@ func main() {
 
 	var httpSrv *http.Server
 	if *listen != "" {
-		httpSrv = &http.Server{Addr: *listen, Handler: s.Handler()}
+		httpSrv = newHTTPServer(*listen, s.Handler(), readHeaderTimeout)
 		go func() {
 			if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				fmt.Fprintln(os.Stderr, "mmserved:", err)

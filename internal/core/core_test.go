@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -25,6 +26,61 @@ func TestDigestOrderAndWidthSensitive(t *testing.T) {
 	d.Floats([]float64{1, 2})
 	if c.Sum() == d.Sum() {
 		t.Fatalf("digest not boundary-sensitive: %016x", c.Sum())
+	}
+	e := NewDigest()
+	e.Bools([]bool{true})
+	e.Bools([]bool{false})
+	f := NewDigest()
+	f.Bools([]bool{true, false})
+	if e.Sum() == f.Sum() {
+		t.Fatalf("bool slices not boundary-sensitive: %016x", e.Sum())
+	}
+}
+
+// TestDigestWordProperties: over random word sequences, flipping any single
+// bit of any folded word changes the sum, and so does swapping any two
+// adjacent unequal words.
+func TestDigestWordProperties(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sum := func(ws []uint64) uint64 {
+		d := NewDigest()
+		for _, w := range ws {
+			d.Uint64(w)
+		}
+		return d.Sum()
+	}
+	for trial := 0; trial < 20; trial++ {
+		ws := make([]uint64, 1+rng.Intn(8))
+		for i := range ws {
+			switch rng.Intn(3) {
+			case 0:
+				ws[i] = uint64(rng.Intn(4)) // small ints, the common case
+			case 1:
+				ws[i] = math.Float64bits(rng.NormFloat64())
+			default:
+				ws[i] = rng.Uint64()
+			}
+		}
+		ref := sum(ws)
+		for i := range ws {
+			for bit := 0; bit < 64; bit++ {
+				ws[i] ^= 1 << bit
+				if sum(ws) == ref {
+					t.Fatalf("flipping bit %d of word %d of %x leaves the sum %016x", bit, i, ws, ref)
+				}
+				ws[i] ^= 1 << bit
+			}
+		}
+		for i := 0; i+1 < len(ws); i++ {
+			if ws[i] == ws[i+1] {
+				continue
+			}
+			ws[i], ws[i+1] = ws[i+1], ws[i]
+			if sum(ws) == ref {
+				t.Fatalf("swapping words %d and %d of %x leaves the sum %016x", i, i+1, ws, ref)
+			}
+			ws[i], ws[i+1] = ws[i+1], ws[i]
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package manager
 
 import (
-	"sort"
+	"slices"
 
 	"mmreliable/internal/core"
 )
@@ -61,11 +61,12 @@ func (g *Manager) Digest(d *core.Digest) {
 	d.Int(g.BlockageDrops)
 	d.Int(g.BudgetDenials)
 	d.Int(len(g.RetrainReasons))
-	keys := make([]string, 0, len(g.RetrainReasons))
+	var buf [16]string // room for every cause (8 today), so the fold stays off the heap
+	keys := buf[:0]
 	for k := range g.RetrainReasons {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	for _, k := range keys {
 		d.Int(len(k))
 		for _, r := range k {

@@ -94,6 +94,37 @@ func TestCQILadderMonotone(t *testing.T) {
 	}
 }
 
+// TestCQIFromSNRMatchesFullScan pins the top-down early exit against the
+// rule it replaced — scan the whole ascending table and keep the last entry
+// met — over a dense SNR sweep, every exact threshold and its float
+// neighbours, NaN and ±Inf.
+func TestCQIFromSNRMatchesFullScan(t *testing.T) {
+	fullScan := func(snrDB float64) (CQIEntry, bool) {
+		var best CQIEntry
+		found := false
+		for _, e := range CQITable {
+			if snrDB >= e.MinSNRdB {
+				best, found = e, true
+			}
+		}
+		return best, found
+	}
+	snrs := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	for _, e := range CQITable {
+		snrs = append(snrs, e.MinSNRdB, math.Nextafter(e.MinSNRdB, math.Inf(-1)), math.Nextafter(e.MinSNRdB, math.Inf(1)))
+	}
+	for x := -20.0; x <= 40; x += 0.001 {
+		snrs = append(snrs, x)
+	}
+	for _, snr := range snrs {
+		got, gotOK := CQIFromSNR(snr)
+		want, wantOK := fullScan(snr)
+		if got != want || gotOK != wantOK {
+			t.Fatalf("CQIFromSNR(%v) = %+v, %v; full scan gives %+v, %v", snr, got, gotOK, want, wantOK)
+		}
+	}
+}
+
 func TestCQIFromSNR(t *testing.T) {
 	if _, ok := CQIFromSNR(-10); ok {
 		t.Fatal("-10 dB should be out of range")

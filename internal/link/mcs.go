@@ -32,17 +32,16 @@ var CQITable = []CQIEntry{
 }
 
 // CQIFromSNR returns the highest CQI entry whose threshold the SNR meets,
-// or (CQIEntry{}, false) when the SNR supports no transmission.
+// or (CQIEntry{}, false) when the SNR supports no transmission (NaN
+// included). The table ascends, so the scan runs from the top and stops at
+// the first entry met, copying only that row.
 func CQIFromSNR(snrDB float64) (CQIEntry, bool) {
-	var best CQIEntry
-	found := false
-	for _, e := range CQITable {
-		if snrDB >= e.MinSNRdB {
-			best = e
-			found = true
+	for i := len(CQITable) - 1; i >= 0; i-- {
+		if snrDB >= CQITable[i].MinSNRdB {
+			return CQITable[i], true
 		}
 	}
-	return best, found
+	return CQIEntry{}, false
 }
 
 // SpectralEfficiency maps SNR to achievable bits/s/Hz through the CQI

@@ -57,6 +57,10 @@ func NewMeter() *Meter {
 	return &Meter{minSNR: math.Inf(1)}
 }
 
+// Reset empties the meter but keeps its episode-history buffer, so a
+// reduction scratch can be refolded every frame without allocating.
+func (m *Meter) Reset() { *m = Meter{minSNR: math.Inf(1), runs: m.runs[:0]} }
+
 // Record adds one slot outcome. snrDB may be −Inf; training marks the slot
 // as consumed by beam management (unavailable regardless of SNR);
 // throughput is the data rate achieved in the slot (0 during training or

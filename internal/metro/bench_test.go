@@ -64,3 +64,31 @@ func BenchmarkMetroFrame(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(ues*b.N)/b.Elapsed().Seconds(), "UEs/sec")
 }
+
+// BenchmarkMetroDigestSum measures one full state digest of the 64-site
+// quiescent city the serving daemon publishes at every frame boundary
+// (2 cells and 2 static UEs per site, churn off, one worker, warmed 50
+// frames). Must report 0 allocs/op.
+func BenchmarkMetroDigestSum(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Clusters = 64
+	cfg.Workers = 1
+	cfg.ChurnArrivalRate = 0
+	cfg.MobileFraction = 0
+	m, err := New(nr.Mu3(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer m.Close()
+	for i := 0; i < 50; i++ {
+		m.AdvanceFrame()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		digestSink = m.DigestSum()
+	}
+}
+
+// digestSink keeps BenchmarkMetroDigestSum's result live.
+var digestSink uint64

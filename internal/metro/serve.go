@@ -131,15 +131,16 @@ func (m *Metro) StationCountersTotal() station.Counters {
 	return total
 }
 
-// SketchTotal merges the per-shard sketches of already-harvested UEs in
-// shard-index order — O(shards), no per-UE walk (resident UEs are NOT
-// folded in, unlike Results; telemetry reads must stay O(sites)).
-func (m *Metro) SketchTotal() Sketch {
-	var total Sketch
+// SketchTotalInto resets dst and merges the per-shard sketches of
+// already-harvested UEs into it in shard-index order — O(shards), no per-UE
+// walk (resident UEs are NOT folded in, unlike Results; telemetry reads
+// must stay O(sites)). dst's meter storage is reused, so refolding the same
+// scratch every frame stays off the allocator.
+func (m *Metro) SketchTotalInto(dst *Sketch) {
+	dst.Reset()
 	for s := range m.sketches {
-		total.Merge(&m.sketches[s])
+		dst.Merge(&m.sketches[s])
 	}
-	return total
 }
 
 // Sites returns the number of cluster sites in the city.
@@ -152,7 +153,7 @@ func (m *Metro) SiteActiveSessions(i int) int {
 }
 
 // SiteSketch returns a read-only view of site i's harvested-UE aggregate —
-// the per-site slice of the same folds SketchTotal merges. O(1); the caller
+// the per-site slice of the same folds SketchTotalInto merges. O(1); the caller
 // must not mutate it (Clone first to fold further). Loop-owned.
 func (m *Metro) SiteSketch(i int) *Sketch { return &m.siteSketches[i] }
 

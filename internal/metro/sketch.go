@@ -106,10 +106,21 @@ func (s *Sketch) Clone() Sketch {
 	return c
 }
 
+// Reset empties the sketch but keeps its meters' storage, so a reduction
+// scratch can be refolded every frame without allocating.
+func (s *Sketch) Reset() {
+	serving, diversity := s.serving, s.diversity
+	*s = Sketch{serving: serving, diversity: diversity}
+	if serving != nil {
+		serving.Reset()
+		diversity.Reset()
+	}
+}
+
 // Serving summarizes the concatenated serving-leg stream of every folded
 // UE (zero Summary before any measured UE).
 func (s *Sketch) Serving() link.Summary {
-	if s.serving == nil {
+	if s.serving == nil || s.serving.Slots() == 0 {
 		return link.Summary{}
 	}
 	return s.serving.Summarize()
@@ -117,7 +128,7 @@ func (s *Sketch) Serving() link.Summary {
 
 // Diversity summarizes the concatenated diversity stream.
 func (s *Sketch) Diversity() link.Summary {
-	if s.diversity == nil {
+	if s.diversity == nil || s.diversity.Slots() == 0 {
 		return link.Summary{}
 	}
 	return s.diversity.Summarize()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 
 	"mmreliable/internal/cluster"
@@ -11,9 +12,11 @@ import (
 )
 
 // Handler returns the control-plane mux. Handlers never touch simulation
-// state directly: every request round-trips through the frame-boundary
-// queue, so attaching the control plane adds nothing to the frame loop
-// until a request actually arrives.
+// state directly. GET /status and GET /metrics copy the last published
+// boundary view and render it on the request's goroutine, so they never
+// wait for a frame or stall one; writes and POST /snapshot round-trip
+// through the frame-boundary queue. Attaching the control plane adds
+// nothing to the frame loop until a write actually arrives.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /status", s.handleStatus)
@@ -26,12 +29,16 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// httpError maps control-plane failures: loop gone → 503, everything else
-// (validation, unknown targets) → 400.
+// httpError maps control-plane failures: loop gone → 503, body over
+// maxBodyBytes → 413, everything else (validation, unknown targets) → 400.
 func httpError(w http.ResponseWriter, err error) {
 	code := http.StatusBadRequest
-	if errors.Is(err, ErrStopped) {
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.Is(err, ErrStopped):
 		code = http.StatusServiceUnavailable
+	case errors.As(err, &tooBig):
+		code = http.StatusRequestEntityTooLarge
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -43,13 +50,24 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// decodeBody strictly decodes the request body into v (unknown fields are
-// rejected — a typoed knob must not silently no-op).
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a control-plane request body. The largest legitimate
+// one, a full /config tuning object, is a few hundred bytes.
+const maxBodyBytes = 64 << 10
+
+// decodeBody strictly decodes the request body into v: at most
+// maxBodyBytes, exactly one JSON value, unknown fields rejected (a typoed
+// knob must not silently no-op).
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		if err == nil {
+			err = errors.New("more than one JSON value")
+		}
+		return fmt.Errorf("bad request body: trailing data: %w", err)
 	}
 	return nil
 }
@@ -80,7 +98,7 @@ func (s *Server) handleAttach(w http.ResponseWriter, r *http.Request) {
 		Y         *float64 `json:"y"`
 		DurationS float64  `json:"duration_s"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -104,7 +122,7 @@ func (s *Server) handleDetach(w http.ResponseWriter, r *http.Request) {
 		Site int `json:"site"`
 		UE   int `json:"ue"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -124,7 +142,7 @@ func (s *Server) handleBlockage(w http.ResponseWriter, r *http.Request) {
 		DepthDB   float64 `json:"depth_db"`
 		DurationS float64 `json:"duration_s"`
 	}
-	if err := decodeBody(r, &body); err != nil {
+	if err := decodeBody(w, r, &body); err != nil {
 		httpError(w, err)
 		return
 	}
@@ -141,7 +159,7 @@ func (s *Server) handleBlockage(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleConfig(w http.ResponseWriter, r *http.Request) {
 	var t cluster.Tuning
-	if err := decodeBody(r, &t); err != nil {
+	if err := decodeBody(w, r, &t); err != nil {
 		httpError(w, err)
 		return
 	}

@@ -227,3 +227,46 @@ func TestHTTPStoppedDaemonReturns503(t *testing.T) {
 		t.Errorf("GET /status on stopped daemon: %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestHTTPBodyLimits: a body over maxBodyBytes gets 413 and one carrying
+// more than a single JSON value gets 400 on every write route, and neither
+// reaches the journal.
+func TestHTTPBodyLimits(t *testing.T) {
+	ts, _, stop := startDaemon(t)
+	defer stop()
+
+	pad := strings.Repeat(" ", maxBodyBytes)
+	valid := map[string]string{
+		"/ue/attach":      `{"site":0}`,
+		"/ue/detach":      `{"site":0,"ue":0}`,
+		"/event/blockage": `{"site":0,"ue":0,"depth_db":25,"duration_s":0.05}`,
+		"/config":         `{"probe_budget":2}`,
+	}
+	for path, body := range valid {
+		for _, tc := range []struct {
+			name, body string
+			code       int
+		}{
+			{"padded before", pad + body, http.StatusRequestEntityTooLarge},
+			{"padded after", body + pad, http.StatusRequestEntityTooLarge},
+			{"second value", body + body, http.StatusBadRequest},
+			{"trailing garbage", body + "x", http.StatusBadRequest},
+		} {
+			code, resp := postJSON(t, ts.URL+path, tc.body)
+			if code != tc.code {
+				t.Errorf("%s %s: status %d (%.80s), want %d", path, tc.name, code, resp, tc.code)
+			}
+		}
+	}
+
+	resp, err := http.Get(ts.URL + "/status")
+	if err != nil {
+		t.Fatalf("GET /status: %v", err)
+	}
+	var st Status
+	json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if st.JournalLen != 0 {
+		t.Errorf("rejected bodies reached the journal: journal_len %d", st.JournalLen)
+	}
+}

@@ -5,15 +5,18 @@
 //
 // The concurrency model is the repo's frame-boundary contract, extended to
 // a daemon: the simulation advances on ONE goroutine (the Run loop), and
-// the control plane talks to it exclusively through a buffered command
-// queue the loop drains between frames. HTTP handlers never touch
-// simulation state; they enqueue and wait for the loop's reply. Commands
-// therefore apply at exact frame boundaries, which is what makes them
-// journalable: a snapshot records the config, the frame count, and the
-// journal of (frame, command) pairs, and a restore rebuilds the daemon
-// from config and silently replays the frames — byte-identical at any
-// worker count, by the same determinism contract every batch CLI pins in
-// CI. See DESIGN.md "Service layer".
+// nothing else touches simulation state. Writes go through a buffered
+// command queue the loop drains between frames; the caller waits for the
+// loop's reply. Commands therefore apply at exact frame boundaries, which
+// is what makes them journalable: a snapshot records the config, the frame
+// count, and the journal of (frame, command) pairs, and a restore rebuilds
+// the daemon from config and silently replays the frames — byte-identical
+// at any worker count, by the same determinism contract every batch CLI
+// pins in CI. Reads never wait for a frame: after every frame, after the
+// scripted commands of a boundary, and after every successful write (before
+// its reply), the loop publishes a preallocated view of the boundary state,
+// and Status / MetricsText copy the last one out under a mutex and render
+// it on the caller's goroutine. See DESIGN.md "Service layer".
 package serve
 
 import (
@@ -22,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 
 	"mmreliable/internal/metro"
@@ -66,14 +70,16 @@ type reply struct {
 }
 
 // pending is one queued control-plane request: a journalable command or a
-// read-only query the loop evaluates at the boundary.
+// query the loop evaluates at the boundary (snapshots, and reads that
+// arrive before the first view is published).
 type pending struct {
 	cmd   *Command
 	query func() (any, error)
 	reply chan reply
 }
 
-// Server is the daemon: one metro, one loop goroutine, one command queue.
+// Server is the daemon: one metro, one loop goroutine, one command queue,
+// one published boundary view.
 type Server struct {
 	cfg Config
 	m   *metro.Metro
@@ -91,6 +97,14 @@ type Server struct {
 
 	startWall  time.Time
 	startFrame int
+
+	// Read side. The loop captures into back and swaps it with front under
+	// viewMu; readers copy front out under viewMu. harvest is the loop's
+	// sketch-merge scratch for the capture.
+	viewMu      sync.Mutex
+	front, back *view
+	published   bool // guarded by viewMu
+	harvest     metro.Sketch
 }
 
 // New builds a serving daemon over a fresh metro.
@@ -122,10 +136,12 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		cfg:  cfg,
-		m:    m,
-		cmds: make(chan *pending, 64),
-		done: make(chan struct{}),
+		cfg:   cfg,
+		m:     m,
+		cmds:  make(chan *pending, 64),
+		done:  make(chan struct{}),
+		front: &view{site: make([]siteView, 0, m.Sites())},
+		back:  &view{site: make([]siteView, 0, m.Sites())},
 	}, nil
 }
 
@@ -147,12 +163,15 @@ func (s *Server) Frame() int { return s.m.Frame() }
 func (s *Server) ScriptErrs() int { return s.scriptErrs }
 
 // Run advances the metro until the context is canceled or MaxFrames is
-// reached. It must be called at most once; control-plane calls made after
-// it returns fail with ErrStopped.
+// reached. It publishes the boundary view once before the first frame —
+// the metro may have been advanced or restored since New — so reads are
+// served from then on. It must be called at most once; control-plane calls
+// made after it returns fail with ErrStopped.
 func (s *Server) Run(ctx context.Context) error {
 	defer close(s.done)
 	s.startWall = time.Now()
 	s.startFrame = s.m.Frame()
+	s.publish()
 
 	var pace time.Duration
 	var next time.Time
@@ -188,29 +207,39 @@ func (s *Server) Run(ctx context.Context) error {
 
 // step executes one frame boundary plus one frame: scripted commands due
 // at this boundary, then queued control-plane requests, then the frame
-// itself, then (on cadence) the status line. With the control plane idle
-// and status off this is allocation-free — the daemon inherits the metro's
-// zero-alloc steady state.
+// itself, then the view publication and (on cadence) the status line. The
+// view published after the frame is also the next boundary's view until a
+// scripted command or a write changes that boundary's state, and each of
+// those re-publishes it. With the control plane idle and status off this is
+// allocation-free — the daemon inherits the metro's zero-alloc steady
+// state.
 func (s *Server) step() {
 	f := s.m.Frame()
-	s.applyScriptAt(f)
+	if s.applyScriptAt(f) {
+		s.publish()
+	}
 	s.drainQueue(f)
 	s.m.AdvanceFrame()
+	s.publish()
 	if s.cfg.StatusEvery > 0 && s.m.Frame()%s.cfg.StatusEvery == 0 {
 		s.writeStatus()
 	}
 }
 
-// applyScriptAt applies every scripted command due at boundary f. Script
-// failures are deterministic no-ops (counted, never journaled).
-func (s *Server) applyScriptAt(f int) {
+// applyScriptAt applies every scripted command due at boundary f and
+// reports whether there was any. Script failures are deterministic no-ops
+// (counted, never journaled).
+func (s *Server) applyScriptAt(f int) bool {
+	applied := false
 	for s.scriptIdx < len(s.cfg.Script) && s.cfg.Script[s.scriptIdx].Frame <= f {
 		c := s.cfg.Script[s.scriptIdx]
 		s.scriptIdx++
+		applied = true
 		if _, err := s.applyCommand(c); err != nil {
 			s.scriptErrs++
 		}
 	}
+	return applied
 }
 
 // drainQueue serves every control-plane request already queued at
@@ -229,7 +258,8 @@ func (s *Server) drainQueue(f int) {
 
 // handle executes one queued request at boundary f: queries evaluate
 // against the quiescent state; commands are stamped with the boundary
-// frame, applied, and journaled on success.
+// frame, applied, journaled and published on success — the view is
+// current before the caller hears back, so a read after a write sees it.
 func (s *Server) handle(p *pending, f int) {
 	if p.query != nil {
 		val, err := p.query()
@@ -241,6 +271,7 @@ func (s *Server) handle(p *pending, f int) {
 	val, err := s.applyCommand(c)
 	if err == nil {
 		s.journal = append(s.journal, c)
+		s.publish()
 	}
 	p.reply <- reply{val: val, err: err}
 }
@@ -279,30 +310,28 @@ func (s *Server) Inject(cmd Command) (InjectResult, error) {
 	return val.(InjectResult), nil
 }
 
-// Status snapshots the daemon's deterministic state plus wall-clock
-// throughput, evaluated at the next frame boundary.
+// Status returns the daemon's deterministic state plus wall-clock
+// throughput as of the last published boundary view. It never waits for a
+// frame: the loop publishes after every frame and after every write that
+// changed the boundary, so a Status read after a successful Inject sees it.
+// Only a call before the loop's first publication waits (for Run to start).
 func (s *Server) Status() (Status, error) {
-	p := &pending{reply: make(chan reply, 1), query: func() (any, error) {
-		return s.statusNow(true), nil
-	}}
-	val, err := s.do(p)
+	v, err := s.lastView()
 	if err != nil {
 		return Status{}, err
 	}
-	return val.(Status), nil
+	return v.status(), nil
 }
 
-// MetricsText renders the Prometheus exposition, evaluated at the next
-// frame boundary. O(sites): counters, sketch merges, no per-UE walks.
+// MetricsText renders the Prometheus exposition from the last published
+// boundary view, on the caller's goroutine — it never waits for a frame.
+// O(sites): counters, sketch merges, no per-UE walks.
 func (s *Server) MetricsText() (string, error) {
-	p := &pending{reply: make(chan reply, 1), query: func() (any, error) {
-		return s.metricsText(), nil
-	}}
-	val, err := s.do(p)
+	v, err := s.lastView()
 	if err != nil {
 		return "", err
 	}
-	return val.(string), nil
+	return v.metricsText(), nil
 }
 
 // SnapshotJSON builds the versioned snapshot document at the next frame

@@ -79,7 +79,7 @@ func TestMetricsSiteLabelsByteIdentical(t *testing.T) {
 		if err := s.Run(context.Background()); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		return s.metricsText()
+		return s.front.metricsText() // the view Run published after its last frame
 	}
 	ref := render(1)
 	if got := render(4); got != ref {

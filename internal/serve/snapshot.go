@@ -7,12 +7,13 @@ import (
 )
 
 // SnapshotFormat / SnapshotVersion identify the snapshot document. Version
-// bumps whenever the document layout OR the replay semantics change — a
-// restore refuses any other version rather than replaying into a different
-// simulation.
+// bumps whenever the document layout, the replay semantics, OR the digest
+// fold change — a restore refuses any other version rather than replaying
+// into a different simulation or checking against a different fold.
+// Version 3 is the word-wise core.Digest fold.
 const (
 	SnapshotFormat  = "mmserved-snapshot"
-	SnapshotVersion = 2
+	SnapshotVersion = 3
 )
 
 // snapshotFile is the versioned snapshot document. It is event-sourced:

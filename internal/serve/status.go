@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"time"
 
 	"mmreliable/internal/cluster"
 	"mmreliable/internal/link"
@@ -36,31 +35,6 @@ type Status struct {
 	UEsPerSec float64 `json:"ues_per_sec,omitempty"`
 }
 
-// statusNow builds the boundary status. Loop-owned.
-func (s *Server) statusNow(withWall bool) Status {
-	sk := s.m.SketchTotal()
-	st := Status{
-		Frame:            s.m.Frame(),
-		SimTimeS:         float64(s.m.Frame()) * s.m.FramePeriod(),
-		Sites:            s.cfg.Metro.Clusters,
-		Cells:            s.m.Cells(),
-		ResidentUEs:      s.m.ResidentUEs(),
-		ActiveSessions:   s.m.ActiveSessions(),
-		Counters:         s.m.CountersTotal(),
-		HarvestedUEs:     sk.UEs,
-		HarvestedServing: sk.Serving(),
-		WorstOutageMs:    sk.WorstOutageMs,
-		Digest:           fmt.Sprintf("%016x", s.m.DigestSum()),
-		JournalLen:       len(s.journal),
-	}
-	if withWall {
-		if el := time.Since(s.startWall).Seconds(); el > 0 && s.m.Frame() > s.startFrame {
-			st.UEsPerSec = float64(st.ResidentUEs) * float64(s.m.Frame()-s.startFrame) / el
-		}
-	}
-	return st
-}
-
 // Line renders the deterministic status line — the stream the CI
 // kill-and-restore diff concatenates. %v floats (shortest round-trip), no
 // wall-clock fields.
@@ -75,10 +49,10 @@ func (st Status) Line() string {
 }
 
 // writeStatus emits the deterministic status line for the frame that just
-// completed. Loop-owned.
+// completed, from the view published right after it. Loop-owned.
 func (s *Server) writeStatus() {
 	if s.statusW == nil {
 		return
 	}
-	fmt.Fprintln(s.statusW, s.statusNow(false).Line())
+	fmt.Fprintln(s.statusW, s.front.status().Line())
 }
