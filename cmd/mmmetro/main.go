@@ -120,7 +120,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer m.Close()
 
 	start := time.Now()
 	res := m.Run(*duration)

@@ -146,7 +146,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	defer s.Close()
 	s.SetStatusWriter(os.Stdout)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -26,13 +26,13 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/baselines"
 	"mmreliable/internal/core"
 	"mmreliable/internal/core/manager"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/par"
 	"mmreliable/internal/sim"
 	"mmreliable/internal/stats"
 )
@@ -96,7 +96,7 @@ func main() {
 		}
 	}
 
-	// Replay the scenario once per scheme, sharded across the worker pool.
+	// Replay the scenario once per scheme, sharded through par.For.
 	// Every replay rebuilds the scenario from the seed, so each scheme sees
 	// identical channel realizations and the output does not depend on the
 	// worker count.
@@ -104,35 +104,23 @@ func main() {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > len(names) {
-		w = len(names)
-	}
 	results := make([]map[string]sim.Result, len(names))
 	errs := make([]error, len(names))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, w)
-	for i, name := range names {
-		wg.Add(1)
-		go func(i int, name string) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sc, _, err := sim.Named(*scenario, *seed)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			sc.Duration = *duration
-			s, err := mkScheme(name)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			runner := sim.Runner{KeepSeries: *trace, Warmup: sim.StandardWarmup}
-			results[i], errs[i] = runner.Run(sc, s)
-		}(i, name)
-	}
-	wg.Wait()
+	par.For(w, len(names), func(_, i int) {
+		sc, _, err := sim.Named(*scenario, *seed)
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		sc.Duration = *duration
+		s, err := mkScheme(names[i])
+		if err != nil {
+			errs[i] = err
+			return
+		}
+		runner := sim.Runner{KeepSeries: *trace, Warmup: sim.StandardWarmup}
+		results[i], errs[i] = runner.Run(sc, s)
+	})
 
 	out := map[string]sim.Result{}
 	for i := range names {

@@ -67,15 +67,17 @@ func quiesceCluster(t testing.TB, workers int) *Cluster {
 // stations' pinned slot loops, and barrier-only coordination keep
 // AdvanceFrame off the allocator once every leg is established.
 func TestClusterSlotAllocs(t *testing.T) {
-	cl := quiesceCluster(t, 1) // the stations' inline single-worker path
-	avg := testing.AllocsPerRun(10, cl.AdvanceFrame)
-	if avg != 0 {
-		t.Fatalf("AdvanceFrame allocates %.1f allocs/frame in steady state, want 0", avg)
-	}
-	// Bytes too — amortized episode-buffer appends used to leak ~240 B/frame
-	// here while rounding to 0 allocs/op.
-	if bytes := heapBytesPerRun(50, cl.AdvanceFrame); bytes != 0 {
-		t.Fatalf("AdvanceFrame allocates %.1f B/frame in steady state, want 0", bytes)
+	for _, workers := range []int{1, 2} { // the stations' inline and pooled paths
+		cl := quiesceCluster(t, workers)
+		avg := testing.AllocsPerRun(10, cl.AdvanceFrame)
+		if avg != 0 {
+			t.Fatalf("workers=%d: AdvanceFrame allocates %.1f allocs/frame in steady state, want 0", workers, avg)
+		}
+		// Bytes too — amortized episode-buffer appends used to leak ~240
+		// B/frame here while rounding to 0 allocs/op.
+		if bytes := heapBytesPerRun(50, cl.AdvanceFrame); bytes != 0 {
+			t.Fatalf("workers=%d: AdvanceFrame allocates %.1f B/frame in steady state, want 0", workers, bytes)
+		}
 	}
 }
 

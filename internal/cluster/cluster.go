@@ -283,7 +283,7 @@ func (cl *Cluster) processUEEvents(t0 float64) {
 		switch {
 		case !u.attached && !u.done && u.cfg.AttachAt <= t0:
 			cl.admitUE(u, t0)
-		case u.attached && u.cfg.DetachAt > 0 && u.cfg.DetachAt <= t0:
+		case u.attached && (u.detachNow || u.cfg.DetachAt > 0 && u.cfg.DetachAt <= t0):
 			cl.finishUE(u)
 		}
 	}
@@ -313,6 +313,7 @@ func (cl *Cluster) admitUE(u *ue, t0 float64) {
 	}
 	if best < 0 {
 		cl.counters.AdmissionDeferrals++
+		u.deferred = true
 		return
 	}
 	if err := u.attachLeg(cl, best, t0); err != nil {

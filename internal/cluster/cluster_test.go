@@ -290,3 +290,60 @@ func TestClusterOutageThresholdSanity(t *testing.T) {
 		t.Fatalf("no aggregate throughput: %+v", res)
 	}
 }
+
+// TestClusterDetachHeldUntilAdmission: a detach applied at the boundary
+// where the UE is still awaiting admission — here boundary 0, before any
+// frame ran — is held rather than refused. The next frame admits the UE
+// and the one after retires it, so attach-then-detach in one boundary
+// always ends with the UE counted as attached and then finished.
+func TestClusterDetachHeldUntilAdmission(t *testing.T) {
+	cl := buildCluster(t, 2, 2, 1, 7, false, false)
+	if err := cl.DetachUE(0); err != nil {
+		t.Fatalf("DetachUE before admission: %v", err)
+	}
+	u := cl.findUE(0)
+	cl.AdvanceFrame()
+	if !u.attached || u.done {
+		t.Fatalf("after the admitting frame: attached=%v done=%v, want admitted and not yet finished", u.attached, u.done)
+	}
+	cl.AdvanceFrame()
+	if !u.done {
+		t.Fatal("held detach did not retire the UE at the boundary after admission")
+	}
+	if c := cl.CountersSnapshot(); c.UEsAttached != 2 || c.UEsFinished != 1 {
+		t.Errorf("UEsAttached=%d UEsFinished=%d, want 2 and 1", c.UEsAttached, c.UEsFinished)
+	}
+	if err := cl.DetachUE(0); err == nil {
+		t.Error("detaching a finished UE succeeded, want an error")
+	}
+}
+
+// TestClusterDetachDeferredRefused pins DetachUE on a saturated site: a UE
+// whose admission was deferred because every cell is at MaxSessions is
+// refused and stays queued, while detaching the UE holding the cells frees
+// them for it once the cells have torn the legs down.
+func TestClusterDetachDeferredRefused(t *testing.T) {
+	cl := buildClusterWith(t, 2, 2, 1, 7, false, false, func(c *Config) {
+		c.Station.MaxSessions = 1 // UE 0 takes both cells (serving + standby)
+	})
+	cl.AdvanceFrame()
+	u0, u1 := cl.findUE(0), cl.findUE(1)
+	if !u0.attached || u1.attached || cl.CountersSnapshot().AdmissionDeferrals != 1 {
+		t.Fatalf("after frame 1: UE0 attached=%v UE1 attached=%v deferrals=%d, want UE1 deferred once",
+			u0.attached, u1.attached, cl.CountersSnapshot().AdmissionDeferrals)
+	}
+	if err := cl.DetachUE(1); err == nil {
+		t.Fatal("detaching a deferred UE succeeded, want an error")
+	}
+	if err := cl.DetachUE(0); err != nil {
+		t.Fatalf("DetachUE(0): %v", err)
+	}
+	cl.AdvanceFrame() // UE 0 leaves; its cells release the legs in this frame
+	cl.AdvanceFrame()
+	if !u0.done || !u1.attached || u1.done {
+		t.Fatalf("after frame 3: UE0 done=%v UE1 attached=%v done=%v, want UE0 gone and UE1 admitted", u0.done, u1.attached, u1.done)
+	}
+	if c := cl.CountersSnapshot(); c.UEsAttached != 2 || c.UEsFinished != 1 || c.AdmissionDeferrals != 2 {
+		t.Errorf("UEsAttached=%d UEsFinished=%d AdmissionDeferrals=%d, want 2, 1, 2", c.UEsAttached, c.UEsFinished, c.AdmissionDeferrals)
+	}
+}

@@ -59,9 +59,16 @@ func (cl *Cluster) InjectBlockage(ueID, cell int, depthDB, durationS float64) (i
 	return cell, nil
 }
 
-// DetachUE schedules a currently-attached UE's departure at this frame
-// boundary: its legs tear down and its metrics freeze when the next frame
-// runs, exactly like a scheduled DetachAt.
+// DetachUE schedules a resident UE's departure at this frame boundary: an
+// attached UE's legs tear down and its metrics freeze when the next frame
+// runs, exactly like a scheduled DetachAt. A UE whose admission has not
+// been tried yet (say, attached at this same boundary) holds the detach
+// until it is admitted and leaves at the first boundary after that, so the
+// outcome depends only on the boundary the detach applied at — a journal
+// replays it identically — and every departed UE was counted as attached
+// first (if that admission is deferred, the detach stays held). A UE whose
+// admission was already deferred because every cell is full is refused: it
+// stays queued for admission.
 func (cl *Cluster) DetachUE(ueID int) error {
 	u := cl.findUE(ueID)
 	if u == nil {
@@ -70,10 +77,10 @@ func (cl *Cluster) DetachUE(ueID int) error {
 	if u.done {
 		return fmt.Errorf("cluster: UE %d already finished", ueID)
 	}
-	if !u.attached {
-		return fmt.Errorf("cluster: UE %d not attached yet", ueID)
+	if !u.attached && u.deferred {
+		return fmt.Errorf("cluster: UE %d awaiting admission (every cell full)", ueID)
 	}
-	u.cfg.DetachAt = cl.Now()
+	u.detachNow = true
 	return nil
 }
 

@@ -76,9 +76,13 @@ type ue struct {
 	monRowBeam  []*complex128
 	monRowOK    []bool
 
-	// Lifecycle.
+	// Lifecycle. detachNow is a live detach (DetachUE) waiting for the next
+	// boundary at which the UE is attached; deferred marks a UE whose
+	// admission was tried and found every cell full.
 	attached        bool
 	done            bool
+	detachNow       bool
+	deferred        bool
 	effectiveAttach float64
 
 	// Handover FSM.
@@ -171,9 +175,9 @@ func (cl *Cluster) pairScenario(u *ue, c int) *sim.Scenario {
 		}}
 	}
 	return &sim.Scenario{
-		Env: cl.dep.Env,
-		GNB: pose,
-		UE:  trace,
+		Env:      cl.dep.Env,
+		GNB:      pose,
+		UE:       trace,
 		Blockage: blk,
 		Duration: 3600, // cluster runs are bounded by Run(duration), not the scenario
 		Num:      cl.num,

@@ -21,7 +21,7 @@ import "math"
 // A cache belongs to one tx–rx pair (one sim.Scenario); it is not safe for
 // concurrent use. The zero value is ready to use.
 type TraceCache struct {
-	idx *Index  // generation key: BuildIndex always allocates a fresh Index,
+	idx *Index // generation key: BuildIndex always allocates a fresh Index,
 	// and retaining the pointer here keeps it reachable, so pointer equality
 	// can never alias a stale generation to a new one.
 	pad float64 // endpoint slack baked into every cached leg set (one cell)

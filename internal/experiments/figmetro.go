@@ -46,7 +46,6 @@ func ExtensionMetro(cfg Config) *stats.Table {
 			panic(err)
 		}
 		res := m.Run(duration)
-		m.Close()
 		t.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", res.Cells),
 			fmt.Sprintf("%d", res.UEs),
 			stats.Fmt(res.Serving.Reliability), stats.Fmt(res.Diversity.Reliability),

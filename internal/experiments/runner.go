@@ -3,20 +3,20 @@ package experiments
 import (
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"mmreliable/internal/par"
 	"mmreliable/internal/scratch"
 	"mmreliable/internal/seeds"
 )
 
 // This file is the deterministic parallel experiment engine: every
-// Monte-Carlo figure generator shards its independent trials across a
-// worker pool via ParallelTrials, and every trial draws randomness from
-// its own SplitMix-derived stream. Because a trial's stream depends only
-// on (Config.Seed, experiment label, trial index) — never on scheduling
-// order or worker count — the produced tables are byte-identical for any
-// Workers setting. See DESIGN.md §"Parallel experiment engine".
+// Monte-Carlo figure generator shards its independent trials across the
+// process's worker pool (internal/par) via ParallelTrials, and every trial
+// draws randomness from its own SplitMix-derived stream. Because a trial's
+// stream depends only on (Config.Seed, experiment label, trial index) —
+// never on scheduling order or worker count — the produced tables are
+// byte-identical for any Workers setting. See DESIGN.md §"Parallel
+// experiment engine".
 
 // Experiment stream labels. Each experiment (and each independent stream
 // family inside an experiment) owns one label; distinct labels guarantee
@@ -80,8 +80,8 @@ func (c Config) workers() int {
 }
 
 // ParallelTrials runs n independent Monte-Carlo trials of one experiment
-// across the Config's worker pool and returns the per-trial results in
-// trial order.
+// on up to Config.Workers workers through par.For and returns the
+// per-trial results in trial order.
 //
 // Determinism contract: fn receives a private *rand.Rand derived from
 // (cfg.Seed, label, trial) by SplitMix64 mixing, and its result lands at
@@ -91,7 +91,7 @@ func (c Config) workers() int {
 // share mutable state across calls (each trial builds its own schemes,
 // scenarios, and generators).
 //
-// Workspace contract: fn additionally receives the worker's scratch arena,
+// Workspace contract: fn additionally receives its worker's scratch arena,
 // Reset before every trial. Trials on the same worker reuse one warm arena,
 // so the per-trial DSP hot paths (super-resolution fits, manager
 // maintenance) run allocation-free after the first trial. Checkouts are
@@ -103,34 +103,13 @@ func ParallelTrials[T any](cfg Config, label int64, n int, fn func(trial int, rn
 	}
 	out := make([]T, n)
 	w := cfg.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		ws := scratch.New()
-		for i := range out {
-			ws.Reset()
-			out[i] = fn(i, cfg.trialRNG(label, i), ws)
+	ws := make([]*scratch.Workspace, min(w, n))
+	par.For(w, n, func(worker, i int) {
+		if ws[worker] == nil {
+			ws[worker] = scratch.New()
 		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			ws := scratch.New()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				ws.Reset()
-				out[i] = fn(i, cfg.trialRNG(label, i), ws)
-			}
-		}()
-	}
-	wg.Wait()
+		ws[worker].Reset()
+		out[i] = fn(i, cfg.trialRNG(label, i), ws[worker])
+	})
 	return out
 }

@@ -22,7 +22,6 @@ func BenchmarkMetroFrameMixed(b *testing.B) {
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}
-	defer m.Close()
 	for i := 0; i < 40; i++ {
 		m.AdvanceFrame()
 	}
@@ -51,7 +50,6 @@ func BenchmarkMetroFrame(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m.Close()
 	for i := 0; i < 40; i++ {
 		m.AdvanceFrame() // admit, establish, warm every per-site buffer
 	}
@@ -79,7 +77,6 @@ func BenchmarkMetroDigestSum(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m.Close()
 	for i := 0; i < 50; i++ {
 		m.AdvanceFrame()
 	}

@@ -27,13 +27,12 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"mmreliable/internal/cluster"
 	"mmreliable/internal/env"
 	"mmreliable/internal/link"
 	"mmreliable/internal/nr"
+	"mmreliable/internal/par"
 	"mmreliable/internal/seeds"
 	"mmreliable/internal/sim"
 )
@@ -56,8 +55,8 @@ type Config struct {
 	CellsPerCluster int
 	// UEsPerCluster is the initial UE population per site, attached at t=0.
 	UEsPerCluster int
-	// Workers is the goroutine pool size; 0 means GOMAXPROCS. Results are
-	// byte-identical at any value.
+	// Workers is how many par.For workers step the shards; 0 means
+	// GOMAXPROCS. Results are byte-identical at any value.
 	Workers int
 	// Shards is the number of contiguous site ranges used as work-stealing
 	// units and sketch-aggregation grains; 0 picks min(Clusters, 64).
@@ -142,20 +141,14 @@ type Metro struct {
 	// the per-site aggregates are byte-identical at any worker count.
 	siteSketches []Sketch
 	shardLo      []int // shard s covers sites[shardLo[s]:shardLo[s+1]]
-	positions []env.Vec2
-	workers   int
-	frame     int
-
-	nextShard atomic.Int64
-	start     chan struct{}
-	wg        sync.WaitGroup
-	closed    bool
+	positions    []env.Vec2
+	workers      int
+	frame        int
+	runShardFn   func(worker, s int) // runShard, bound once: no closure per frame
 }
 
 // New builds the metro: one shared indexed environment, Clusters cluster
-// sites with per-site seeds, the initial UE population, and (for Workers >
-// 1) the persistent worker pool. Call Close when done with a multi-worker
-// metro to release the pool.
+// sites with per-site seeds, and the initial UE population.
 func New(num nr.Numerology, cfg Config) (*Metro, error) {
 	if cfg.Clusters < 1 {
 		return nil, fmt.Errorf("metro: Clusters %d < 1", cfg.Clusters)
@@ -209,6 +202,7 @@ func New(num nr.Numerology, cfg Config) (*Metro, error) {
 		positions:    positions,
 		workers:      workers,
 	}
+	m.runShardFn = m.runShard
 	per := (cfg.Clusters + shards - 1) / shards
 	for lo := 0; lo < cfg.Clusters; lo += per {
 		m.shardLo = append(m.shardLo, lo)
@@ -245,18 +239,6 @@ func New(num nr.Numerology, cfg Config) (*Metro, error) {
 			}
 		}
 		m.sites = append(m.sites, s)
-	}
-
-	if m.workers > 1 {
-		m.start = make(chan struct{}, m.workers)
-		for w := 0; w < m.workers; w++ {
-			go func() {
-				for range m.start {
-					m.runShards()
-					m.wg.Done()
-				}
-			}()
-		}
 	}
 	return m, nil
 }
@@ -346,35 +328,21 @@ func (m *Metro) Shards() int { return len(m.shardLo) - 1 }
 
 // AdvanceFrame executes one metro frame: every site advances one cluster
 // frame (churn arrivals first, finished-UE harvest after), shard by shard
-// across the worker pool, with a barrier before the next frame. Workers
-// steal whole shards off a shared atomic cursor, so a shard whose sites hit
-// expensive re-establishments doesn't serialize the rest of the city behind
-// it. With one worker everything runs inline on the caller's goroutine.
+// through par.For, which returns only when every shard is done. Workers
+// claim whole shards off par's atomic cursor, so a shard whose sites hit
+// expensive re-establishments doesn't serialize the rest of the city
+// behind it. With Workers ≥ 2 the shards are the outermost For: each
+// station inside steps its units inline on the shard's worker. With one
+// worker the shards run inline and each station's own For wakes the pool.
 func (m *Metro) AdvanceFrame() {
-	m.nextShard.Store(0)
-	if m.workers <= 1 {
-		m.runShards()
-	} else {
-		m.wg.Add(m.workers)
-		for w := 0; w < m.workers; w++ {
-			m.start <- struct{}{}
-		}
-		m.wg.Wait()
-	}
+	par.For(m.workers, m.Shards(), m.runShardFn)
 	m.frame++
 }
 
-// runShards drains the shard cursor, stepping each stolen shard's sites in
-// order.
-func (m *Metro) runShards() {
-	for {
-		s := int(m.nextShard.Add(1) - 1)
-		if s >= len(m.shardLo)-1 {
-			return
-		}
-		for _, st := range m.sites[m.shardLo[s]:m.shardLo[s+1]] {
-			m.stepSite(st)
-		}
+// runShard steps shard s's sites in order.
+func (m *Metro) runShard(_, s int) {
+	for _, st := range m.sites[m.shardLo[s]:m.shardLo[s+1]] {
+		m.stepSite(st)
 	}
 }
 
@@ -414,11 +382,6 @@ func (m *Metro) Run(duration float64) Results {
 	return m.Results()
 }
 
-// Close releases the worker pool. The metro must not be advanced after
-// Close; Results remains safe.
-func (m *Metro) Close() {
-	if m.start != nil && !m.closed {
-		close(m.start)
-		m.closed = true
-	}
-}
+// Close does nothing: the metro owns no goroutines (internal/par owns the
+// process's one pool). It stays only because perfbench calls it.
+func (m *Metro) Close() {}

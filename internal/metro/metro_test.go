@@ -18,7 +18,6 @@ func runMetro(t testing.TB, cfg Config, workers int, duration float64) Results {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer m.Close()
 	return m.Run(duration)
 }
 
@@ -93,7 +92,6 @@ func TestMetroChurnBoundsResidency(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer m.Close()
 	frames := int(3.0 / m.FramePeriod())
 	peak := 0
 	for i := 0; i < frames; i++ {
@@ -136,7 +134,6 @@ func TestMetroWorkerPoolRace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer m.Close()
 	for i := 0; i < 20; i++ {
 		m.AdvanceFrame()
 	}
@@ -155,7 +152,6 @@ func TestMetroMidRunResultsRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer m.Close()
 	for i := 0; i < 15; i++ {
 		m.AdvanceFrame()
 	}
@@ -171,7 +167,6 @@ func TestMetroMidRunResultsRepeatable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer m2.Close()
 	for i := 0; i < 15; i++ {
 		m2.AdvanceFrame()
 		_ = m2.Results()
@@ -212,6 +207,25 @@ func TestMetroShardPartitionInvariants(t *testing.T) {
 		if covered != tc.clusters {
 			t.Fatalf("%+v: shards cover %d sites, want %d", tc, covered, tc.clusters)
 		}
-		m.Close()
+	}
+}
+
+// TestMetroFrameZeroAllocTwoWorkers pins the quiescent city frame at zero
+// allocations with the shards fanned out over two workers: the shards are
+// the outermost par.For, and the stations' nested Fors run on the shard
+// workers in preallocated slots instead of starting goroutines.
+func TestMetroFrameZeroAllocTwoWorkers(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.ChurnArrivalRate = 0
+	cfg.Workers = 2
+	m, err := New(nr.Mu3(), cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	for i := 0; i < 40; i++ { // warm caches: monitor rows, batch scratch, EWMA state
+		m.AdvanceFrame()
+	}
+	if avg := testing.AllocsPerRun(100, m.AdvanceFrame); avg != 0 {
+		t.Errorf("metro AdvanceFrame allocates %.1f objects/frame in steady state, want 0", avg)
 	}
 }

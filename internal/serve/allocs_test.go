@@ -17,7 +17,6 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	for i := 0; i < 40; i++ { // warm caches: monitor rows, batch scratch, EWMA state
 		s.step()
 	}

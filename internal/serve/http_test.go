@@ -33,7 +33,6 @@ func startDaemon(t *testing.T) (ts *httptest.Server, s *Server, stop func()) {
 		ts.Close()
 		cancel()
 		<-done
-		s.Close()
 	}
 }
 
@@ -197,11 +196,9 @@ func TestHTTPSnapshotRestores(t *testing.T) {
 	stop()
 
 	// The live snapshot — journal included — restores in a fresh daemon.
-	s2, err := Restore(blob.Bytes(), Runtime{})
-	if err != nil {
+	if _, err := Restore(blob.Bytes(), Runtime{}); err != nil {
 		t.Fatalf("Restore of live snapshot: %v", err)
 	}
-	s2.Close()
 }
 
 func TestHTTPStoppedDaemonReturns503(t *testing.T) {
@@ -211,7 +208,6 @@ func TestHTTPStoppedDaemonReturns503(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"regexp"
 	"strings"
 	"testing"
@@ -40,7 +41,6 @@ func TestKillAndRestoreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	s1.Close()
 
 	// Second half from the snapshot, workers=2. Runtime knobs are restore
 	// overrides; the replay identity (config + script) comes from the blob.
@@ -48,7 +48,6 @@ func TestKillAndRestoreByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	defer s2.Close()
 	if got := s2.Frame(); got != n/2 {
 		t.Fatalf("restored at frame %d, want %d", got, n/2)
 	}
@@ -64,31 +63,55 @@ func TestKillAndRestoreByteIdentical(t *testing.T) {
 }
 
 // TestRestoreReplaysJournal checks externally injected commands survive a
-// snapshot: a daemon takes a live command through the real queue path,
+// snapshot: a daemon takes live commands through the real queue path,
 // snapshots, and the restored daemon must evolve exactly like a reference
-// daemon whose SCRIPT contains the same command at the recorded frame
-// (scripted and journaled commands share one application path).
+// daemon whose SCRIPT contains the same commands at the recorded frame
+// (scripted and journaled commands share one application path). The
+// attach+detach case lands both in one boundary, before any frame admitted
+// the UE: the detach is held until admission (cluster.DetachUE), never
+// refused, and replays the same way.
 func TestRestoreReplaysJournal(t *testing.T) {
-	cmd := Command{Op: OpBlockage, Site: 0, UE: 1, DepthDB: 20, DurationS: 0.05}
+	for _, tc := range []struct {
+		name string
+		cmds []Command // UE −1 targets the UE the preceding attach created
+	}{
+		{"blockage", []Command{{Op: OpBlockage, Site: 0, UE: 1, DepthDB: 20, DurationS: 0.05}}},
+		{"attach+detach", []Command{{Op: OpAttach, Site: 1, DurationS: 2}, {Op: OpDetach, Site: 1, UE: -1}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkJournalReplay(t, tc.cmds) })
+	}
+}
+
+func checkJournalReplay(t *testing.T, cmds []Command) {
 	const injectAt, snapAt, end = 4, 8, 14
 
-	// Daemon A: step manually to the inject boundary, apply the command via
+	// Daemon A: step manually to the inject boundary, apply the commands via
 	// the loop's own handler (stamping + journaling), continue, snapshot.
 	a, err := New(testConfig(1))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer a.Close()
 	for a.m.Frame() < injectAt {
 		a.step()
 	}
-	p := &pending{cmd: &cmd, reply: make(chan reply, 1)}
-	a.handle(p, a.m.Frame())
-	if r := <-p.reply; r.err != nil {
-		t.Fatalf("inject: %v", r.err)
+	script := make([]Command, len(cmds))
+	lastUE := -1
+	for i, cmd := range cmds {
+		if cmd.UE == -1 {
+			cmd.UE = lastUE
+		}
+		p := &pending{cmd: &cmd, reply: make(chan reply, 1)}
+		a.handle(p, a.m.Frame())
+		r := <-p.reply
+		if r.err != nil {
+			t.Fatalf("inject %s: %v", cmd.Op, r.err)
+		}
+		lastUE = r.val.(InjectResult).UE
+		cmd.Frame = injectAt
+		script[i] = cmd
 	}
-	if len(a.journal) != 1 || a.journal[0].Frame != injectAt {
-		t.Fatalf("journal = %+v, want one entry at frame %d", a.journal, injectAt)
+	if len(a.journal) != len(cmds) || a.journal[0].Frame != injectAt {
+		t.Fatalf("journal = %+v, want %d entries at frame %d", a.journal, len(cmds), injectAt)
 	}
 	for a.m.Frame() < snapAt {
 		a.step()
@@ -103,24 +126,23 @@ func TestRestoreReplaysJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	defer b.Close()
 	var gotTail bytes.Buffer
 	b.SetStatusWriter(&gotTail)
 	if err := b.Run(context.Background()); err != nil {
 		t.Fatalf("Run (restored): %v", err)
 	}
 
-	// Reference daemon: same command as script, full run.
+	// Reference daemon: same commands as script, full run.
 	refCfg := testConfig(1)
 	refCfg.MaxFrames = end
-	refCfg.Script = []Command{{Frame: injectAt, Op: cmd.Op, Site: cmd.Site, UE: cmd.UE, DepthDB: cmd.DepthDB, DurationS: cmd.DurationS}}
+	refCfg.Script = script
 	ref := runToEnd(t, refCfg)
 	refLines := strings.SplitAfter(ref, "\n")
 	wantTail := strings.Join(refLines[snapAt:], "")
 
 	// The streams may differ ONLY in the journal-length field: the
-	// reference carries the command as script (jrnl=0), the restored daemon
-	// as journal (jrnl=1). Simulated state — every counter and the digest —
+	// reference carries the commands as script (jrnl=0), the restored
+	// daemon as journal. Simulated state — every counter and the digest —
 	// must match byte for byte.
 	stripJrnl := regexp.MustCompile(` jrnl=\d+`)
 	got := stripJrnl.ReplaceAllString(gotTail.String(), "")
@@ -128,8 +150,8 @@ func TestRestoreReplaysJournal(t *testing.T) {
 	if got != want {
 		t.Errorf("restored daemon diverged from scripted reference after frame %d:\n--- reference tail\n%s--- restored\n%s", snapAt, want, got)
 	}
-	if !strings.Contains(gotTail.String(), " jrnl=1 ") {
-		t.Errorf("restored daemon lost the journal entry:\n%s", gotTail.String())
+	if jrnl := fmt.Sprintf(" jrnl=%d ", len(cmds)); !strings.Contains(gotTail.String(), jrnl) {
+		t.Errorf("restored daemon lost journal entries (want%s):\n%s", jrnl, gotTail.String())
 	}
 }
 
@@ -143,7 +165,6 @@ func TestRestoreRejectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -190,7 +211,6 @@ func TestRestoreRejectsForeignJournal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

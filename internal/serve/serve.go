@@ -352,6 +352,7 @@ func (s *Server) SnapshotJSON() ([]byte, error) {
 // it returned) — the CLI's shutdown snapshot path.
 func (s *Server) SnapshotJSONDirect() ([]byte, error) { return s.snapshotNow() }
 
-// Close releases the metro's worker pool. Call only after Run has
-// returned (or if Run was never started).
-func (s *Server) Close() { s.m.Close() }
+// Close does nothing: the daemon owns no goroutines besides Run's loop
+// (internal/par owns the process's one pool). It stays only because
+// perfbench calls it.
+func (s *Server) Close() {}

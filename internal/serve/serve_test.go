@@ -27,7 +27,6 @@ func runToEnd(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	var buf bytes.Buffer
 	s.SetStatusWriter(&buf)
 	if err := s.Run(context.Background()); err != nil {
@@ -75,7 +74,6 @@ func TestMetricsSiteLabelsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		defer s.Close()
 		if err := s.Run(context.Background()); err != nil {
 			t.Fatalf("Run: %v", err)
 		}
@@ -128,7 +126,6 @@ func TestScriptApplies(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -192,7 +189,6 @@ func TestInjectAfterStop(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	if err := s.Run(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}

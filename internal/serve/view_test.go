@@ -46,7 +46,6 @@ func goldenDaemon(t *testing.T) *Server {
 // for the digest value (the fold changed, the state it folds did not).
 func TestViewMatchesGolden(t *testing.T) {
 	s := goldenDaemon(t)
-	defer s.Close()
 	var v view
 	if !s.copyView(&v) {
 		t.Fatal("no view published after 40 steps")
@@ -110,7 +109,6 @@ func TestReadsNeverEnqueue(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan struct{})
 	go func() {
@@ -185,7 +183,6 @@ func TestViewConcurrentReaders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	defer s.Close()
 	ran := make(chan struct{})
 	go func() {
 		defer close(ran)

@@ -1,6 +1,7 @@
 package station
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -28,11 +29,20 @@ func heapBytesPerRun(runs int, f func()) float64 {
 // TestStationSlotAllocs pins the steady-state frame loop at zero
 // allocations per frame: persistent channel models (Model.Reuse +
 // ChannelInto), the managers' retained buffers, preallocated scheduler
-// scratch, and the inline single-worker path keep AdvanceFrame off the
-// allocator entirely once every session is established.
+// scratch, and par's parked pool keep AdvanceFrame off the allocator
+// entirely once every session is established — inline at one worker and
+// fanned out at two.
 func TestStationSlotAllocs(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			pinStationSlotAllocs(t, workers)
+		})
+	}
+}
+
+func pinStationSlotAllocs(t *testing.T, workers int) {
 	cfg := DefaultConfig()
-	cfg.Workers = 1 // the inline path; multi-worker frames pay goroutine overhead by design
+	cfg.Workers = workers
 	st, err := New(nr.Mu3(), cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)

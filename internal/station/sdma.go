@@ -5,7 +5,7 @@ import (
 
 	"mmreliable/internal/hybrid"
 	"mmreliable/internal/link"
-	"mmreliable/internal/scratch"
+	"mmreliable/internal/par"
 	"mmreliable/internal/sim"
 )
 
@@ -106,10 +106,30 @@ func (st *Station) planFrameUnits() {
 	}
 }
 
-// runUnit steps one scheduling unit through one frame. Runs on a worker
-// goroutine; everything it touches is unit-private plus the worker's
-// scratch arena and combiner. All members' managers advance every slot
-// (training cadences, tracking, and channel evolution are
+// runSessions steps every scheduling unit planned for the frame starting at
+// st.frameT0 through par.For. Workers claim whole units (a group's members
+// must step in lockstep within a slot). Which worker runs which unit is
+// scheduling-dependent but irrelevant to the output: a unit's entire world
+// is unit-private, and the per-worker scratch arenas and combiners hand out
+// zeroed checkouts, so a unit computes bit-identical results on any worker.
+// For's return publishes all session state back to the coordinator.
+func (st *Station) runSessions() {
+	par.For(st.workers, len(st.units), st.runUnitFn)
+}
+
+// combiner returns worker k's digital stage, nil when Chains = 1 (units
+// never have two members, so nothing combines).
+func (st *Station) combiner(k int) *hybrid.Combiner {
+	if st.combiners == nil {
+		return nil
+	}
+	return st.combiners[k]
+}
+
+// runUnit steps scheduling unit unitIdx through the frame starting at
+// st.frameT0, on the given worker's scratch arena and combiner; everything
+// else it touches is unit-private. All members' managers advance every
+// slot (training cadences, tracking, and channel evolution are
 // airtime-independent); data slots the unit does not own record zero
 // throughput, and in an owned slot two or more established, non-training
 // members transmit simultaneously through the digital MMSE combiner and
@@ -117,7 +137,9 @@ func (st *Station) planFrameUnits() {
 // unit never combines: it is a TDMA session. The scheduler's SNR-drop
 // estimator always sees the own-beam SNR, never the SINR — probe
 // arbitration stays a per-link concern.
-func (st *Station) runUnit(unitIdx int, unit []int, t0 float64, ws *scratch.Workspace, cb *hybrid.Combiner) {
+func (st *Station) runUnit(worker, unitIdx int) {
+	unit, t0 := st.units[unitIdx], st.frameT0
+	ws, cb := st.ws[worker], st.combiner(worker)
 	ws.Reset()
 	numUnits := len(st.units)
 	var mem [sdmaMaxChains]*Session

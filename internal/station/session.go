@@ -96,7 +96,7 @@ type Session struct {
 	entryValid  bool
 
 	// Scheduler inputs. Written by the worker that owns the session inside
-	// a frame, read by the coordinator at the barrier (the pool's WaitGroup
+	// a frame, read by the coordinator at the barrier (par.For's return
 	// provides the happens-before edge).
 	lastSNR        float64
 	ewmaFast       float64

@@ -14,7 +14,8 @@
 // events, allocates probe tokens, and plans the scheduling units that share
 // the cell's airtime (sdma.go); inside the frame every unit steps its slots
 // independently (its sessions' scenarios, channel models, sounder RNGs, and
-// manager state are all unit-private), sharded across a worker pool.
+// manager state are all unit-private), sharded across the process's worker
+// pool (internal/par).
 // Because scheduler decisions read only per-session state published at the
 // barrier, and units never share mutable state, the engine's output is
 // byte-identical at any worker count — the same contract as
@@ -173,7 +174,9 @@ type Station struct {
 	units        [][]int // scheduling units: active[] indices sharing one airtime share
 	unitStore    []int
 	sdmaAssigned []bool
-	combiners    []*hybrid.Combiner // per-worker digital stage (Chains ≥ 2)
+	combiners    []*hybrid.Combiner        // per-worker digital stage (Chains ≥ 2)
+	frameT0      float64                   // start time of the frame runSessions steps
+	runUnitFn    func(worker, unitIdx int) // runUnit, bound once: no closure per frame
 
 	counters Counters
 }
@@ -227,6 +230,7 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 			st.combiners[k] = hybrid.NewCombiner(cfg.SDMA.Chains, cfg.Manager.NumSC)
 		}
 	}
+	st.runUnitFn = st.runUnit
 	return st, nil
 }
 
@@ -246,7 +250,7 @@ func (st *Station) ActiveSessions() int { return len(st.active) }
 
 // AdvanceFrame executes one scheduling frame: attach/detach processing and
 // probe-token allocation on the coordinator, then parallel session
-// stepping across the worker pool, then accounting harvest at the barrier.
+// stepping (runSessions), then accounting harvest at the barrier.
 func (st *Station) AdvanceFrame() {
 	t0 := st.Now()
 	t1 := float64((st.frame+1)*st.slotsPerFrame) * st.slotDur
@@ -254,7 +258,8 @@ func (st *Station) AdvanceFrame() {
 	st.scheduleFrame(t1)
 	st.planFrameUnits()
 	st.batchFrameEntry()
-	st.runSessions(t0)
+	st.frameT0 = t0
+	st.runSessions()
 	st.harvestFrame()
 	st.counters.Frames++
 	st.counters.SessionSlots += int64(len(st.active) * st.slotsPerFrame)
