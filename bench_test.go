@@ -139,19 +139,6 @@ func BenchmarkProbe(b *testing.B) {
 	}
 }
 
-func BenchmarkEffectiveWidebandInto(b *testing.B) {
-	m := benchChannel()
-	w := m.Tx.SingleBeam(0)
-	offs := channel.SubcarrierOffsets(400e6, 64)
-	dst := make(cmx.Vector, len(offs))
-	m.EffectiveWidebandInto(w, offs, dst)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.EffectiveWidebandInto(w, offs, dst)
-	}
-}
-
 // BenchmarkSuperresExtractInto is the frequency-domain fit on a
 // per-worker workspace — the steady-state maintenance-tick cost (0
 // allocs/op, pinned by TestExtractIntoAllocs as well).

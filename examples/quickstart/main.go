@@ -68,8 +68,11 @@ func main() {
 		panic(err)
 	}
 	offs := channel.SubcarrierOffsets(budget.BandwidthHz, 64)
-	single := budget.WidebandSNRdB(m.EffectiveWidebandInto(u.SingleBeam(angles[0]), offs, nil))
-	multi := budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))
+	re, im := make([]float64, len(offs)), make([]float64, len(offs))
+	m.EffectiveWidebandSplitInto(u.SingleBeam(angles[0]), offs, re, im)
+	single := budget.WidebandSNRdBSplit(re, im)
+	m.EffectiveWidebandSplitInto(w, offs, re, im)
+	multi := budget.WidebandSNRdBSplit(re, im)
 	fmt.Printf("single beam SNR : %.2f dB → %.0f Mbps\n", single, link.Throughput(single, budget.BandwidthHz, 0)/1e6)
 	fmt.Printf("multi-beam SNR  : %.2f dB → %.0f Mbps\n", multi, link.Throughput(multi, budget.BandwidthHz, 0)/1e6)
 	fmt.Printf("constructive combining gain: %.2f dB\n", multi-single)

@@ -60,19 +60,8 @@ func (u *ULA) SteeringInto(phi float64, dst cmx.Vector) cmx.Vector {
 		panic(fmt.Sprintf("antenna: steering dst length %d != %d elements", len(dst), u.N))
 	}
 	k := -2 * math.Pi * u.Spacing / u.Lambda * math.Sin(phi)
-	dsp.Active().PhasorFillCmplx(dst, 0, k)
+	dsp.PhasorFillCmplx(dst, 0, k)
 	return dst
-}
-
-// SteeringSplitInto writes the steering vector a(φ) in planar layout into
-// (dstRe, dstIm), the form the batched wideband kernels consume directly.
-// Both slices must have length u.N.
-func (u *ULA) SteeringSplitInto(phi float64, dstRe, dstIm []float64) {
-	if len(dstRe) != u.N || len(dstIm) != u.N {
-		panic(fmt.Sprintf("antenna: steering dst lengths %d/%d != %d elements", len(dstRe), len(dstIm), u.N))
-	}
-	k := -2 * math.Pi * u.Spacing / u.Lambda * math.Sin(phi)
-	dsp.Active().PhasorFill(dstRe, dstIm, 0, k)
 }
 
 // SingleBeam returns the unit-norm matched (conjugate) beamforming weights

@@ -43,7 +43,7 @@ type Common struct {
 	opt     Options
 
 	w              cmx.Vector
-	wb             cmx.Vector // wideband-response scratch for snr()
+	wbRe, wbIm     []float64  // planar wideband-response scratch for snr()
 	csi            cmx.Vector // probe scratch for scanUE
 	trainRemaining int
 	onTrainDone    func(t float64, m *channel.Model)
@@ -100,7 +100,8 @@ func newCommon(name string, u *antenna.ULA, budget link.Budget, num nr.Numerolog
 		cb:      antenna.DFTCodebook(u, opt.CodebookSize, -scan, scan),
 		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, opt.NumSC),
 		opt:     opt,
-		wb:      make(cmx.Vector, opt.NumSC),
+		wbRe:    make([]float64, opt.NumSC),
+		wbIm:    make([]float64, opt.NumSC),
 		csi:     make(cmx.Vector, opt.NumSC),
 	}, nil
 }
@@ -176,7 +177,8 @@ func (c *Common) snr(m *channel.Model) float64 {
 	if c.w == nil {
 		return math.Inf(-1)
 	}
-	return c.budget.WidebandSNRdB(m.EffectiveWidebandInto(c.w, c.offsets, c.wb))
+	m.EffectiveWidebandSplitInto(c.w, c.offsets, c.wbRe, c.wbIm)
+	return c.budget.WidebandSNRdBSplit(c.wbRe, c.wbIm)
 }
 
 func (c *Common) slotsFor(airTime float64) int {
@@ -405,10 +407,10 @@ func (b *WideBeam) Step(t float64, m *channel.Model) sim.Slot {
 // every slot with zero training overhead — an unattainable upper bound that
 // calibrates how close the 2- and 3-beam multi-beams come (Fig. 15d).
 type Oracle struct {
-	name    string
-	budget  link.Budget
-	offsets []float64
-	wb      cmx.Vector // wideband-response scratch
+	name       string
+	budget     link.Budget
+	offsets    []float64
+	wbRe, wbIm []float64 // planar wideband-response scratch
 }
 
 // NewOracle builds the oracle scheme.
@@ -417,7 +419,8 @@ func NewOracle(budget link.Budget, numSC int) *Oracle {
 		name:    "oracle",
 		budget:  budget,
 		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, numSC),
-		wb:      make(cmx.Vector, numSC),
+		wbRe:    make([]float64, numSC),
+		wbIm:    make([]float64, numSC),
 	}
 }
 
@@ -447,7 +450,8 @@ func (o *Oracle) Step(t float64, m *channel.Model) sim.Slot {
 	}
 	best := math.Inf(-1)
 	for _, w := range cands {
-		if snr := o.budget.WidebandSNRdB(m.EffectiveWidebandInto(w, o.offsets, o.wb)); snr > best {
+		m.EffectiveWidebandSplitInto(w, o.offsets, o.wbRe, o.wbIm)
+		if snr := o.budget.WidebandSNRdBSplit(o.wbRe, o.wbIm); snr > best {
 			best = snr
 		}
 	}

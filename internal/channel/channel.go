@@ -115,7 +115,7 @@ func (m *Model) Validate() error {
 // The phase is computed in split form — the frequency-independent carrier
 // phasor e^{j(−2π·fc·τ + extra)} and the baseband ramp phasor e^{−j2π·fOff·τ}
 // are built separately and multiplied — so the direct evaluation and the
-// factored wideband kernel (EffectiveWidebandInto) share the same rounding
+// factored wideband kernel (EffectiveWidebandSplitInto) share the same rounding
 // pattern and agree to well under 1e-12. Summing the phases as floats first
 // (carrierPhase ± thousands of radians plus a ±hundreds-of-radians ramp)
 // would round the total at the ulp of the carrier phase, a few 1e-12 rad,
@@ -152,14 +152,18 @@ func (m *Model) rxFactor(aoa float64) complex128 {
 // oracle beamformer needs and that real analog arrays cannot observe
 // directly (one RF chain).
 func (m *Model) PerAntennaCSI(fOff float64) cmx.Vector {
-	h := make(cmx.Vector, m.Tx.N)
+	n := m.Tx.N
+	h := make(cmx.Vector, n)
 	c := m.pathCache()
 	for l := range m.Paths {
 		g := m.PathGain(l, fOff)
 		if g == 0 {
 			continue
 		}
-		h.AddScaled(g, c.steer[l])
+		re, im := c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n]
+		for i := range h {
+			h[i] += g * complex(re[i], im[i])
+		}
 	}
 	return h
 }
@@ -188,16 +192,13 @@ func (m *Model) Effective(w cmx.Vector, fOff float64) complex128 {
 //
 // with θ_ℓ the carrier phase and r_ℓ the RX factor. The bracket is computed
 // once per call (one O(N) dot per path); the uniform-grid frequency sweep
-// runs on a unit-phasor recurrence re-seeded from math.Sincos every
-// phasorReseed subcarriers, so accumulated rounding drift stays below
-// ~reseed·ε ≈ 1e-14 instead of growing O(nsc·ε). Everything that does not
-// depend on the beam w — the coefficient amp·e^{jθ}·r and the steering
-// vector a(φ_ℓ) — is cached on the Model (see pathCache).
+// runs on dsp.PhasorRampAxpy, a unit-phasor recurrence re-seeded from
+// math.Sincos every dsp.PhasorReseed subcarriers, so accumulated rounding
+// drift stays below ~reseed·ε ≈ 1e-14 instead of growing O(nsc·ε).
+// Everything that does not depend on the beam w — the coefficient
+// amp·e^{jθ}·r and the steering vector a(φ_ℓ) — is cached on the Model (see
+// pathCache).
 // ---------------------------------------------------------------------------
-
-// phasorReseed is the recurrence length between exact re-seeds of the
-// frequency-ramp phasor, shared with every planar kernel implementation.
-const phasorReseed = dsp.PhasorReseed
 
 // pathSnap records the per-path inputs a cached factor was derived from;
 // a mismatch with the live PathState invalidates the cache.
@@ -219,7 +220,6 @@ type modelCache struct {
 	rxLen   int
 	snaps   []pathSnap
 	coef    []complex128 // amp·e^{jθ}·rxFactor; 0 for dead paths
-	steer   []cmx.Vector // cached a(φ_ℓ), one per path
 	delays  []float64
 	// Loss-independent factors of coef, kept so a loss-only mutation (per-
 	// slot fading/blockage on an otherwise static geometry) refreshes coef
@@ -229,16 +229,15 @@ type modelCache struct {
 	// order of a full rebuild.
 	rxf            []complex128
 	unitRe, unitIm []float64
-	// steerRe/steerIm are the planar steering rows (path l occupies
-	// [l·N, (l+1)·N)) the batched kernels consume directly.
+	// steerRe/steerIm are the cached steering vectors a(φ_ℓ) in planar
+	// layout (path l occupies [l·N, (l+1)·N)), the rows the wideband kernel
+	// consumes directly.
 	steerRe, steerIm []float64
-	// steerBuf is the contiguous backing of steer when the cache was built
-	// for a Reuse model (nil otherwise): one slab of L·N elements that
-	// in-place rebuilds refill without touching the allocator. rxScratch
-	// is the matching RX-side steering scratch for the per-path receive
-	// factor.
-	steerBuf  []complex128
-	rxScratch cmx.Vector
+	// reuse marks a cache built for a Reuse model: only such a cache may be
+	// refilled in place (see Model.Reuse). scratch is the interleaved
+	// steering vector each row and receive factor is synthesized into.
+	reuse   bool
+	scratch cmx.Vector
 }
 
 // valid reports whether c still describes m. The per-path snapshot compare
@@ -299,12 +298,11 @@ func (c *modelCache) geomValid(m *Model) bool {
 // called on Reuse models (single goroutine), which makes the in-place
 // mutation of the published cache safe.
 func (c *modelCache) refreshLoss(m *Model) {
-	kern := dsp.Active()
 	for l := range m.Paths {
 		p := &m.Paths[l]
 		c.snaps[l].lossDB = p.LossDB
 		c.snaps[l].extraLoss = p.ExtraLossDB
-		amp := kern.AmpFromDB(p.LossDB + p.ExtraLossDB)
+		amp := dsp.AmpFromLossDB(p.LossDB + p.ExtraLossDB)
 		c.coef[l] = complex(amp*c.unitRe[l], amp*c.unitIm[l]) * c.rxf[l]
 	}
 }
@@ -333,7 +331,7 @@ func (m *Model) pathCache() *modelCache {
 	if c != nil && c.valid(m) {
 		return c
 	}
-	if m.Reuse && c != nil && c.steerBuf != nil && c.geomValid(m) {
+	if m.Reuse && c != nil && c.reuse && c.geomValid(m) {
 		// Loss-only mutation on a single-goroutine model: renew coef in
 		// place instead of re-deriving steering/phasors/RX factors.
 		c.refreshLoss(m)
@@ -353,26 +351,27 @@ func (m *Model) buildCache() *modelCache {
 		// readers of the published cache.
 		c = (*modelCache)(atomic.LoadPointer(&m.cache))
 	}
-	if c == nil || cap(c.snaps) < nP || cap(c.steerBuf) < nP*m.Tx.N ||
-		cap(c.steerRe) < nP*m.Tx.N || (m.Reuse && c.steerBuf == nil) {
+	nScratch := m.Tx.N
+	if m.Rx != nil && m.Rx.N > nScratch {
+		nScratch = m.Rx.N
+	}
+	if c == nil || !c.reuse || cap(c.snaps) < nP ||
+		cap(c.steerRe) < nP*m.Tx.N || cap(c.scratch) < nScratch {
 		c = &modelCache{
 			snaps:   make([]pathSnap, nP),
 			coef:    make([]complex128, nP),
-			steer:   make([]cmx.Vector, nP),
 			delays:  make([]float64, nP),
 			rxf:     make([]complex128, nP),
 			unitRe:  make([]float64, nP),
 			unitIm:  make([]float64, nP),
 			steerRe: make([]float64, nP*m.Tx.N),
 			steerIm: make([]float64, nP*m.Tx.N),
-		}
-		if m.Reuse {
-			c.steerBuf = make([]complex128, nP*m.Tx.N)
+			reuse:   m.Reuse,
+			scratch: make(cmx.Vector, nScratch),
 		}
 	}
 	c.snaps = c.snaps[:nP]
 	c.coef = c.coef[:nP]
-	c.steer = c.steer[:nP]
 	c.delays = c.delays[:nP]
 	c.rxf = c.rxf[:nP]
 	c.unitRe = c.unitRe[:nP]
@@ -388,7 +387,6 @@ func (m *Model) buildCache() *modelCache {
 	if len(m.RxWeights) > 0 {
 		c.rxHead = &m.RxWeights[0]
 	}
-	kern := dsp.Active()
 	for l := range m.Paths {
 		p := &m.Paths[l]
 		c.snaps[l] = pathSnap{
@@ -396,17 +394,10 @@ func (m *Model) buildCache() *modelCache {
 			delay: p.Delay, aoD: p.AoD, aoA: p.AoA, phasePi: p.PhasePi,
 		}
 		c.delays[l] = p.Delay
-		amp := kern.AmpFromDB(p.LossDB + p.ExtraLossDB)
+		amp := dsp.AmpFromLossDB(p.LossDB + p.ExtraLossDB)
 		rxf := complex128(1)
 		if m.Rx != nil && m.RxWeights != nil {
-			if c.steerBuf != nil {
-				if cap(c.rxScratch) < m.Rx.N {
-					c.rxScratch = make(cmx.Vector, m.Rx.N)
-				}
-				rxf = m.Rx.SteeringInto(p.AoA, c.rxScratch[:m.Rx.N]).Dot(m.RxWeights)
-			} else {
-				rxf = m.rxFactor(p.AoA)
-			}
+			rxf = m.Rx.SteeringInto(p.AoA, c.scratch[:m.Rx.N]).Dot(m.RxWeights)
 		}
 		c.rxf[l] = rxf
 		// cmplx.Rect(amp, θ) is exactly complex(amp·cosθ, amp·sinθ); keeping
@@ -415,12 +406,7 @@ func (m *Model) buildCache() *modelCache {
 		c.unitRe[l], c.unitIm[l] = math.Cos(ph), math.Sin(ph)
 		c.coef[l] = complex(amp*c.unitRe[l], amp*c.unitIm[l]) * rxf
 		n := m.Tx.N
-		if c.steerBuf != nil {
-			c.steer[l] = m.Tx.SteeringInto(p.AoD, c.steerBuf[l*n:(l+1)*n:(l+1)*n])
-		} else {
-			c.steer[l] = m.Tx.SteeringInto(p.AoD, nil)
-		}
-		m.Tx.SteeringSplitInto(p.AoD, c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n])
+		cmx.Split(m.Tx.SteeringInto(p.AoD, c.scratch[:n]), c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n])
 	}
 	return c
 }
@@ -454,74 +440,20 @@ func uniformStep(fOffs []float64) (float64, bool) {
 	return step, true
 }
 
-// EffectiveWidebandInto evaluates Effective at each frequency offset: it
-// writes the effective wideband channel under TX beam w into dst and
-// returns it, allocating only when dst is nil (or on a cache rebuild after
-// a model mutation). len(dst) must equal len(fOffs). The cost
-// is O(L·N + nsc·L) versus the naive O(nsc·L·N) with nsc·L complex
-// exponentials; results match the direct per-subcarrier Effective to well
-// under 1e-12 (pinned by TestEffectiveWidebandFactoredEquivalence).
-func (m *Model) EffectiveWidebandInto(w cmx.Vector, fOffs []float64, dst cmx.Vector) cmx.Vector {
-	if dst == nil {
-		dst = make(cmx.Vector, len(fOffs))
-	}
-	if len(dst) != len(fOffs) {
-		panic(fmt.Sprintf("channel: wideband dst length %d != %d offsets", len(dst), len(fOffs)))
-	}
-	c := m.pathCache()
-	for k := range dst {
-		dst[k] = 0
-	}
-	step, uniform := uniformStep(fOffs)
-	for l := range c.coef {
-		base := c.coef[l]
-		if base == 0 {
-			continue
-		}
-		cl := base * c.steer[l].Dot(w)
-		tau := c.delays[l]
-		if tau == 0 {
-			for k := range dst {
-				dst[k] += cl
-			}
-			continue
-		}
-		if !uniform {
-			for k, f := range fOffs {
-				dst[k] += cl * cmplx.Rect(1, -2*math.Pi*f*tau)
-			}
-			continue
-		}
-		// Uniform grid: unit-phasor recurrence for e^{−j2π f_k τ},
-		// re-seeded exactly every phasorReseed subcarriers.
-		angle0 := -2 * math.Pi * fOffs[0] * tau
-		stepAngle := -2 * math.Pi * step * tau
-		r := cmplx.Rect(1, stepAngle)
-		var p complex128
-		for k := range dst {
-			if k%phasorReseed == 0 {
-				p = cmplx.Rect(1, angle0+float64(k)*stepAngle)
-			}
-			dst[k] += cl * p
-			p *= r
-		}
-	}
-	return dst
-}
-
-// EffectiveWidebandSplitInto is EffectiveWidebandInto with a planar
-// destination: the effective wideband channel under TX beam w lands in
-// (dstRe, dstIm), the layout the batched DSP kernels and the planar SNR
-// reduction consume without an interleave pass. Both slices must have length
-// len(fOffs). The arithmetic runs on the active dsp.Kernel; under
-// dsp.Reference it reproduces EffectiveWidebandInto bit for bit, under the
-// planar kernel it agrees to ≤1e-12 (pinned by the factored property tests).
+// EffectiveWidebandSplitInto evaluates Effective at each frequency offset:
+// the effective wideband channel under TX beam w lands in the planar pair
+// (dstRe, dstIm), the layout the batched DSP kernels, the planar SNR
+// reduction and the sounder consume directly. Both slices must have length
+// len(fOffs). It allocates only on a cache rebuild after a model mutation
+// (never for a warm Reuse model). The cost is O(L·N + nsc·L) versus the
+// naive O(nsc·L·N) with nsc·L complex exponentials; results match the direct
+// per-subcarrier Effective to well under 1e-12 (pinned by
+// TestEffectiveWidebandFactoredEquivalence).
 func (m *Model) EffectiveWidebandSplitInto(w cmx.Vector, fOffs []float64, dstRe, dstIm []float64) {
 	if len(dstRe) != len(fOffs) || len(dstIm) != len(fOffs) {
 		panic(fmt.Sprintf("channel: wideband planar dst lengths %d/%d != %d offsets",
 			len(dstRe), len(dstIm), len(fOffs)))
 	}
-	kern := dsp.Active()
 	c := m.pathCache()
 	for k := range dstRe {
 		dstRe[k] = 0
@@ -534,7 +466,7 @@ func (m *Model) EffectiveWidebandSplitInto(w cmx.Vector, fOffs []float64, dstRe,
 		if base == 0 {
 			continue
 		}
-		dotRe, dotIm := kern.DotSplit(c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n], w)
+		dotRe, dotIm := dsp.DotSplit(c.steerRe[l*n:(l+1)*n], c.steerIm[l*n:(l+1)*n], w)
 		// base·dot in the componentwise order the complex multiply lowers to.
 		clRe := real(base)*dotRe - imag(base)*dotIm
 		clIm := real(base)*dotIm + imag(base)*dotRe
@@ -555,7 +487,7 @@ func (m *Model) EffectiveWidebandSplitInto(w cmx.Vector, fOffs []float64, dstRe,
 			}
 			continue
 		}
-		kern.PhasorRampAxpy(dstRe, dstIm, clRe, clIm,
+		dsp.PhasorRampAxpy(dstRe, dstIm, clRe, clIm,
 			-2*math.Pi*fOffs[0]*tau, -2*math.Pi*step*tau)
 	}
 }

@@ -135,11 +135,11 @@ func TestWidebandFrequencySelectivity(t *testing.T) {
 	})
 	offs := SubcarrierOffsets(400e6, 64)
 	w := flat.Tx.SingleBeam(0)
-	flatResp := flat.EffectiveWidebandInto(w, offs, nil).Abs()
+	flatResp := wideband(flat, w, offs).Abs()
 	// Multi-beam weights exciting both paths.
 	h := sel.PerAntennaCSI(0)
 	wmb := h.Conj().Normalize()
-	selResp := sel.EffectiveWidebandInto(wmb, offs, nil).Abs()
+	selResp := wideband(sel, wmb, offs).Abs()
 
 	flatVar := spread(flatResp)
 	selVar := spread(selResp)

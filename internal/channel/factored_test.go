@@ -21,6 +21,27 @@ func directWideband(m *Model, w cmx.Vector, fOffs []float64) cmx.Vector {
 	return out
 }
 
+// wideband is the planar wideband response of m under w as one complex
+// vector.
+func wideband(m *Model, w cmx.Vector, fOffs []float64) cmx.Vector {
+	re, im := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	m.EffectiveWidebandSplitInto(w, fOffs, re, im)
+	out := make(cmx.Vector, len(fOffs))
+	cmx.Combine(re, im, out)
+	return out
+}
+
+// samePlanar reports the first index where two planar responses differ in
+// any bit, or −1.
+func samePlanar(aRe, aIm, bRe, bIm []float64) int {
+	for k := range aRe {
+		if aRe[k] != bRe[k] || aIm[k] != bIm[k] {
+			return k
+		}
+	}
+	return -1
+}
+
 // maxRelErr returns max_k |a[k]−b[k]| / max_k |b[k]|.
 func maxRelErr(a, b cmx.Vector) float64 {
 	var maxDiff, scale float64
@@ -99,27 +120,25 @@ func factoredCases(t *testing.T) []struct {
 	}
 }
 
-// TestEffectiveWidebandFactoredEquivalence pins the factored kernel to the
-// direct per-subcarrier evaluation at ≤1e-12 relative error — the acceptance
-// bound of the phasor-recurrence rewrite.
+// TestEffectiveWidebandFactoredEquivalence pins the factored planar kernel
+// to the direct per-subcarrier evaluation at ≤1e-12 relative error — the
+// acceptance bound of the phasor-recurrence rewrite — across the channel-
+// side axes: blockage, RxWeights, non-uniform grids, dead and zero-delay
+// paths (CFO/SFO live in the sounder, not the channel).
 func TestEffectiveWidebandFactoredEquivalence(t *testing.T) {
 	for _, tc := range factoredCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			got := tc.m.EffectiveWidebandInto(tc.w, tc.fOffs, nil)
+			re := make([]float64, len(tc.fOffs))
+			im := make([]float64, len(tc.fOffs))
+			for i := range re {
+				re[i], im[i] = 99, -99 // stale content must be overwritten
+			}
+			tc.m.Clone().EffectiveWidebandSplitInto(tc.w, tc.fOffs, re, im) // cold cache
+			got := make(cmx.Vector, len(re))
+			cmx.Combine(re, im, got)
 			want := directWideband(tc.m, tc.w, tc.fOffs)
 			if err := maxRelErr(got, want); err > 1e-12 {
 				t.Fatalf("factored vs direct relative error %.3g > 1e-12", err)
-			}
-			// Into variant with a reused buffer must agree exactly.
-			buf := make(cmx.Vector, len(tc.fOffs))
-			for i := range buf {
-				buf[i] = complex(99, 99) // stale content must be overwritten
-			}
-			got2 := tc.m.EffectiveWidebandInto(tc.w, tc.fOffs, buf)
-			for k := range got {
-				if got2[k] != got[k] {
-					t.Fatalf("Into variant diverges at subcarrier %d", k)
-				}
 			}
 		})
 	}
@@ -134,11 +153,11 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	w := u.SingleBeam(0)
 
 	m := twoPath(3, 0.4)
-	_ = m.EffectiveWidebandInto(w, fOffs, nil) // build the cache
+	_ = wideband(m, w, fOffs) // build the cache
 
 	check := func(name string) {
 		t.Helper()
-		got := m.EffectiveWidebandInto(w, fOffs, nil)
+		got := wideband(m, w, fOffs)
 		fresh := m.Clone() // cold cache
 		want := directWideband(fresh, w, fOffs)
 		if err := maxRelErr(got, want); err > 1e-12 {
@@ -184,9 +203,11 @@ func TestModelConcurrentReadOnly(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make(cmx.Vector, len(fOffs))
+			re, im := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+			got := make(cmx.Vector, len(fOffs))
 			for it := 0; it < 50; it++ {
-				got := m.EffectiveWidebandInto(w, fOffs, buf)
+				m.EffectiveWidebandSplitInto(w, fOffs, re, im)
+				cmx.Combine(re, im, got)
 				if err := maxRelErr(got, want); err > 1e-12 {
 					errs <- nil
 					return
@@ -210,13 +231,13 @@ func TestEffectiveWidebandIntoAllocs(t *testing.T) {
 	m := Cluster(rng, env.Band28GHz(), u, DefaultClusterParams())
 	fOffs := SubcarrierOffsets(400e6, 64)
 	w := u.SingleBeam(0.1)
-	dst := make(cmx.Vector, len(fOffs))
-	m.EffectiveWidebandInto(w, fOffs, dst) // warm the cache
+	re, im := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	m.EffectiveWidebandSplitInto(w, fOffs, re, im) // warm the cache
 	allocs := testing.AllocsPerRun(100, func() {
-		m.EffectiveWidebandInto(w, fOffs, dst)
+		m.EffectiveWidebandSplitInto(w, fOffs, re, im)
 	})
 	if allocs != 0 {
-		t.Fatalf("EffectiveWidebandInto allocates %.1f objects/op, want 0", allocs)
+		t.Fatalf("EffectiveWidebandSplitInto allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -233,19 +254,17 @@ func TestReuseCacheRecycling(t *testing.T) {
 		return m
 	}
 	mr, mf := build(true), build(false)
-	dst := make(cmx.Vector, len(fOffs))
-	ref := make(cmx.Vector, len(fOffs))
+	dRe, dIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	rRe, rIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
 	for i := 0; i < 5; i++ {
 		mr.Paths[0].ExtraLossDB = float64(i) * 3
 		mf.Paths[0].ExtraLossDB = float64(i) * 3
 		mr.Paths[1].ExtraPhase = float64(i) * 0.7
 		mf.Paths[1].ExtraPhase = float64(i) * 0.7
-		mr.EffectiveWidebandInto(w, fOffs, dst)
-		mf.EffectiveWidebandInto(w, fOffs, ref)
-		for k := range dst {
-			if dst[k] != ref[k] {
-				t.Fatalf("iter %d subcarrier %d: reuse %v vs fresh %v", i, k, dst[k], ref[k])
-			}
+		mr.EffectiveWidebandSplitInto(w, fOffs, dRe, dIm)
+		mf.EffectiveWidebandSplitInto(w, fOffs, rRe, rIm)
+		if k := samePlanar(dRe, dIm, rRe, rIm); k >= 0 {
+			t.Fatalf("iter %d subcarrier %d: reuse (%g,%g) vs fresh (%g,%g)", i, k, dRe[k], dIm[k], rRe[k], rIm[k])
 		}
 	}
 	// Steady-state mutate→rebuild→evaluate must not allocate.
@@ -253,7 +272,7 @@ func TestReuseCacheRecycling(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		i++
 		mr.Paths[0].ExtraLossDB = float64(i%7) * 2
-		mr.EffectiveWidebandInto(w, fOffs, dst)
+		mr.EffectiveWidebandSplitInto(w, fOffs, dRe, dIm)
 	})
 	if allocs != 0 {
 		t.Fatalf("Reuse rebuild allocates %.1f objects/op, want 0", allocs)
@@ -272,12 +291,12 @@ func TestCopyStateFrom(t *testing.T) {
 
 	dstM := &Model{Reuse: true}
 	dstM.CopyStateFrom(src)
-	got := dstM.EffectiveWidebandInto(w, fOffs, nil)
-	want := src.EffectiveWidebandInto(w, fOffs, nil)
-	for k := range got {
-		if got[k] != want[k] {
-			t.Fatalf("subcarrier %d: copy %v vs src %v", k, got[k], want[k])
-		}
+	gRe, gIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	wRe, wIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	dstM.EffectiveWidebandSplitInto(w, fOffs, gRe, gIm)
+	src.EffectiveWidebandSplitInto(w, fOffs, wRe, wIm)
+	if k := samePlanar(gRe, gIm, wRe, wIm); k >= 0 {
+		t.Fatalf("subcarrier %d: copy (%g,%g) vs src (%g,%g)", k, gRe[k], gIm[k], wRe[k], wIm[k])
 	}
 	// Mutating the copy must not touch src.
 	before := src.Paths[0].ExtraLossDB
@@ -291,10 +310,10 @@ func TestCopyStateFrom(t *testing.T) {
 	}
 	// Steady-state CopyStateFrom + evaluation must not allocate.
 	dstM.CopyStateFrom(src)
-	dstM.EffectiveWidebandInto(w, fOffs, got)
+	dstM.EffectiveWidebandSplitInto(w, fOffs, gRe, gIm)
 	allocs := testing.AllocsPerRun(100, func() {
 		dstM.CopyStateFrom(src)
-		dstM.EffectiveWidebandInto(w, fOffs, got)
+		dstM.EffectiveWidebandSplitInto(w, fOffs, gRe, gIm)
 	})
 	if allocs != 0 {
 		t.Fatalf("CopyStateFrom steady state allocates %.1f objects/op, want 0", allocs)

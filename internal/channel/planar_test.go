@@ -2,92 +2,21 @@ package channel
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/cmx"
-	"mmreliable/internal/dsp"
 	"mmreliable/internal/env"
 	"mmreliable/internal/scratch"
 )
 
-// withKernel runs f once per registered DSP kernel, restoring the active
-// kernel afterwards.
-func withKernel(t *testing.T, f func(t *testing.T, k dsp.Kernel)) {
-	t.Helper()
-	for _, k := range dsp.Kernels() {
-		t.Run(k.Name(), func(t *testing.T) {
-			prev := dsp.SetKernel(k)
-			defer dsp.SetKernel(prev)
-			f(t, k)
-		})
-	}
-}
-
-// splitToVec combines planar re/im into a fresh complex vector.
-func splitToVec(re, im []float64) cmx.Vector {
-	out := make(cmx.Vector, len(re))
-	cmx.Combine(re, im, out)
-	return out
-}
-
-// TestEffectiveWidebandSplitEquivalence pins the planar evaluation against
-// the direct per-subcarrier form at ≤1e-12 under BOTH kernels, across the
-// full factored case set (CFO/SFO live in the sounder, not the channel; the
-// channel-side axes are blockage, RxWeights, non-uniform grids, dead and
-// zero-delay paths).
-func TestEffectiveWidebandSplitEquivalence(t *testing.T) {
-	withKernel(t, func(t *testing.T, _ dsp.Kernel) {
-		for _, tc := range factoredCases(t) {
-			t.Run(tc.name, func(t *testing.T) {
-				re := make([]float64, len(tc.fOffs))
-				im := make([]float64, len(tc.fOffs))
-				for i := range re {
-					re[i], im[i] = 99, -99 // stale content must be overwritten
-				}
-				m := tc.m.Clone() // cold cache under this kernel
-				m.EffectiveWidebandSplitInto(tc.w, tc.fOffs, re, im)
-				want := directWideband(tc.m.Clone(), tc.w, tc.fOffs)
-				if err := maxRelErr(splitToVec(re, im), want); err > 1e-12 {
-					t.Fatalf("planar vs direct relative error %.3g > 1e-12", err)
-				}
-			})
-		}
-	})
-}
-
-// TestSplitMatchesInterleavedUnderReference pins the bit-parity contract:
-// under the reference kernel, EffectiveWidebandSplitInto is the same
-// arithmetic as the legacy interleaved EffectiveWidebandInto, so the two
-// must agree bit-for-bit — the guarantee that lets planar consumers and
-// interleaved consumers coexist without a determinism seam.
-func TestSplitMatchesInterleavedUnderReference(t *testing.T) {
-	prev := dsp.SetKernel(dsp.Reference)
-	defer dsp.SetKernel(prev)
-	for _, tc := range factoredCases(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			m := tc.m.Clone()
-			re := make([]float64, len(tc.fOffs))
-			im := make([]float64, len(tc.fOffs))
-			m.EffectiveWidebandSplitInto(tc.w, tc.fOffs, re, im)
-			want := m.EffectiveWidebandInto(tc.w, tc.fOffs, make(cmx.Vector, len(tc.fOffs)))
-			for k := range want {
-				if re[k] != real(want[k]) || im[k] != imag(want[k]) {
-					t.Fatalf("subcarrier %d: split (%g,%g) != interleaved %v",
-						k, re[k], im[k], want[k])
-				}
-			}
-		})
-	}
-}
-
 // TestSubcarrierOffsetsEdgeCases pins the grid builder's degenerate inputs:
 // non-positive counts yield nil (not a panic), a single subcarrier sits at
 // band center, and the exact-reseed boundaries (nsc a multiple of the
-// 64-subcarrier phasor re-seed period) evaluate correctly under both
-// kernels — the case where the recurrence's last block ends exactly on a
-// re-seed with no tail.
+// 64-subcarrier phasor re-seed period) evaluate correctly — the case where
+// the recurrence's last block ends exactly on a re-seed with no tail.
 func TestSubcarrierOffsetsEdgeCases(t *testing.T) {
 	if got := SubcarrierOffsets(400e6, 0); got != nil {
 		t.Fatalf("nsc=0: got %v want nil", got)
@@ -112,23 +41,77 @@ func TestSubcarrierOffsetsEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := Cluster(rng, env.Band28GHz(), u, DefaultClusterParams())
 	w := u.SingleBeam(0.12)
-	withKernel(t, func(t *testing.T, _ dsp.Kernel) {
-		// nsc around and exactly on the re-seed period: 63 (tail only),
-		// 64/128/192 (exact multiples), 65/129 (one past). The planar path
-		// is pinned against the interleaved factored form — the same phase
-		// decomposition, so the 1e-12 bound isolates the recurrence/re-seed
-		// behavior (direct-vs-factored is pinned separately and carries
-		// carrier-phase quantization of its own on long-delay draws).
+	// nsc around and exactly on the re-seed period: 63 (tail only),
+	// 64/128/192 (exact multiples), 65/129 (one past). The planar path is
+	// pinned against the reference evaluator — the same phase
+	// decomposition, so the 1e-12 bound isolates the recurrence/re-seed
+	// behavior (direct-vs-factored is pinned separately; the grid step
+	// f₁ − f₀ alone differs from the true grid by rounding worth 1.5e-12
+	// relative error at nsc = 192 on this draw).
+	t.Run("planar", func(t *testing.T) {
 		for _, nsc := range []int{1, 2, 63, 64, 65, 128, 129, 192} {
 			fOffs := SubcarrierOffsets(400e6, nsc)
 			mm := m.Clone()
-			re := make([]float64, nsc)
-			im := make([]float64, nsc)
-			mm.EffectiveWidebandSplitInto(w, fOffs, re, im)
-			want := mm.EffectiveWidebandInto(w, fOffs, make(cmx.Vector, nsc))
-			if err := maxRelErr(splitToVec(re, im), want); err > 1e-12 {
-				t.Fatalf("nsc=%d: planar vs interleaved rel err %.3g > 1e-12", nsc, err)
+			if err := maxRelErr(wideband(mm, w, fOffs), referenceWideband(mm, w, fOffs)); err > 1e-12 {
+				t.Fatalf("nsc=%d: planar vs reference rel err %.3g > 1e-12", nsc, err)
 			}
+		}
+	})
+}
+
+// referenceWideband is the reference wideband evaluator: the factored
+// decomposition the planar kernels implement — the cached per-path
+// coefficient times the beam dot, times the frequency ramp — in complex128
+// arithmetic with an exact phasor per subcarrier instead of the recurrence.
+// On a uniform grid the ramp is e^{j(θ₀+kΔθ)} with θ₀ = −2πf₀τ and
+// Δθ = −2π·step·τ, the phases the recurrence advances through.
+func referenceWideband(m *Model, w cmx.Vector, fOffs []float64) cmx.Vector {
+	c := m.pathCache()
+	n := m.Tx.N
+	step, uniform := uniformStep(fOffs)
+	out := make(cmx.Vector, len(fOffs))
+	for l, base := range c.coef {
+		var dot complex128
+		for i := 0; i < n; i++ {
+			dot += complex(c.steerRe[l*n+i], c.steerIm[l*n+i]) * w[i]
+		}
+		tau := c.delays[l]
+		for k, f := range fOffs {
+			th := -2 * math.Pi * f * tau
+			if uniform {
+				th = -2*math.Pi*fOffs[0]*tau + float64(k)*(-2*math.Pi*step*tau)
+			}
+			out[k] += base * dot * cmplx.Rect(1, th)
+		}
+	}
+	return out
+}
+
+// TestEffectiveWidebandSplitEquivalence closes the triangle around
+// TestEffectiveWidebandFactoredEquivalence (planar vs direct) on the full
+// factored case set: the planar evaluator against the reference evaluator
+// — the same decomposition, so the ≤1e-12 bound isolates the planar
+// kernels' recurrence and arithmetic — and the reference evaluator against
+// the direct per-subcarrier form.
+func TestEffectiveWidebandSplitEquivalence(t *testing.T) {
+	t.Run("planar", func(t *testing.T) {
+		for _, tc := range factoredCases(t) {
+			t.Run(tc.name, func(t *testing.T) {
+				m := tc.m.Clone()
+				if err := maxRelErr(wideband(m, tc.w, tc.fOffs), referenceWideband(m, tc.w, tc.fOffs)); err > 1e-12 {
+					t.Fatalf("planar vs reference relative error %.3g > 1e-12", err)
+				}
+			})
+		}
+	})
+	t.Run("reference", func(t *testing.T) {
+		for _, tc := range factoredCases(t) {
+			t.Run(tc.name, func(t *testing.T) {
+				got := referenceWideband(tc.m.Clone(), tc.w, tc.fOffs)
+				if err := maxRelErr(got, directWideband(tc.m, tc.w, tc.fOffs)); err > 1e-12 {
+					t.Fatalf("reference vs direct relative error %.3g > 1e-12", err)
+				}
+			})
 		}
 	})
 }
@@ -147,30 +130,28 @@ func TestRefreshLossPath(t *testing.T) {
 		return m
 	}
 	mr := build(true)
-	dst := make(cmx.Vector, len(fOffs))
-	ref := make(cmx.Vector, len(fOffs))
-	mr.EffectiveWidebandInto(w, fOffs, dst) // build the cache once
+	dRe, dIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	rRe, rIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	mr.EffectiveWidebandSplitInto(w, fOffs, dRe, dIm) // build the cache once
 	for i := 0; i < 6; i++ {
 		for l := range mr.Paths {
 			mr.Paths[l].ExtraLossDB = float64((i+l)%5) * 2.5 // loss only
 		}
-		mr.EffectiveWidebandInto(w, fOffs, dst)
+		mr.EffectiveWidebandSplitInto(w, fOffs, dRe, dIm)
 		mf := build(false)
 		for l := range mf.Paths {
 			mf.Paths[l].ExtraLossDB = mr.Paths[l].ExtraLossDB
 		}
-		mf.EffectiveWidebandInto(w, fOffs, ref)
-		for k := range dst {
-			if dst[k] != ref[k] {
-				t.Fatalf("iter %d subcarrier %d: refresh %v vs rebuild %v", i, k, dst[k], ref[k])
-			}
+		mf.EffectiveWidebandSplitInto(w, fOffs, rRe, rIm)
+		if k := samePlanar(dRe, dIm, rRe, rIm); k >= 0 {
+			t.Fatalf("iter %d subcarrier %d: refresh (%g,%g) vs rebuild (%g,%g)", i, k, dRe[k], dIm[k], rRe[k], rIm[k])
 		}
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(100, func() {
 		i++
 		mr.Paths[0].ExtraLossDB = float64(i%7) * 2
-		mr.EffectiveWidebandInto(w, fOffs, dst)
+		mr.EffectiveWidebandSplitInto(w, fOffs, dRe, dIm)
 	})
 	if allocs != 0 {
 		t.Fatalf("loss-only refresh allocates %.1f objects/op, want 0", allocs)
@@ -191,17 +172,15 @@ func TestCopyStateFromInvalidation(t *testing.T) {
 
 	dstM := &Model{Reuse: true}
 	dstM.CopyStateFrom(src)
-	got := make(cmx.Vector, len(fOffs))
-	want := make(cmx.Vector, len(fOffs))
+	gRe, gIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
+	wRe, wIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
 	check := func(name string) {
 		t.Helper()
 		dstM.CopyStateFrom(src)
-		dstM.EffectiveWidebandInto(w, fOffs, got)
-		src.Clone().EffectiveWidebandInto(w, fOffs, want)
-		for k := range got {
-			if got[k] != want[k] {
-				t.Fatalf("%s: subcarrier %d copy %v vs fresh %v", name, k, got[k], want[k])
-			}
+		dstM.EffectiveWidebandSplitInto(w, fOffs, gRe, gIm)
+		src.Clone().EffectiveWidebandSplitInto(w, fOffs, wRe, wIm)
+		if k := samePlanar(gRe, gIm, wRe, wIm); k >= 0 {
+			t.Fatalf("%s: subcarrier %d copy (%g,%g) vs fresh (%g,%g)", name, k, gRe[k], gIm[k], wRe[k], wIm[k])
 		}
 	}
 	check("initial")

@@ -354,11 +354,12 @@ func (cl *Cluster) finishUE(u *ue) {
 // The round is batched through the planar DSP backend: a gather pass
 // advances every pair's channel model and registers its wide beam with one
 // channel.WidebandBatch, the batch evaluates all pairs back-to-back on the
-// active kernel, and a fold pass feeds each planar row to the pair's
-// sounder (ProbeFromSplit — the same RNG draws as ProbeInto) and updates
-// the monitor EWMA. Standby retargets run after all probes; they read only
-// monitor estimates and admission state, and relative retarget order across
-// UEs is preserved, so decisions match the pair-at-a-time schedule.
+// planar kernels, and a fold pass feeds each planar row to the pair's
+// sounder (ProbeFromSplit — the same bits and RNG draws as ProbeInto) and
+// updates the monitor EWMA. Standby retargets run after all probes; they
+// read only monitor estimates and admission state, and relative retarget
+// order across UEs is preserved, so decisions match the pair-at-a-time
+// schedule.
 //
 // Incremental engine: a pair whose channel content stamp and wide beam are
 // unchanged since its last round (u.monRowFresh) replays its cached planar

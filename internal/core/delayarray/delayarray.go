@@ -87,42 +87,6 @@ func (a *Array) Effective(m *channel.Model, fOff float64) complex128 {
 	return y
 }
 
-// EffectiveWidebandInto evaluates Effective at each frequency offset,
-// writing into dst (allocated when nil). Instead of re-deriving every
-// panel's weights at every frequency, it factors each panel's response as
-//
-//	y_g(f) = (Coeff_g/‖·‖)·e^{−j2πfΔτ_g} · h_g(f),
-//
-// where h_g(f) is the channel under the panel's UNSCALED matched beam —
-// evaluated once per panel by the factored wideband kernel — and the
-// per-frequency rotation of the true-time delay line is applied as a scalar
-// multiply. Same separability trick as channel.EffectiveWidebandInto: the
-// panel beam is frequency-independent, only the delay-line phase sweeps.
-func (a *Array) EffectiveWidebandInto(m *channel.Model, fOffs []float64, dst cmx.Vector) cmx.Vector {
-	if dst == nil {
-		dst = make(cmx.Vector, len(fOffs))
-	}
-	if len(dst) != len(fOffs) {
-		panic(fmt.Sprintf("delayarray: dst length %d != %d offsets", len(dst), len(fOffs)))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	hg := make(cmx.Vector, len(fOffs))
-	w := make(cmx.Vector, a.Panel.N)
-	for g := range a.Groups {
-		grp := a.Groups[g]
-		a.Panel.SingleBeamInto(grp.Angle, w)
-		m.EffectiveWidebandInto(w, fOffs, hg)
-		base := grp.Coeff / complex(a.norm, 0)
-		for k, f := range fOffs {
-			rot := base * cmplx.Exp(complex(0, -2*math.Pi*f*grp.Delay))
-			dst[k] += rot * hg[k]
-		}
-	}
-	return dst
-}
-
 // CompensatingDelays returns per-panel delay settings that equalize the
 // given path delays: Δτ_g = max(τ) − τ_g, so every branch arrives at the
 // receiver with the same total delay and the wideband response is flat.

@@ -7,6 +7,7 @@ import (
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
+	"mmreliable/internal/cmx"
 	"mmreliable/internal/core/multibeam"
 	"mmreliable/internal/dsp"
 	"mmreliable/internal/env"
@@ -24,6 +25,28 @@ func wideChannel(spreadNs float64) *channel.Model {
 }
 
 func offsets() []float64 { return channel.SubcarrierOffsets(400e6, 64) }
+
+// beamResponse is the wideband response of channel m under the plain TX
+// beam w.
+func beamResponse(m *channel.Model, w cmx.Vector) cmx.Vector {
+	offs := offsets()
+	re, im := make([]float64, len(offs)), make([]float64, len(offs))
+	m.EffectiveWidebandSplitInto(w, offs, re, im)
+	resp := make(cmx.Vector, len(offs))
+	cmx.Combine(re, im, resp)
+	return resp
+}
+
+// arrayResponse is the wideband response of the delay phased array a over
+// channel m, one Effective evaluation per subcarrier.
+func arrayResponse(a *Array, m *channel.Model) cmx.Vector {
+	offs := offsets()
+	resp := make(cmx.Vector, len(offs))
+	for k, f := range offs {
+		resp[k] = a.Effective(m, f)
+	}
+	return resp
+}
 
 func TestNewValidation(t *testing.T) {
 	p := panel16()
@@ -65,7 +88,7 @@ func TestSinglePathNeedsNoDelayCompensation(t *testing.T) {
 	// beam; the delay architecture is only needed for multipath.
 	m := channel.FromSpecs(env.Band28GHz(), panel16(), 80, []channel.PathSpec{{AoDDeg: 0}})
 	w := m.Tx.SingleBeam(0)
-	resp := m.EffectiveWidebandInto(w, offsets(), nil)
+	resp := beamResponse(m, w)
 	if r := RippleDB(resp); r > 0.01 {
 		t.Fatalf("single-path ripple %g dB", r)
 	}
@@ -84,7 +107,7 @@ func TestPlainMultibeamSuffersRipple(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := m.EffectiveWidebandInto(w, offsets(), nil)
+		resp := beamResponse(m, w)
 		if r := RippleDB(resp); r < 6 {
 			t.Fatalf("spread %g ns: plain multi-beam ripple only %g dB", spread, r)
 		}
@@ -102,7 +125,7 @@ func TestDelayCompensationFlattens(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp := a.EffectiveWidebandInto(m, offsets(), nil)
+		resp := arrayResponse(a, m)
 		if r := RippleDB(resp); r > 1.0 {
 			t.Fatalf("spread %g ns: compensated ripple %g dB", spread, r)
 		}
@@ -115,7 +138,7 @@ func TestDelayArrayBeatsSingleBeamAcrossBand(t *testing.T) {
 	// the 1+δ² combining gain at equal TRP.
 	m := wideChannel(10)
 	single := m.Tx.SingleBeam(0)
-	respSingle := m.EffectiveWidebandInto(single, offsets(), nil)
+	respSingle := beamResponse(m, single)
 
 	delta, sigma := m.RelativeGain(1, 0)
 	a, err := ForChannel(m.Tx,
@@ -125,7 +148,7 @@ func TestDelayArrayBeatsSingleBeamAcrossBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	respDelay := a.EffectiveWidebandInto(m, offsets(), nil)
+	respDelay := arrayResponse(a, m)
 	for k := range respDelay {
 		if cmplx.Abs(respDelay[k]) <= cmplx.Abs(respSingle[k]) {
 			t.Fatalf("subcarrier %d: delay array %g not above single beam %g",
@@ -182,7 +205,7 @@ func TestUncompensatedDelayArrayStillRipples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := a.EffectiveWidebandInto(m, offsets(), nil)
+	resp := arrayResponse(a, m)
 	if r := RippleDB(resp); r < 6 {
 		t.Fatalf("uncompensated ripple only %g dB", r)
 	}

@@ -142,7 +142,6 @@ type Manager struct {
 	// Hot-path scratch: wbRe/wbIm hold the planar wideband response snr()
 	// evaluates every slot (txLin/noiseLin are the budget's linear terms,
 	// hoisted at New so the slot loop skips two math.Pow per evaluation);
-	// wbBuf is the interleaved equivalent for probe-side callers;
 	// mbScratch/ueScratch hold one lobe's matched beam during multi-beam
 	// synthesis. All are internal to a single call — the composed weight
 	// vectors themselves are always freshly allocated because they escape
@@ -150,7 +149,6 @@ type Manager struct {
 	// (m.RxWeights).
 	wbRe, wbIm      []float64
 	txLin, noiseLin float64
-	wbBuf           cmx.Vector
 	mbScratch       cmx.Vector
 	ueScratch       cmx.Vector
 	// Maintenance-tick scratch (maintain/ccRefresh run with zero
@@ -293,7 +291,6 @@ func New(name string, u *antenna.ULA, budget link.Budget, num nr.Numerology, cfg
 		cb:      antenna.DFTCodebook(u, cfg.CodebookSize, -scan, scan),
 		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, cfg.NumSC),
 	}
-	mgr.wbBuf = make(cmx.Vector, cfg.NumSC)
 	mgr.wbRe = make([]float64, cfg.NumSC)
 	mgr.wbIm = make([]float64, cfg.NumSC)
 	mgr.txLin, mgr.noiseLin = budget.SNRTerms()

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"mmreliable/internal/antenna"
+	"mmreliable/internal/channel"
+	"mmreliable/internal/cmx"
 	"mmreliable/internal/env"
 	"mmreliable/internal/events"
 	"mmreliable/internal/link"
@@ -99,6 +101,14 @@ func smallSpreadScenario(dur float64) *sim.Scenario {
 	}
 }
 
+// widebandSNRdB is the default budget's effective wideband SNR of channel m
+// under TX beam w.
+func widebandSNRdB(m *channel.Model, w cmx.Vector, offs []float64) float64 {
+	re, im := make([]float64, len(offs)), make([]float64, len(offs))
+	m.EffectiveWidebandSplitInto(w, offs, re, im)
+	return link.DefaultBudget().WidebandSNRdBSplit(re, im)
+}
+
 func TestMultiBeamBeatsSingleBeamSNR(t *testing.T) {
 	// §6.1: with a strong low-excess-delay reflector, the constructive
 	// multi-beam's steady-state SNR exceeds the single strongest beam's.
@@ -111,8 +121,8 @@ func TestMultiBeamBeatsSingleBeamSNR(t *testing.T) {
 		t.Fatalf("selected %d beams; reflector should be worth a lobe", mgr.NumBeams())
 	}
 	m := sc.ChannelAt(0.2)
-	mbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(mgr.ActiveWeights(), mgr.offsets, nil))
-	sbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets, nil))
+	mbSNR := widebandSNRdB(m, mgr.ActiveWeights(), mgr.offsets)
+	sbSNR := widebandSNRdB(m, m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets)
 	if mbSNR <= sbSNR {
 		t.Fatalf("multi-beam %g dB not above single beam %g dB", mbSNR, sbSNR)
 	}
@@ -130,8 +140,8 @@ func TestBeamSelectionNeverWorseThanSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sc.ChannelAt(0.2)
-	mbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(mgr.ActiveWeights(), mgr.offsets, nil))
-	sbSNR := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets, nil))
+	mbSNR := widebandSNRdB(m, mgr.ActiveWeights(), mgr.offsets)
+	sbSNR := widebandSNRdB(m, m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets)
 	// The manager may sacrifice up to SelectionTolDB for an extra lobe
 	// (reliability-first); allow that plus estimation slack.
 	if mbSNR < sbSNR-DefaultConfig().SelectionTolDB-0.5 {
@@ -235,7 +245,7 @@ func TestRetrainsWhenAllPathsBlocked(t *testing.T) {
 	if mgr.ActiveWeights() == nil {
 		t.Fatal("never re-established")
 	}
-	snr := link.DefaultBudget().WidebandSNRdB(m.EffectiveWidebandInto(mgr.ActiveWeights(), mgr.offsets, nil))
+	snr := widebandSNRdB(m, mgr.ActiveWeights(), mgr.offsets)
 	if snr < link.OutageThresholdDB {
 		t.Fatalf("post-recovery SNR %g", snr)
 	}

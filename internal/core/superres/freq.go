@@ -52,20 +52,17 @@ const phasorReseed = 64
 // after it returns — but they die at the caller's enclosing Release/Reset
 // of ws. Callers that retain the result past that point must copy it.
 //
-// When len(cir) is not a power of two (no radix-2 FFT), the call falls
-// back to the direct time-domain solver with the closed-form delay
-// kernel; results agree with the fast path to ~1e-12.
+// len(cir) must be a power of two (the radix-2 FFT the spectrum needs, and
+// the only size nr.NewSounder accepts); any other length is an error.
 func ExtractInto(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg Config, ws *scratch.Workspace) (Result, error) {
 	if err := validate(cir, relDelays, sampleSpacing); err != nil {
 		return Result{}, err
 	}
 	n := len(cir)
-	bw := 1 / sampleSpacing
 	if !dsp.IsPow2(n) {
-		return ExtractKernel(cir, relDelays, func(tau float64, dst cmx.Vector) cmx.Vector {
-			return delayKernelInto(bw, n, tau, dst)
-		}, sampleSpacing, cfg)
+		return Result{}, fmt.Errorf("superres: CIR length %d is not a power of two", n)
 	}
+	bw := 1 / sampleSpacing
 	b2 := cir.Norm2()
 	if b2 == 0 {
 		return Result{}, fmt.Errorf("superres: zero CIR")
@@ -118,7 +115,6 @@ func ExtractInto(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg
 	// planar DSP kernel, which wants split rows; K = 2/3 keep their even/odd
 	// Horner specializations below and never pay for the split.
 	var akRe, akIm []float64
-	kern := dsp.Active()
 	if k != 2 && k != 3 {
 		akRe, akIm = own.Float(k*n), own.Float(k*n)
 		cmx.Split(ak, akRe, akIm)
@@ -191,7 +187,7 @@ func ExtractInto(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg
 			theta0 := 2 * math.Pi * (-bw/2 + 0.5*bw/nf) * base
 			dTheta := rampRate * base
 			for i := 0; i < k; i++ {
-				sRe, sIm := kern.PhasorDot(akRe[i*n:(i+1)*n], akIm[i*n:(i+1)*n], theta0, dTheta)
+				sRe, sIm := dsp.PhasorDot(akRe[i*n:(i+1)*n], akIm[i*n:(i+1)*n], theta0, dTheta)
 				corr[i] = complex(sRe, sIm) * invN
 			}
 		}
@@ -253,7 +249,7 @@ func ExtractInto(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg
 	return Result{Amp: amp, Power: pow, BaseDelay: bestBase, Residual: bestRes}, nil
 }
 
-// validate holds the argument checks shared by ExtractInto and ExtractKernel.
+// validate holds ExtractInto's argument checks.
 func validate(cir cmx.Vector, relDelays []float64, sampleSpacing float64) error {
 	if len(cir) == 0 {
 		return fmt.Errorf("superres: empty CIR")
@@ -286,25 +282,9 @@ func expi(theta float64) complex128 {
 	return complex(c, s)
 }
 
-// fillFreqRamp sets dst[m] = e^{j2πf_m·tau} over the centered subcarrier
-// grid f_m = −B/2 + (m+½)B/N, via the unit-phasor recurrence with exact
-// re-seeding every phasorReseed steps.
-func fillFreqRamp(dst cmx.Vector, bw, tau float64) {
-	n := float64(len(dst))
-	step := expi(2 * math.Pi * bw * tau / n)
-	var p complex128
-	for m := range dst {
-		if m%phasorReseed == 0 {
-			f := -bw/2 + (float64(m)+0.5)*bw/n
-			p = expi(2 * math.Pi * f * tau)
-		}
-		dst[m] = p
-		p *= step
-	}
-}
-
-// applyFreqRamp multiplies dst[m] *= e^{j2πf_m·tau} (same grid and
-// recurrence as fillFreqRamp).
+// applyFreqRamp multiplies dst[m] *= e^{j2πf_m·tau} over the centered
+// subcarrier grid f_m = −B/2 + (m+½)B/N, via the unit-phasor recurrence
+// with exact re-seeding every phasorReseed steps.
 func applyFreqRamp(dst cmx.Vector, bw, tau float64) {
 	n := float64(len(dst))
 	step := expi(2 * math.Pi * bw * tau / n)
@@ -367,43 +347,4 @@ func delayGramEntry(bw float64, n int, delta float64) complex128 {
 	}
 	num := expi(2*math.Pi*bw*delta) - 1
 	return lead * num / den * complex(1/nf, 0)
-}
-
-// delayKernelInto writes the time-domain CIR signature of a unit path at
-// delay tau — the IFFT of e^{−j2πf_k·tau} over the centered subcarrier
-// grid — into dst (allocated when nil). It mirrors the sounder's
-// closed-form delay kernel so the non-power-of-two fallback shares its
-// exact rounding.
-func delayKernelInto(bw float64, n int, tau float64, dst cmx.Vector) cmx.Vector {
-	if dst == nil {
-		dst = make(cmx.Vector, n)
-	}
-	if len(dst) != n {
-		panic(fmt.Sprintf("superres: delay-kernel dst length %d != %d", len(dst), n))
-	}
-	bTau := bw * tau
-	lead := expi(-2 * math.Pi * (-bw/2 + bw/(2*float64(n))) * tau)
-	num := expi(-2*math.Pi*bTau) - 1
-	ls := lead * complex(1/float64(n), 0)
-	lsn := ls * num
-	step := expi(2 * math.Pi / float64(n))
-	var rho complex128
-	for i := 0; i < n; i++ {
-		if i%phasorReseed == 0 {
-			rho = expi(2*math.Pi*float64(i)/float64(n) - 2*math.Pi*bTau/float64(n))
-		}
-		den := rho - 1
-		// Same degenerate branch and conjugate-reciprocal ratio as the
-		// sounder's kernel (|den|² against (1e-12)²), keeping the two
-		// implementations' rounding aligned.
-		d := real(den)*real(den) + imag(den)*imag(den)
-		if d < 1e-24 {
-			dst[i] = ls * complex(float64(n), 0)
-		} else {
-			inv := 1 / d
-			dst[i] = lsn * complex(real(den)*inv, -imag(den)*inv)
-		}
-		rho *= step
-	}
-	return dst
 }

@@ -1,9 +1,11 @@
 package superres
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mmreliable/internal/cmx"
@@ -14,7 +16,10 @@ import (
 // (1/N)·Σ_m A[m]·e^{j2πf_m τ} through the production ramp code path.
 func fdCorr(a cmx.Vector, bw, tau float64) complex128 {
 	p := make(cmx.Vector, len(a))
-	fillFreqRamp(p, bw, tau)
+	for m := range p {
+		p[m] = 1
+	}
+	applyFreqRamp(p, bw, tau)
 	var s complex128
 	for m := range a {
 		s += a[m] * p[m]
@@ -210,25 +215,174 @@ func TestNearSingularRidgedGram(t *testing.T) {
 	}
 }
 
-// TestNonPow2FallsBackToTimeDomain checks the non-radix-2 CIR path (no
-// FFT available) still fits through the closed-form time-domain fallback.
-func TestNonPow2FallsBackToTimeDomain(t *testing.T) {
+// TestExtractIntoRejectsNonPow2 checks that a CIR without a radix-2 FFT
+// length is refused with an error rather than fitted by another solver.
+func TestExtractIntoRejectsNonPow2(t *testing.T) {
 	bw := 400e6
-	ts := 1 / bw
 	n := 48 // not a power of two
-	cir := make(cmx.Vector, n)
-	col := delayKernelInto(bw, n, 0, nil)
-	cir.AddScaled(complex(1, 0), col)
-	delayKernelInto(bw, n, 10e-9, col)
-	cir.AddScaled(complex(0.5, 0.2), col)
-	res, err := ExtractInto(cir, []float64{0, 10e-9}, ts, DefaultConfig(), nil)
-	if err != nil {
-		t.Fatal(err)
+	cir := delayKernelInto(bw, n, 0, nil)
+	_, err := ExtractInto(cir, []float64{0, 10e-9}, 1/bw, DefaultConfig(), nil)
+	if err == nil || !strings.Contains(err.Error(), "power of two") {
+		t.Fatalf("ExtractInto(len %d) error = %v, want a power-of-two error", n, err)
 	}
-	if res.Residual > 1e-3 {
-		t.Fatalf("fallback residual %g", res.Residual)
+}
+
+// KernelIntoFunc writes the CIR signature of a unit path at the given
+// absolute delay into dst and returns it (dst may be nil, in which case the
+// kernel allocates). delayKernelInto and nr.(*Sounder).DelayKernelInto
+// satisfy this; the alignment search calls it hundreds of times per fit on
+// one reused scratch column.
+type KernelIntoFunc func(tau float64, dst cmx.Vector) cmx.Vector
+
+// ExtractKernel is the direct time-domain solver for arbitrary dictionary
+// kernels: every candidate correlation synthesizes the dictionary column
+// kernel(base+rel_k) through one reused scratch buffer and inner-products
+// it against the aligned CIR. It is the reference implementation the
+// frequency-domain ExtractInto is pinned against (within 1e-12; see
+// TestFreqDomainMatchesTimeDomain).
+func ExtractKernel(cir cmx.Vector, relDelays []float64, kernel KernelIntoFunc, sampleSpacing float64, cfg Config) (Result, error) {
+	if err := validate(cir, relDelays, sampleSpacing); err != nil {
+		return Result{}, err
 	}
-	if d := cmplx.Abs(res.Amp[1] - complex(0.5, 0.2)); d > 1e-2 {
-		t.Fatalf("fallback Amp[1] = %v (|Δ|=%g)", res.Amp[1], d)
+	// Align: rotate the strongest tap to index 0. The unknown absolute ToF
+	// then lives within ± a fraction of a sample, covered by the search.
+	_, peak := cir.MaxAbs()
+	aligned := rotate(cir, -peak)
+
+	steps := cfg.SearchSteps
+	if steps < 1 {
+		steps = 1
 	}
+	norm := aligned.Norm()
+	if norm == 0 {
+		return Result{}, fmt.Errorf("superres: zero CIR")
+	}
+	// The dictionary Gram matrix is invariant under a common delay shift of
+	// all columns (a pure-delay kernel's inner products depend only on
+	// delay differences), so it is computed once and reused across every
+	// alignment candidate; each candidate then only needs the K correlation
+	// values Aᴴb and a K×K solve, with the residual evaluated as
+	// ‖b‖² − 2·Re(αᴴc) + αᴴGα.
+	gram := func() *cmx.Matrix {
+		cols := make([]cmx.Vector, len(relDelays))
+		for k, rd := range relDelays {
+			cols[k] = kernel(rd, nil) // distinct columns: no scratch sharing
+		}
+		return cmx.FromColumns(cols).Gram()
+	}()
+	ridged := gram.Clone()
+	if cfg.Lambda > 0 {
+		for i := 0; i < ridged.Rows; i++ {
+			ridged.Set(i, i, ridged.At(i, i)+complex(cfg.Lambda, 0))
+		}
+	}
+	b2 := aligned.Norm2()
+	// One column scratch and one correlation buffer shared by every
+	// alignment candidate (the solver copies what it keeps).
+	col := make(cmx.Vector, len(cir))
+	corr := make(cmx.Vector, len(relDelays))
+	fit := func(base float64) (Result, bool) {
+		for k, rd := range relDelays {
+			corr[k] = kernel(base+rd, col).Hdot(aligned)
+		}
+		alpha, err := cmx.Solve(ridged, corr)
+		if err != nil {
+			return Result{}, false
+		}
+		res2 := b2 - 2*real(alpha.Hdot(corr)) + real(alpha.Hdot(gram.MulVec(alpha)))
+		if res2 < 0 {
+			res2 = 0
+		}
+		return Result{Amp: alpha, BaseDelay: base, Residual: math.Sqrt(res2) / norm}, true
+	}
+	search := func(center, span float64) Result {
+		best := Result{Residual: math.Inf(1)}
+		for s := 0; s < steps; s++ {
+			base := center
+			if steps > 1 {
+				base = center - span + 2*span*float64(s)/float64(steps-1)
+			}
+			if r, ok := fit(base); ok && r.Residual < best.Residual {
+				best = r
+			}
+		}
+		return best
+	}
+	// The aligned CIR has its strongest tap at index 0, but which *path*
+	// that tap belongs to is unknown (a blocked reference path may no
+	// longer be the strongest). Try one alignment hypothesis per beam —
+	// "the strongest tap is beam j", i.e. a global base delay of −rel[j] —
+	// with a coarse pass over ±SearchSpan and a fine pass around the
+	// winner so fractional-sample timing drift (e.g. an SFO-induced shift)
+	// is matched to well under the grid step.
+	best := Result{Residual: math.Inf(1)}
+	for _, rd := range relDelays {
+		if cand := search(-rd, cfg.SearchSpan); cand.Residual < best.Residual {
+			best = cand
+		}
+	}
+	if steps > 1 && !math.IsInf(best.Residual, 1) {
+		fineSpan := 2 * cfg.SearchSpan / float64(steps-1)
+		if fine := search(best.BaseDelay, fineSpan); fine.Residual < best.Residual {
+			best = fine
+		}
+	}
+	if math.IsInf(best.Residual, 1) {
+		return Result{}, fmt.Errorf("superres: every alignment candidate was degenerate")
+	}
+	best.Power = make([]float64, len(best.Amp))
+	for k, a := range best.Amp {
+		best.Power[k] = real(a)*real(a) + imag(a)*imag(a)
+	}
+	return best, nil
+}
+
+// rotate circularly shifts v by k positions (positive k moves content to
+// higher indices).
+func rotate(v cmx.Vector, k int) cmx.Vector {
+	n := len(v)
+	out := make(cmx.Vector, n)
+	for i := range v {
+		j := ((i+k)%n + n) % n
+		out[j] = v[i]
+	}
+	return out
+}
+
+// delayKernelInto writes the time-domain CIR signature of a unit path at
+// delay tau — the IFFT of e^{−j2πf_k·tau} over the centered subcarrier
+// grid — into dst (allocated when nil). It mirrors the sounder's
+// closed-form delay kernel, rounding included.
+func delayKernelInto(bw float64, n int, tau float64, dst cmx.Vector) cmx.Vector {
+	if dst == nil {
+		dst = make(cmx.Vector, n)
+	}
+	if len(dst) != n {
+		panic(fmt.Sprintf("superres: delay-kernel dst length %d != %d", len(dst), n))
+	}
+	bTau := bw * tau
+	lead := expi(-2 * math.Pi * (-bw/2 + bw/(2*float64(n))) * tau)
+	num := expi(-2*math.Pi*bTau) - 1
+	ls := lead * complex(1/float64(n), 0)
+	lsn := ls * num
+	step := expi(2 * math.Pi / float64(n))
+	var rho complex128
+	for i := 0; i < n; i++ {
+		if i%phasorReseed == 0 {
+			rho = expi(2*math.Pi*float64(i)/float64(n) - 2*math.Pi*bTau/float64(n))
+		}
+		den := rho - 1
+		// Same degenerate branch and conjugate-reciprocal ratio as the
+		// sounder's kernel (|den|² against (1e-12)²), keeping the two
+		// implementations' rounding aligned.
+		d := real(den)*real(den) + imag(den)*imag(den)
+		if d < 1e-24 {
+			dst[i] = ls * complex(float64(n), 0)
+		} else {
+			inv := 1 / d
+			dst[i] = lsn * complex(real(den)*inv, -imag(den)*inv)
+		}
+		rho *= step
+	}
+	return dst
 }

@@ -22,13 +22,6 @@ import (
 	"mmreliable/internal/scratch"
 )
 
-// KernelIntoFunc writes the CIR signature of a unit path at the given
-// absolute delay into dst and returns it (dst may be nil, in which case the
-// kernel allocates). nr.(*Sounder).DelayKernelInto satisfies this; the
-// alignment search calls it hundreds of times per fit on one reused scratch
-// column.
-type KernelIntoFunc func(tau float64, dst cmx.Vector) cmx.Vector
-
 // Config tunes the solver.
 type Config struct {
 	// Lambda is the L2 (ridge) regularization weight of Eq. 23. It
@@ -59,123 +52,6 @@ type Result struct {
 	BaseDelay float64
 	// Residual is the relative fit residual ‖h − Sα‖/‖h‖ at the optimum.
 	Residual float64
-}
-
-// ExtractKernel is the direct time-domain solver for arbitrary dictionary
-// kernels: every candidate correlation synthesizes the dictionary column
-// kernel(base+rel_k) through one reused scratch buffer and inner-products
-// it against the aligned CIR. It is the reference implementation the
-// frequency-domain ExtractInto is pinned against (within 1e-12; see
-// TestFreqDomainMatchesTimeDomain) and the fallback ExtractInto takes when
-// the CIR length is not a power of two. Callers with the standard sounder
-// kernel use ExtractInto.
-func ExtractKernel(cir cmx.Vector, relDelays []float64, kernel KernelIntoFunc, sampleSpacing float64, cfg Config) (Result, error) {
-	if err := validate(cir, relDelays, sampleSpacing); err != nil {
-		return Result{}, err
-	}
-	// Align: rotate the strongest tap to index 0. The unknown absolute ToF
-	// then lives within ± a fraction of a sample, covered by the search.
-	_, peak := cir.MaxAbs()
-	aligned := rotate(cir, -peak)
-
-	steps := cfg.SearchSteps
-	if steps < 1 {
-		steps = 1
-	}
-	norm := aligned.Norm()
-	if norm == 0 {
-		return Result{}, fmt.Errorf("superres: zero CIR")
-	}
-	// The dictionary Gram matrix is invariant under a common delay shift of
-	// all columns (a pure-delay kernel's inner products depend only on
-	// delay differences), so it is computed once and reused across every
-	// alignment candidate; each candidate then only needs the K correlation
-	// values Aᴴb and a K×K solve, with the residual evaluated as
-	// ‖b‖² − 2·Re(αᴴc) + αᴴGα.
-	gram := func() *cmx.Matrix {
-		cols := make([]cmx.Vector, len(relDelays))
-		for k, rd := range relDelays {
-			cols[k] = kernel(rd, nil) // distinct columns: no scratch sharing
-		}
-		return cmx.FromColumns(cols).Gram()
-	}()
-	ridged := gram.Clone()
-	if cfg.Lambda > 0 {
-		for i := 0; i < ridged.Rows; i++ {
-			ridged.Set(i, i, ridged.At(i, i)+complex(cfg.Lambda, 0))
-		}
-	}
-	b2 := aligned.Norm2()
-	// One column scratch and one correlation buffer shared by every
-	// alignment candidate (the solver copies what it keeps).
-	col := make(cmx.Vector, len(cir))
-	corr := make(cmx.Vector, len(relDelays))
-	fit := func(base float64) (Result, bool) {
-		for k, rd := range relDelays {
-			corr[k] = kernel(base+rd, col).Hdot(aligned)
-		}
-		alpha, err := cmx.Solve(ridged, corr)
-		if err != nil {
-			return Result{}, false
-		}
-		res2 := b2 - 2*real(alpha.Hdot(corr)) + real(alpha.Hdot(gram.MulVec(alpha)))
-		if res2 < 0 {
-			res2 = 0
-		}
-		return Result{Amp: alpha, BaseDelay: base, Residual: math.Sqrt(res2) / norm}, true
-	}
-	search := func(center, span float64) Result {
-		best := Result{Residual: math.Inf(1)}
-		for s := 0; s < steps; s++ {
-			base := center
-			if steps > 1 {
-				base = center - span + 2*span*float64(s)/float64(steps-1)
-			}
-			if r, ok := fit(base); ok && r.Residual < best.Residual {
-				best = r
-			}
-		}
-		return best
-	}
-	// The aligned CIR has its strongest tap at index 0, but which *path*
-	// that tap belongs to is unknown (a blocked reference path may no
-	// longer be the strongest). Try one alignment hypothesis per beam —
-	// "the strongest tap is beam j", i.e. a global base delay of −rel[j] —
-	// with a coarse pass over ±SearchSpan and a fine pass around the
-	// winner so fractional-sample timing drift (e.g. an SFO-induced shift)
-	// is matched to well under the grid step.
-	best := Result{Residual: math.Inf(1)}
-	for _, rd := range relDelays {
-		if cand := search(-rd, cfg.SearchSpan); cand.Residual < best.Residual {
-			best = cand
-		}
-	}
-	if steps > 1 && !math.IsInf(best.Residual, 1) {
-		fineSpan := 2 * cfg.SearchSpan / float64(steps-1)
-		if fine := search(best.BaseDelay, fineSpan); fine.Residual < best.Residual {
-			best = fine
-		}
-	}
-	if math.IsInf(best.Residual, 1) {
-		return Result{}, fmt.Errorf("superres: every alignment candidate was degenerate")
-	}
-	best.Power = make([]float64, len(best.Amp))
-	for k, a := range best.Amp {
-		best.Power[k] = real(a)*real(a) + imag(a)*imag(a)
-	}
-	return best, nil
-}
-
-// rotate circularly shifts v by k positions (positive k moves content to
-// higher indices).
-func rotate(v cmx.Vector, k int) cmx.Vector {
-	n := len(v)
-	out := make(cmx.Vector, n)
-	for i := range v {
-		j := ((i+k)%n + n) % n
-		out[j] = v[i]
-	}
-	return out
 }
 
 // EstimateDelayWS returns the sub-sample delay (seconds) of the strongest

@@ -10,190 +10,29 @@ import "math"
 // instead of O(n·ε).
 const PhasorReseed = 64
 
-// Kernel is the pluggable planar DSP backend behind the per-slot hot path.
-// Operands are planar: separate re/im []float64 slices instead of
-// []complex128, so the fast implementation runs on plain float range loops
-// the compiler can vectorize. Two implementations ship:
+// ---------------------------------------------------------------------------
+// Planar kernels: the DSP operations behind the per-slot hot path. Operands
+// are planar — separate re/im []float64 slices instead of []complex128 — so
+// the loops run on plain floats the compiler can vectorize. Phasor sweeps
+// run four independent chains advanced by e^{j4Δθ}, breaking the serial
+// complex-multiply dependency of a scalar recurrence, and the log reduction
+// folds 1+SNR terms into running products, trading one Log2 per subcarrier
+// for one multiply. Re-seeding stays on the PhasorReseed grid (the chains
+// take 4× fewer steps between seeds). fmadd compiles to a plain multiply-add
+// by default and to a hardware FMA under GOAMD64=v3 (the amd64.v3 build
+// tag).
 //
-//   - Reference: scalar code arithmetically identical to the historical
-//     complex128 loops (same operation order, same seeding), kept as the
-//     oracle every other kernel is pinned against.
-//   - Planar: restructured loops — independent phasor chains, product-form
-//     log reductions — that agree with Reference to well under 1e-12
-//     (pinned by kerneltest.RunEquivalence for every registered kernel).
+// Every kernel agrees with the scalar reference in internal/dsp/kerneltest
+// (the historical complex128 loops) to well under 1e-12, pinned by
+// kerneltest.RunEquivalence under both builds. The kernels are stateless and
+// safe for concurrent use; all per-call state lives in the caller's slices.
 //
-// Kernels are stateless and safe for concurrent use; all per-call state
-// lives in the caller-provided slices.
-//
-// Phase domain: the equivalence pin holds for |θ₀| + n·|Δθ| ≲ 10⁴ radians.
-// Beyond that, one ulp of the phase argument itself exceeds 1e-12 rad, so
-// per-element evaluation and recurrence advance legitimately disagree at
-// the pin level. Carrier-scale phases (2π·fc·τ ≈ ±2e4) must be folded into
-// the coefficient — exactly what the factored channel kernel does.
-type Kernel interface {
-	// Name identifies the kernel ("reference", "planar").
-	Name() string
-
-	// PhasorRampAxpy accumulates c·e^{j(θ₀+kΔθ)} into dst for k = 0..n−1,
-	// with c = cRe + j·cIm and n = len(dstRe) = len(dstIm). The phasor is
-	// re-seeded exactly every PhasorReseed steps. This is one path's
-	// contribution to a factored wideband channel evaluation.
-	PhasorRampAxpy(dstRe, dstIm []float64, cRe, cIm, theta0, dTheta float64)
-
-	// PhasorFill writes e^{j(θ₀+kΔθ)} into dst for k = 0..n−1 (planar
-	// steering-vector synthesis: θ₀ = 0, Δθ = −2π(d/λ)sinφ).
-	PhasorFill(dstRe, dstIm []float64, theta0, dTheta float64)
-
-	// PhasorFillCmplx is PhasorFill with an interleaved complex destination
-	// (the layout antenna.SteeringInto hands out).
-	PhasorFillCmplx(dst []complex128, theta0, dTheta float64)
-
-	// PhasorDot returns Σ_k row[k]·e^{j(θ₀+kΔθ)} over the planar row — the
-	// frequency-domain super-resolution candidate correlation.
-	PhasorDot(rowRe, rowIm []float64, theta0, dTheta float64) (re, im float64)
-
-	// DotSplit returns the unconjugated dot Σ_n a[n]·w[n] of a planar
-	// vector with an interleaved complex one (steering row × beam weights).
-	DotSplit(aRe, aIm []float64, w []complex128) (re, im float64)
-
-	// SumLog2SNR returns Σ_k log2(1 + txLin·(re[k]²+im[k]²)/noiseLin) — the
-	// capacity sum behind the effective wideband SNR.
-	SumLog2SNR(re, im []float64, txLin, noiseLin float64) float64
-
-	// AmpFromDB returns the linear amplitude 10^(−lossDB/20) of a path loss.
-	AmpFromDB(lossDB float64) float64
-}
-
-// Reference is the scalar oracle kernel (see Kernel).
-var Reference Kernel = refKernel{}
-
-// Planar is the fast planar kernel (see Kernel).
-var Planar Kernel = planarKernel{}
-
-// Kernels returns every registered kernel, Reference first. The
-// kernel-equivalence harness pins each of the others against Reference.
-func Kernels() []Kernel { return []Kernel{Reference, Planar} }
-
-// active is the process-wide kernel the hot paths dispatch through.
-// Determinism note: output byte-identity across -workers holds for ANY
-// active kernel (every worker runs the same one); switching kernels between
-// runs shifts results by the kernels' ≤1e-12 disagreement.
-var active = Planar
-
-// Active returns the kernel the hot paths currently dispatch through
-// (Planar unless a test selected another with SetKernel).
-func Active() Kernel { return active }
-
-// SetKernel swaps the active kernel and returns the previous one. It is a
-// test/benchmark hook: call it before any worker goroutines start (it is
-// not synchronized) and restore the previous kernel when done.
-func SetKernel(k Kernel) Kernel {
-	prev := active
-	active = k
-	return prev
-}
-
+// Phase domain: the pin holds for |θ₀| + n·|Δθ| ≲ 10⁴ radians. Beyond that,
+// one ulp of the phase argument itself exceeds 1e-12 rad, so per-element
+// evaluation and recurrence advance legitimately disagree at the pin level.
+// Carrier-scale phases (2π·fc·τ ≈ ±2e4) must be folded into the coefficient
+// — exactly what the factored channel kernel does.
 // ---------------------------------------------------------------------------
-// Reference kernel: scalar loops arithmetically identical to the historical
-// complex128 code. Go's compiler lowers complex128 multiply/add to the
-// naive componentwise formulas without fusing, so writing the same
-// expressions over floats reproduces the old results bit for bit.
-// ---------------------------------------------------------------------------
-
-type refKernel struct{}
-
-func (refKernel) Name() string { return "reference" }
-
-func (refKernel) PhasorRampAxpy(dstRe, dstIm []float64, cRe, cIm, theta0, dTheta float64) {
-	// Mirrors the historical factored-kernel inner loop:
-	//   r := cmplx.Rect(1, Δθ); p = cmplx.Rect(1, θ₀+kΔθ) at re-seeds;
-	//   dst[k] += c·p; p *= r.
-	rRe, rIm := math.Cos(dTheta), math.Sin(dTheta)
-	var pRe, pIm float64
-	for k := range dstRe {
-		if k%PhasorReseed == 0 {
-			th := theta0 + float64(k)*dTheta
-			pRe, pIm = math.Cos(th), math.Sin(th)
-		}
-		dstRe[k] += cRe*pRe - cIm*pIm
-		dstIm[k] += cRe*pIm + cIm*pRe
-		pRe, pIm = pRe*rRe-pIm*rIm, pRe*rIm+pIm*rRe
-	}
-}
-
-func (refKernel) PhasorFill(dstRe, dstIm []float64, theta0, dTheta float64) {
-	// Per-element exact evaluation — the rounding pattern of the historical
-	// cmplx.Exp(complex(0, k·Δθ)) steering loop (e^0 = 1 exactly).
-	for k := range dstRe {
-		th := theta0 + float64(k)*dTheta
-		dstRe[k], dstIm[k] = math.Cos(th), math.Sin(th)
-	}
-}
-
-func (refKernel) PhasorFillCmplx(dst []complex128, theta0, dTheta float64) {
-	for k := range dst {
-		th := theta0 + float64(k)*dTheta
-		dst[k] = complex(math.Cos(th), math.Sin(th))
-	}
-}
-
-func (refKernel) PhasorDot(rowRe, rowIm []float64, theta0, dTheta float64) (re, im float64) {
-	// Mirrors the fillFreqRamp + product-sum reference path of the FD
-	// super-resolution solver: reseeded unit-phasor recurrence, scalar
-	// complex accumulate.
-	rRe, rIm := math.Cos(dTheta), math.Sin(dTheta)
-	var pRe, pIm float64
-	for k := range rowRe {
-		if k%PhasorReseed == 0 {
-			th := theta0 + float64(k)*dTheta
-			pRe, pIm = math.Cos(th), math.Sin(th)
-		}
-		re += rowRe[k]*pRe - rowIm[k]*pIm
-		im += rowRe[k]*pIm + rowIm[k]*pRe
-		pRe, pIm = pRe*rRe-pIm*rIm, pRe*rIm+pIm*rRe
-	}
-	return re, im
-}
-
-func (refKernel) DotSplit(aRe, aIm []float64, w []complex128) (re, im float64) {
-	for n := range aRe {
-		wRe, wIm := real(w[n]), imag(w[n])
-		re += aRe[n]*wRe - aIm[n]*wIm
-		im += aRe[n]*wIm + aIm[n]*wRe
-	}
-	return re, im
-}
-
-func (refKernel) SumLog2SNR(re, im []float64, txLin, noiseLin float64) float64 {
-	var sumLog float64
-	for k := range re {
-		p := re[k]*re[k] + im[k]*im[k]
-		snr := txLin * p / noiseLin
-		sumLog += math.Log2(1 + snr)
-	}
-	return sumLog
-}
-
-func (refKernel) AmpFromDB(lossDB float64) float64 {
-	return math.Pow(10, -lossDB/20)
-}
-
-// ---------------------------------------------------------------------------
-// Planar kernel: the same contracts on restructured loops. Phasor sweeps
-// run four independent chains advanced by e^{j4Δθ} — breaking the serial
-// complex-multiply dependency that bounds the reference recurrence — and
-// the log reduction folds 1+SNR terms into running products, trading one
-// Log2 per subcarrier for one multiply. Re-seeding stays on the same
-// PhasorReseed grid, so drift bounds are unchanged (the chains take 4×
-// fewer steps between seeds, tightening them if anything). fmadd compiles
-// to a plain multiply-add by default and to a hardware FMA under
-// GOAMD64=v3 (the amd64.v3 build tag); both stay well inside the 1e-12
-// equivalence pin.
-// ---------------------------------------------------------------------------
-
-type planarKernel struct{}
-
-func (planarKernel) Name() string { return "planar" }
 
 // seedChains4 returns the four chain phasors c·e^{j(θ₀+iΔθ)}, i = 0..3.
 func seedChains4(cRe, cIm, theta0, dTheta float64) (q0r, q0i, q1r, q1i, q2r, q2i, q3r, q3i float64) {
@@ -206,7 +45,11 @@ func seedChains4(cRe, cIm, theta0, dTheta float64) (q0r, q0i, q1r, q1i, q2r, q2i
 	return
 }
 
-func (planarKernel) PhasorRampAxpy(dstRe, dstIm []float64, cRe, cIm, theta0, dTheta float64) {
+// PhasorRampAxpy accumulates c·e^{j(θ₀+kΔθ)} into dst for k = 0..n−1,
+// with c = cRe + j·cIm and n = len(dstRe) = len(dstIm). The phasor is
+// re-seeded exactly every PhasorReseed steps. This is one path's
+// contribution to a factored wideband channel evaluation.
+func PhasorRampAxpy(dstRe, dstIm []float64, cRe, cIm, theta0, dTheta float64) {
 	n := len(dstRe)
 	s4, c4 := math.Sincos(4 * dTheta)
 	for b := 0; b < n; b += PhasorReseed {
@@ -246,39 +89,9 @@ func (planarKernel) PhasorRampAxpy(dstRe, dstIm []float64, cRe, cIm, theta0, dTh
 	}
 }
 
-func (planarKernel) PhasorFill(dstRe, dstIm []float64, theta0, dTheta float64) {
-	n := len(dstRe)
-	s4, c4 := math.Sincos(4 * dTheta)
-	for b := 0; b < n; b += PhasorReseed {
-		end := b + PhasorReseed
-		if end > n {
-			end = n
-		}
-		q0r, q0i, q1r, q1i, q2r, q2i, q3r, q3i := seedChains4(1, 0, theta0+float64(b)*dTheta, dTheta)
-		k := b
-		for ; k+3 < end; k += 4 {
-			dstRe[k], dstIm[k] = q0r, q0i
-			dstRe[k+1], dstIm[k+1] = q1r, q1i
-			dstRe[k+2], dstIm[k+2] = q2r, q2i
-			dstRe[k+3], dstIm[k+3] = q3r, q3i
-			q0r, q0i = fmadd(q0r, c4, -q0i*s4), fmadd(q0r, s4, q0i*c4)
-			q1r, q1i = fmadd(q1r, c4, -q1i*s4), fmadd(q1r, s4, q1i*c4)
-			q2r, q2i = fmadd(q2r, c4, -q2i*s4), fmadd(q2r, s4, q2i*c4)
-			q3r, q3i = fmadd(q3r, c4, -q3i*s4), fmadd(q3r, s4, q3i*c4)
-		}
-		if k < end {
-			dstRe[k], dstIm[k] = q0r, q0i
-		}
-		if k+1 < end {
-			dstRe[k+1], dstIm[k+1] = q1r, q1i
-		}
-		if k+2 < end {
-			dstRe[k+2], dstIm[k+2] = q2r, q2i
-		}
-	}
-}
-
-func (planarKernel) PhasorFillCmplx(dst []complex128, theta0, dTheta float64) {
+// PhasorFillCmplx writes e^{j(θ₀+kΔθ)} into dst for k = 0..n−1 (steering-
+// vector synthesis: θ₀ = 0, Δθ = −2π(d/λ)sinφ).
+func PhasorFillCmplx(dst []complex128, theta0, dTheta float64) {
 	n := len(dst)
 	s4, c4 := math.Sincos(4 * dTheta)
 	for b := 0; b < n; b += PhasorReseed {
@@ -310,7 +123,9 @@ func (planarKernel) PhasorFillCmplx(dst []complex128, theta0, dTheta float64) {
 	}
 }
 
-func (planarKernel) PhasorDot(rowRe, rowIm []float64, theta0, dTheta float64) (re, im float64) {
+// PhasorDot returns Σ_k row[k]·e^{j(θ₀+kΔθ)} over the planar row — the
+// frequency-domain super-resolution candidate correlation.
+func PhasorDot(rowRe, rowIm []float64, theta0, dTheta float64) (re, im float64) {
 	n := len(rowRe)
 	s4, c4 := math.Sincos(4 * dTheta)
 	var a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i float64
@@ -351,7 +166,9 @@ func (planarKernel) PhasorDot(rowRe, rowIm []float64, theta0, dTheta float64) (r
 	return (a0r + a1r) + (a2r + a3r), (a0i + a1i) + (a2i + a3i)
 }
 
-func (planarKernel) DotSplit(aRe, aIm []float64, w []complex128) (re, im float64) {
+// DotSplit returns the unconjugated dot Σ_n a[n]·w[n] of a planar vector
+// with an interleaved complex one (steering row × beam weights).
+func DotSplit(aRe, aIm []float64, w []complex128) (re, im float64) {
 	// Two accumulator pairs: steering rows are short (N = 8 typically), so
 	// this is latency-, not throughput-, bound.
 	var s0r, s0i, s1r, s1i float64
@@ -373,7 +190,9 @@ func (planarKernel) DotSplit(aRe, aIm []float64, w []complex128) (re, im float64
 	return s0r + s1r, s0i + s1i
 }
 
-func (planarKernel) SumLog2SNR(re, im []float64, txLin, noiseLin float64) float64 {
+// SumLog2SNR returns Σ_k log2(1 + txLin·(re[k]²+im[k]²)/noiseLin) — the
+// capacity sum behind the effective wideband SNR.
+func SumLog2SNR(re, im []float64, txLin, noiseLin float64) float64 {
 	// Product form: Σ log2(1+s_k) = log2 Π (1+s_k). Four running products
 	// renormalized by 2^±256 before they can overflow (1+SNR ≥ 1, so the
 	// products only grow) collapse 64 Log2 calls into one plus a multiply
@@ -421,7 +240,8 @@ func (planarKernel) SumLog2SNR(re, im []float64, txLin, noiseLin float64) float6
 	return math.Log2((f0*f1)*(f2*f3)) + float64(exp+e0+e1+e2+e3)
 }
 
-func (planarKernel) AmpFromDB(lossDB float64) float64 {
+// AmpFromLossDB returns the linear amplitude 10^(−lossDB/20) of a path loss.
+func AmpFromLossDB(lossDB float64) float64 {
 	// exp(−loss·ln10/20): one exponential instead of Pow's log/exp round
 	// trip; agrees with the reference to ~1 ulp of the exponent scaling.
 	return math.Exp(lossDB * -lnTenOver20)

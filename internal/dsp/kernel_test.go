@@ -9,20 +9,11 @@ import (
 	"mmreliable/internal/dsp/kerneltest"
 )
 
-// TestKernelEquivalence pins every registered kernel against the reference
-// through the shared property harness. A new kernel (e.g. a GOAMD64
-// variant) inherits the ≤1e-12 contract by appearing in dsp.Kernels().
+// TestKernelEquivalence pins the planar kernels against the scalar
+// reference through the shared property harness; the GOAMD64=v3 build runs
+// it on the fused-multiply-add variant.
 func TestKernelEquivalence(t *testing.T) {
-	ks := dsp.Kernels()
-	if len(ks) < 2 {
-		t.Fatal("expected at least reference + planar kernels")
-	}
-	if ks[0] != dsp.Reference {
-		t.Fatal("Kernels()[0] must be the reference kernel")
-	}
-	for _, k := range ks[1:] {
-		kerneltest.RunEquivalence(t, dsp.Reference, k)
-	}
+	kerneltest.RunEquivalence(t)
 }
 
 // TestReferenceMirrorsComplexLoops pins the reference kernel bit-for-bit
@@ -31,7 +22,7 @@ func TestKernelEquivalence(t *testing.T) {
 // the steering-vector cmplx.Exp fill. This is the statement that makes the
 // reference kernel an oracle rather than a third implementation.
 func TestReferenceMirrorsComplexLoops(t *testing.T) {
-	ref := dsp.Reference
+	ref := kerneltest.Reference
 	const n = 200
 	for _, tc := range []struct{ th0, dth float64 }{
 		{17593.6543, -0.0981}, {-3.25, 0.47}, {0.1, 0}, {-28274.12, 2 * math.Pi / 64},
@@ -83,25 +74,12 @@ func TestPlanarSumLog2SNRHugeProduct(t *testing.T) {
 	for i := range re {
 		re[i], im[i] = 1e9, -1e9
 	}
-	want := dsp.Reference.SumLog2SNR(re, im, 31.62, 2.1e-8)
-	got := dsp.Planar.SumLog2SNR(re, im, 31.62, 2.1e-8)
+	want := kerneltest.Reference.SumLog2SNR(re, im, 31.62, 2.1e-8)
+	got := dsp.SumLog2SNR(re, im, 31.62, 2.1e-8)
 	if math.IsInf(got, 0) || math.IsNaN(got) {
 		t.Fatalf("planar reduction overflowed: %g", got)
 	}
 	if d := math.Abs(want-got) / want; d > kerneltest.Tol {
 		t.Fatalf("huge product: %g vs %g (rel %g)", got, want, d)
-	}
-}
-
-// TestSetKernel checks the test/bench hook restores cleanly and that the
-// env-independent default is the planar kernel.
-func TestSetKernel(t *testing.T) {
-	prev := dsp.SetKernel(dsp.Reference)
-	if dsp.Active() != dsp.Reference {
-		t.Fatal("SetKernel did not take effect")
-	}
-	dsp.SetKernel(prev)
-	if dsp.Active() != prev {
-		t.Fatal("SetKernel did not restore")
 	}
 }

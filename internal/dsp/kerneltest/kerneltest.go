@@ -1,11 +1,11 @@
-// Package kerneltest is the shared property-test harness for DSP kernel
-// equivalence: any (reference, candidate) kernel pair registers into
-// RunEquivalence and inherits the ≤1e-12 pin across the full operation
-// surface — phasor ramps at carrier-scale seed phases, steering fills,
-// candidate correlations, planar dots, and the log-SNR reduction with
-// overflow-range inputs. The dsp package runs it for every kernel returned
-// by dsp.Kernels() (under -race in CI), so a future GOAMD64 or assembly
-// variant gets the same contract for free by joining that list.
+// Package kerneltest holds the scalar reference of the planar dsp kernels
+// and the property-test harness that pins them to it: RunEquivalence checks
+// the ≤1e-12 contract across the full operation surface — phasor ramps at
+// carrier-scale seed phases, steering fills, candidate correlations, planar
+// dots, and the log-SNR reduction with overflow-range inputs. The dsp
+// package runs it under every build (-race, GOAMD64=v3 with its fused
+// multiply-adds), so each build-tag variant of the kernels carries the same
+// contract.
 package kerneltest
 
 import (
@@ -38,19 +38,18 @@ var phases = []float64{0, 0.25, -1.3, math.Pi, 980.25, -3333.333}
 // past π between elements, and sign flips.
 var steps = []float64{0, 1e-3, -0.098, 0.47, -2.9, 2 * math.Pi / 64}
 
-// RunEquivalence pins kernel k against ref on every operation. Inputs are
-// deterministic (seeded here), so failures reproduce exactly.
-func RunEquivalence(t *testing.T, ref, k dsp.Kernel) {
+// RunEquivalence pins every planar dsp kernel against Reference. Inputs
+// are deterministic (seeded here), so failures reproduce exactly.
+func RunEquivalence(t *testing.T) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(0x5eed))
-	t.Run(fmt.Sprintf("%s-vs-%s", k.Name(), ref.Name()), func(t *testing.T) {
-		t.Run("PhasorRampAxpy", func(t *testing.T) { testPhasorRampAxpy(t, ref, k, rng) })
-		t.Run("PhasorFill", func(t *testing.T) { testPhasorFill(t, ref, k) })
-		t.Run("PhasorFillCmplx", func(t *testing.T) { testPhasorFillCmplx(t, ref, k) })
-		t.Run("PhasorDot", func(t *testing.T) { testPhasorDot(t, ref, k, rng) })
-		t.Run("DotSplit", func(t *testing.T) { testDotSplit(t, ref, k, rng) })
-		t.Run("SumLog2SNR", func(t *testing.T) { testSumLog2SNR(t, ref, k, rng) })
-		t.Run("AmpFromDB", func(t *testing.T) { testAmpFromDB(t, ref, k) })
+	t.Run("planar-vs-reference", func(t *testing.T) {
+		t.Run("PhasorRampAxpy", func(t *testing.T) { testPhasorRampAxpy(t, rng) })
+		t.Run("PhasorFillCmplx", testPhasorFillCmplx)
+		t.Run("PhasorDot", func(t *testing.T) { testPhasorDot(t, rng) })
+		t.Run("DotSplit", func(t *testing.T) { testDotSplit(t, rng) })
+		t.Run("SumLog2SNR", func(t *testing.T) { testSumLog2SNR(t, rng) })
+		t.Run("AmpFromDB", testAmpFromDB)
 	})
 }
 
@@ -86,7 +85,7 @@ func pinVecs(t *testing.T, what string, wantRe, wantIm, gotRe, gotIm []float64) 
 	}
 }
 
-func testPhasorRampAxpy(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
+func testPhasorRampAxpy(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	for _, n := range lengths {
 		for _, th0 := range phases {
@@ -99,38 +98,23 @@ func testPhasorRampAxpy(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
 					aRe[i], aIm[i] = v, w
 					bRe[i], bIm[i] = v, w
 				}
-				ref.PhasorRampAxpy(aRe, aIm, cRe, cIm, th0, dth)
-				k.PhasorRampAxpy(bRe, bIm, cRe, cIm, th0, dth)
+				Reference.PhasorRampAxpy(aRe, aIm, cRe, cIm, th0, dth)
+				dsp.PhasorRampAxpy(bRe, bIm, cRe, cIm, th0, dth)
 				pinVecs(t, fmt.Sprintf("axpy n=%d θ0=%g Δθ=%g", n, th0, dth), aRe, aIm, bRe, bIm)
 			}
 		}
 	}
 }
 
-func testPhasorFill(t *testing.T, ref, k dsp.Kernel) {
-	t.Helper()
-	for _, n := range lengths {
-		for _, th0 := range phases {
-			for _, dth := range steps {
-				aRe, aIm := make([]float64, n), make([]float64, n)
-				bRe, bIm := make([]float64, n), make([]float64, n)
-				ref.PhasorFill(aRe, aIm, th0, dth)
-				k.PhasorFill(bRe, bIm, th0, dth)
-				pinVecs(t, fmt.Sprintf("fill n=%d θ0=%g Δθ=%g", n, th0, dth), aRe, aIm, bRe, bIm)
-			}
-		}
-	}
-}
-
-func testPhasorFillCmplx(t *testing.T, ref, k dsp.Kernel) {
+func testPhasorFillCmplx(t *testing.T) {
 	t.Helper()
 	for _, n := range lengths {
 		for _, th0 := range phases {
 			for _, dth := range steps {
 				a := make([]complex128, n)
 				b := make([]complex128, n)
-				ref.PhasorFillCmplx(a, th0, dth)
-				k.PhasorFillCmplx(b, th0, dth)
+				Reference.PhasorFillCmplx(a, th0, dth)
+				dsp.PhasorFillCmplx(b, th0, dth)
 				for i := range a {
 					if d := relDiff(real(a[i]), real(b[i]), 1); d > Tol {
 						t.Fatalf("fillcmplx n=%d θ0=%g Δθ=%g: re[%d] rel %g", n, th0, dth, i, d)
@@ -144,7 +128,7 @@ func testPhasorFillCmplx(t *testing.T, ref, k dsp.Kernel) {
 	}
 }
 
-func testPhasorDot(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
+func testPhasorDot(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	for _, n := range lengths {
 		for _, th0 := range phases {
@@ -155,8 +139,8 @@ func testPhasorDot(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
 					rowRe[i], rowIm[i] = rng.NormFloat64(), rng.NormFloat64()
 					scale += math.Hypot(rowRe[i], rowIm[i])
 				}
-				aRe, aIm := ref.PhasorDot(rowRe, rowIm, th0, dth)
-				bRe, bIm := k.PhasorDot(rowRe, rowIm, th0, dth)
+				aRe, aIm := Reference.PhasorDot(rowRe, rowIm, th0, dth)
+				bRe, bIm := dsp.PhasorDot(rowRe, rowIm, th0, dth)
 				if d := relDiff(aRe, bRe, scale); d > Tol {
 					t.Fatalf("dot n=%d θ0=%g Δθ=%g: re %g vs %g (rel %g)", n, th0, dth, bRe, aRe, d)
 				}
@@ -168,7 +152,7 @@ func testPhasorDot(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
 	}
 }
 
-func testDotSplit(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
+func testDotSplit(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	for _, n := range lengths {
 		aRe, aIm := make([]float64, n), make([]float64, n)
@@ -179,8 +163,8 @@ func testDotSplit(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
 			w[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			scale += math.Hypot(aRe[i], aIm[i])
 		}
-		wantRe, wantIm := ref.DotSplit(aRe, aIm, w)
-		gotRe, gotIm := k.DotSplit(aRe, aIm, w)
+		wantRe, wantIm := Reference.DotSplit(aRe, aIm, w)
+		gotRe, gotIm := dsp.DotSplit(aRe, aIm, w)
 		if d := relDiff(wantRe, gotRe, scale); d > Tol {
 			t.Fatalf("dotsplit n=%d: re %g vs %g (rel %g)", n, gotRe, wantRe, d)
 		}
@@ -190,7 +174,7 @@ func testDotSplit(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
 	}
 }
 
-func testSumLog2SNR(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
+func testSumLog2SNR(t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	// ampScale sweeps the per-subcarrier SNR from deep outage to ~1e12 —
 	// the last making every 1+SNR term huge, so a product-form fast path
@@ -203,8 +187,8 @@ func testSumLog2SNR(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
 				re[i], im[i] = rng.NormFloat64()*ampScale, rng.NormFloat64()*ampScale
 			}
 			txLin, noiseLin := 31.62, 2.1e-8 // ≈ the default budget's linear terms
-			want := ref.SumLog2SNR(re, im, txLin, noiseLin)
-			got := k.SumLog2SNR(re, im, txLin, noiseLin)
+			want := Reference.SumLog2SNR(re, im, txLin, noiseLin)
+			got := dsp.SumLog2SNR(re, im, txLin, noiseLin)
 			if math.IsInf(want, 0) || math.IsNaN(want) {
 				t.Fatalf("sumlog n=%d amp=%g: reference not finite: %g", n, ampScale, want)
 			}
@@ -215,11 +199,11 @@ func testSumLog2SNR(t *testing.T, ref, k dsp.Kernel, rng *rand.Rand) {
 	}
 }
 
-func testAmpFromDB(t *testing.T, ref, k dsp.Kernel) {
+func testAmpFromDB(t *testing.T) {
 	t.Helper()
 	for db := -40.0; db <= 160; db += 2.37 {
-		want := ref.AmpFromDB(db)
-		got := k.AmpFromDB(db)
+		want := Reference.AmpFromLossDB(db)
+		got := dsp.AmpFromLossDB(db)
 		if d := math.Abs(want-got) / want; d > Tol {
 			t.Fatalf("ampfromdb %g: %g vs %g (rel %g)", db, got, want, d)
 		}

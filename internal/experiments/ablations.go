@@ -75,7 +75,7 @@ func AblationQuantization(cfg Config) *stats.Table {
 			if q.q.PhaseBits > 0 || q.q.GainRangeDB > 0 {
 				wq = q.q.Apply(w)
 			}
-			snrs[qi] = budget.WidebandSNRdB(m.EffectiveWidebandInto(wq, offs, nil))
+			snrs[qi] = widebandSNRdB(budget, m, wq, offs)
 		}
 		return snrs
 	})

@@ -124,7 +124,7 @@ func ExtensionRateAdaptation(cfg Config) *stats.Table {
 		for s := 0; s < slots; s++ {
 			tm := float64(s) * num.SlotDuration()
 			m := sc.ChannelAt(tm)
-			truth := budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))
+			truth := widebandSNRdB(budget, m, w, offs)
 			if s%every == 0 {
 				adapter.Observe(budget.WidebandSNRdBFromMags(sounder.Probe(m, w).Abs()))
 			}

@@ -68,7 +68,7 @@ func Fig15aPhaseScan(cfg Config) *stats.Table {
 		if err != nil {
 			continue
 		}
-		snr := budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))
+		snr := widebandSNRdB(budget, m, w, offs)
 		if snr > best {
 			best, bestPh = snr, ph
 		}
@@ -106,7 +106,7 @@ func Fig15bAmpScan(cfg Config) *stats.Table {
 		if err != nil {
 			continue
 		}
-		t.AddRow(stats.Fmt(ampDB), stats.Fmt(budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))))
+		t.AddRow(stats.Fmt(ampDB), stats.Fmt(widebandSNRdB(budget, m, w, offs)))
 	}
 	m1 := pr.ProbeInto(u.SingleBeam(0), nil).Abs()
 	m2 := pr.ProbeInto(u.SingleBeam(dsp.Rad(30)), nil).Abs()
@@ -147,6 +147,14 @@ func Fig15cPhaseStability(cfg Config) *stats.Table {
 	return t
 }
 
+// widebandSNRdB returns the effective wideband SNR of channel m under TX
+// beam w over the subcarrier grid offs.
+func widebandSNRdB(budget link.Budget, m *channel.Model, w cmx.Vector, offs []float64) float64 {
+	re, im := make([]float64, len(offs)), make([]float64, len(offs))
+	m.EffectiveWidebandSplitInto(w, offs, re, im)
+	return budget.WidebandSNRdBSplit(re, im)
+}
+
 func combined(u *antenna.ULA, phiRef, phiK, psi float64) (cmx.Vector, float64) {
 	sum := u.SingleBeam(phiRef).Add(u.SingleBeam(phiK).Scaled(cmplx.Exp(complex(0, psi))))
 	n2 := sum.Norm2()
@@ -181,7 +189,7 @@ func Fig15dOracleGap(cfg Config) *stats.Table {
 		m := channel.Cluster(rng, env.Band28GHz(), u, params)
 		// Order paths strongest first, as beam training would find them.
 		sortPathsByLoss(m)
-		single := budget.WidebandSNRdB(m.EffectiveWidebandInto(u.SingleBeam(m.Paths[0].AoD), offs, nil))
+		single := widebandSNRdB(budget, m, u.SingleBeam(m.Paths[0].AoD), offs)
 		mk := func(k int) []multibeam.Beam {
 			var beams []multibeam.Beam
 			for p := 0; p < k; p++ {
@@ -192,16 +200,16 @@ func Fig15dOracleGap(cfg Config) *stats.Table {
 		}
 		var tr trial
 		if w, err := multibeam.WeightsInto(u, mk(2), nil, nil); err == nil {
-			tr.g2, tr.ok2 = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
+			tr.g2, tr.ok2 = widebandSNRdB(budget, m, w, offs)-single, true
 		}
 		if w, err := multibeam.WeightsInto(u, mk(3), nil, nil); err == nil {
-			tr.g3, tr.ok3 = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
+			tr.g3, tr.ok3 = widebandSNRdB(budget, m, w, offs)-single, true
 		}
 		if w, err := multibeam.SubArraySplit(u, mk(3)); err == nil {
-			tr.gSplit, tr.okS = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
+			tr.gSplit, tr.okS = widebandSNRdB(budget, m, w, offs)-single, true
 		}
 		if w, err := multibeam.Optimal(m.PerAntennaCSI(0)); err == nil {
-			tr.gOracle, tr.okO = budget.WidebandSNRdB(m.EffectiveWidebandInto(w, offs, nil))-single, true
+			tr.gOracle, tr.okO = widebandSNRdB(budget, m, w, offs)-single, true
 		}
 		return tr
 	})

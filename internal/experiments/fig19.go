@@ -67,8 +67,8 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 	// mmReliable's beam-set selection: fall back to the single beam when
 	// wideband ripple makes the multi-beam no better on this channel (it
 	// then still wins through the §4.1 blockage response below).
-	if budget.WidebandSNRdB(m.EffectiveWidebandInto(wMulti, offs, nil)) <
-		budget.WidebandSNRdB(m.EffectiveWidebandInto(wSingle, offs, nil)) {
+	if widebandSNRdB(budget, m, wMulti, offs) <
+		widebandSNRdB(budget, m, wSingle, offs) {
 		wMulti = wSingle
 	}
 	// The §4.1 response steady state: all power on the best unblocked path.
@@ -103,8 +103,8 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 			wm = wBlocked
 		}
 		return rates{
-			s: link.Throughput(budget.WidebandSNRdB(mm.EffectiveWidebandInto(wSingle, offs, nil)), budget.BandwidthHz, 0),
-			m: link.Throughput(budget.WidebandSNRdB(mm.EffectiveWidebandInto(wm, offs, nil)), budget.BandwidthHz, 0),
+			s: link.Throughput(widebandSNRdB(budget, mm, wSingle, offs), budget.BandwidthHz, 0),
+			m: link.Throughput(widebandSNRdB(budget, mm, wm, offs), budget.BandwidthHz, 0),
 		}
 	})
 	var thrS, thrM float64

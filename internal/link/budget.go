@@ -99,13 +99,13 @@ func (b Budget) WidebandSNRdBSplit(re, im []float64) float64 {
 
 // WidebandSNRdBSplitTerms is WidebandSNRdBSplit with the budget's linear
 // terms (see SNRTerms) precomputed by the caller. The capacity sum runs on
-// the active DSP kernel; under dsp.Reference the arithmetic is identical to
-// WidebandSNRdB.
+// the planar dsp.SumLog2SNR kernel, which agrees with WidebandSNRdB's
+// per-term sum to well under 1e-12.
 func WidebandSNRdBSplitTerms(re, im []float64, txLin, noiseLin float64) float64 {
 	if len(re) == 0 {
 		return math.Inf(-1)
 	}
-	sumLog := dsp.Active().SumLog2SNR(re, im, txLin, noiseLin)
+	sumLog := dsp.SumLog2SNR(re, im, txLin, noiseLin)
 	eff := math.Exp2(sumLog/float64(len(re))) - 1
 	if eff <= 0 {
 		return math.Inf(-1)

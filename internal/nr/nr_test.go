@@ -66,12 +66,22 @@ func TestNewSounderValidation(t *testing.T) {
 	}
 }
 
+// trueCSI is the noiseless wideband channel of m under TX beam w — what an
+// ideal probe would measure.
+func trueCSI(m *channel.Model, w cmx.Vector, offs []float64) cmx.Vector {
+	re, im := make([]float64, len(offs)), make([]float64, len(offs))
+	m.EffectiveWidebandSplitInto(w, offs, re, im)
+	h := make(cmx.Vector, len(offs))
+	cmx.Combine(re, im, h)
+	return h
+}
+
 func TestNoiselessProbeIsExact(t *testing.T) {
 	s := testSounder(t, 0, Impairments{})
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
 	est := s.Probe(m, w)
-	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
+	truth := trueCSI(m, w, s.SubcarrierOffsets())
 	if est.Sub(truth).Norm() > 1e-12*truth.Norm() {
 		t.Fatalf("noiseless probe error %g", est.Sub(truth).Norm())
 	}
@@ -84,7 +94,7 @@ func TestCFOPreservesMagnitude(t *testing.T) {
 	s := testSounder(t, 0, DefaultImpairments())
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
-	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
+	truth := trueCSI(m, w, s.SubcarrierOffsets())
 	est1 := s.Probe(m, w)
 	est2 := s.Probe(m, w)
 	for k := range truth {
@@ -106,7 +116,7 @@ func TestSFOAddsLinearPhaseOnly(t *testing.T) {
 	s := testSounder(t, 0, Impairments{SFOMaxSlope: 1.0})
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
-	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
+	truth := trueCSI(m, w, s.SubcarrierOffsets())
 	est := s.Probe(m, w)
 	// The phase error est/truth must be linear in subcarrier index.
 	err0 := cmplx.Phase(est[0] / truth[0])
@@ -124,7 +134,7 @@ func TestProbeNoiseScale(t *testing.T) {
 	s := testSounder(t, noise, Impairments{})
 	m := testChannel()
 	w := m.Tx.SingleBeam(0)
-	truth := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), nil)
+	truth := trueCSI(m, w, s.SubcarrierOffsets())
 	// Average the empirical per-subcarrier noise power over many probes.
 	var acc float64
 	const probes = 200

@@ -1,12 +1,12 @@
 package nr
 
 import (
-	"math/cmplx"
 	"math/rand"
 	"testing"
 
+	"mmreliable/internal/channel"
 	"mmreliable/internal/cmx"
-	"mmreliable/internal/dsp"
+	"mmreliable/internal/scratch"
 )
 
 // TestProbeIntoMatchesProbe pins the scratch-reusing probe to the allocating
@@ -40,61 +40,51 @@ func TestProbeIntoMatchesProbe(t *testing.T) {
 }
 
 // TestProbeFromSplitMatchesProbeInto pins the batched probe entry point:
-// feeding ProbeFromSplit a planar channel response produced under the
-// reference kernel must reproduce ProbeInto bit for bit — the same OFDM
-// round trip, the same noise/CFO/SFO draws in the same order — and under
-// every registered kernel the results must agree to ≤1e-12. This is the
-// CFO/SFO leg of the kernel-equivalence contract: the impairment stream
-// rides on whichever wideband evaluation produced h.
+// feeding ProbeFromSplit the planar channel row a frame-barrier batch
+// computes must reproduce ProbeInto bit for bit — the same wideband
+// evaluation, the same OFDM round trip, the same noise/CFO/SFO draws in the
+// same order — so a pair's admission probe and its monitor-round probe
+// never round differently.
 func TestProbeFromSplitMatchesProbeInto(t *testing.T) {
-	for _, kern := range dsp.Kernels() {
-		t.Run(kern.Name(), func(t *testing.T) {
-			prev := dsp.SetKernel(kern)
-			defer dsp.SetKernel(prev)
-			m := testChannel()
-			w := m.Tx.SingleBeam(0.1)
-			mk := func(seed int64) *Sounder {
-				s, err := NewSounder(Mu3(), 400e6, 64, 0.05, DefaultImpairments(), rand.New(rand.NewSource(seed)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			}
-			s1, s2 := mk(42), mk(42)
-			buf := make(cmx.Vector, 64)
-			buf2 := make(cmx.Vector, 64)
-			re := make([]float64, 64)
-			im := make([]float64, 64)
-			exact := kern == dsp.Reference // planar h differs from the interleaved h by ~ulp
-			for it := 0; it < 5; it++ {
-				mm := m.Clone()
-				mm.Paths[0].ExtraLossDB = float64(it) * 6 // blockage sweep
-				a := s1.ProbeInto(mm.Clone(), w, buf)
-				mm.EffectiveWidebandSplitInto(w, s2.SubcarrierOffsets(), re, im)
-				b := s2.ProbeFromSplit(re, im, buf2)
-				var scale float64
-				for k := range a {
-					if s := cmplx.Abs(a[k]); s > scale {
-						scale = s
-					}
-				}
-				for k := range a {
-					if exact {
-						if a[k] != b[k] {
-							t.Fatalf("%s it %d sc %d: ProbeInto %v vs ProbeFromSplit %v",
-								kern.Name(), it, k, a[k], b[k])
-						}
-					} else if cmplx.Abs(a[k]-b[k]) > 1e-12*scale {
-						t.Fatalf("%s it %d sc %d: |diff| %.3g > 1e-12 rel",
-							kern.Name(), it, k, cmplx.Abs(a[k]-b[k])/scale)
-					}
-				}
-			}
-			if s1.Probes != s2.Probes {
-				t.Fatalf("probe counters diverge: %d vs %d", s1.Probes, s2.Probes)
-			}
-		})
+	m := testChannel()
+	w := m.Tx.SingleBeam(0.1)
+	// Noise far below the ~1e-4 channel amplitude, so an ulp of difference
+	// in the channel row survives into the estimate instead of being
+	// rounded away by the noise.
+	mk := func(seed int64) *Sounder {
+		s, err := NewSounder(Mu3(), 400e6, 64, 1e-9, DefaultImpairments(), rand.New(rand.NewSource(seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	t.Run("planar", func(t *testing.T) {
+		s1, s2 := mk(42), mk(42)
+		buf := make(cmx.Vector, 64)
+		buf2 := make(cmx.Vector, 64)
+		ws := scratch.New()
+		var batch channel.WidebandBatch
+		for it := 0; it < 5; it++ {
+			mm := m.Clone()
+			mm.Paths[0].ExtraLossDB = float64(it) * 6 // blockage sweep
+			a := s1.ProbeInto(mm.Clone(), w, buf)
+			batch.Reset(s2.SubcarrierOffsets())
+			batch.Add(mm, w)
+			mark := ws.Mark()
+			batch.Eval(ws)
+			re, im := batch.Row(0)
+			b := s2.ProbeFromSplit(re, im, buf2)
+			ws.Release(mark)
+			for k := range a {
+				if a[k] != b[k] {
+					t.Fatalf("it %d sc %d: ProbeInto %v vs ProbeFromSplit %v", it, k, a[k], b[k])
+				}
+			}
+		}
+		if s1.Probes != s2.Probes {
+			t.Fatalf("probe counters diverge: %d vs %d", s1.Probes, s2.Probes)
+		}
+	})
 }
 
 // TestProbeIntoAllocs pins the probing hot path — channel evaluation, OFDM

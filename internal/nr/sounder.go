@@ -44,11 +44,12 @@ type Sounder struct {
 	// offsets caches SubcarrierOffsets at construction; Probe used to
 	// re-allocate this []float64 on every sounding.
 	offsets []float64
-	// hBuf and tdBuf are the per-sounder scratch vectors of the probe hot
-	// path (true wideband channel and OFDM time-domain round trip). A
-	// Sounder is single-threaded by construction (it owns an rng), so the
-	// scratch needs no synchronization.
-	hBuf, tdBuf cmx.Vector
+	// hRe/hIm (the true wideband channel, planar) and tdBuf (the OFDM
+	// time-domain round trip) are the per-sounder scratch of the probe hot
+	// path. A Sounder is single-threaded by construction (it owns an rng),
+	// so the scratch needs no synchronization.
+	hRe, hIm []float64
+	tdBuf    cmx.Vector
 	// Probes counts channel soundings for overhead accounting.
 	Probes int
 }
@@ -78,7 +79,8 @@ func NewSounder(num Numerology, bandwidthHz float64, numSC int, noiseAmp float64
 	}
 	s.pilot = qpskPilot(numSC)
 	s.offsets = channel.SubcarrierOffsets(bandwidthHz, numSC)
-	s.hBuf = make(cmx.Vector, numSC)
+	s.hRe = make([]float64, numSC)
+	s.hIm = make([]float64, numSC)
 	s.tdBuf = make(cmx.Vector, numSC)
 	return s, nil
 }
@@ -120,67 +122,34 @@ func (s *Sounder) Probe(m *channel.Model, w cmx.Vector) cmx.Vector {
 // consumption is identical to Probe's, so mixing Probe and ProbeInto calls
 // leaves every random draw unchanged.
 func (s *Sounder) ProbeInto(m *channel.Model, w cmx.Vector, dst cmx.Vector) cmx.Vector {
-	if dst == nil {
-		dst = make(cmx.Vector, s.NumSC)
-	}
-	if len(dst) != s.NumSC {
-		panic(fmt.Sprintf("nr: probe dst length %d != %d subcarriers", len(dst), s.NumSC))
-	}
-	if s.hBuf == nil {
-		s.hBuf = make(cmx.Vector, s.NumSC)
-		s.tdBuf = make(cmx.Vector, s.NumSC)
-	}
 	// True channel per subcarrier under this beam.
-	h := m.EffectiveWidebandInto(w, s.SubcarrierOffsets(), s.hBuf)
-	return s.probeFromH(h, dst)
+	m.EffectiveWidebandSplitInto(w, s.SubcarrierOffsets(), s.hRe, s.hIm)
+	return s.ProbeFromSplit(s.hRe, s.hIm, dst)
 }
 
-// ProbeFromH is ProbeInto with the true wideband channel response h already
-// evaluated by the caller — the seam a frame-barrier batch uses: evaluate
-// every (model, beam) response in one batched kernel pass, then push each
-// row through its sounder's OFDM/noise/impairment chain. The RNG consumption
-// is identical to ProbeInto's, so switching a call site between the two
-// leaves every subsequent random draw unchanged. len(h) must be NumSC; h is
-// only read.
-func (s *Sounder) ProbeFromH(h cmx.Vector, dst cmx.Vector) cmx.Vector {
+// ProbeFromSplit is ProbeInto with the true wideband channel response
+// already evaluated by the caller as a planar row (hRe, hIm) — the seam a
+// frame-barrier batch uses: evaluate every (model, beam) response in one
+// channel.WidebandBatch pass, then push each row through its sounder's
+// OFDM/noise/impairment chain. ProbeInto runs the same chain on the row it
+// evaluates itself, so the two produce identical bits and identical RNG
+// consumption for the same row. The row is only read; dst is allocated when
+// nil.
+func (s *Sounder) ProbeFromSplit(hRe, hIm []float64, dst cmx.Vector) cmx.Vector {
 	if dst == nil {
 		dst = make(cmx.Vector, s.NumSC)
 	}
 	if len(dst) != s.NumSC {
 		panic(fmt.Sprintf("nr: probe dst length %d != %d subcarriers", len(dst), s.NumSC))
 	}
-	if len(h) != s.NumSC {
-		panic(fmt.Sprintf("nr: probe channel length %d != %d subcarriers", len(h), s.NumSC))
-	}
-	if s.tdBuf == nil {
-		s.tdBuf = make(cmx.Vector, s.NumSC)
-	}
-	return s.probeFromH(h, dst)
-}
-
-// ProbeFromSplit is ProbeFromH for a planar channel row (the batched-kernel
-// layout): the row is interleaved into the sounder's channel scratch and
-// sounded in place.
-func (s *Sounder) ProbeFromSplit(hRe, hIm []float64, dst cmx.Vector) cmx.Vector {
 	if len(hRe) != s.NumSC || len(hIm) != s.NumSC {
 		panic(fmt.Sprintf("nr: probe channel lengths %d/%d != %d subcarriers", len(hRe), len(hIm), s.NumSC))
 	}
-	if s.hBuf == nil {
-		s.hBuf = make(cmx.Vector, s.NumSC)
-		s.tdBuf = make(cmx.Vector, s.NumSC)
-	}
-	cmx.Combine(hRe, hIm, s.hBuf)
-	return s.ProbeFromH(s.hBuf, dst)
-}
-
-// probeFromH runs the measurement chain after channel evaluation: OFDM
-// round trip, receiver noise, CFO/SFO, pilot equalization.
-func (s *Sounder) probeFromH(h, dst cmx.Vector) cmx.Vector {
 	// OFDM round trip: pilot → IFFT → (channel in time domain is exactly a
 	// per-subcarrier multiply for CP-OFDM) → FFT → equalize.
 	td := s.tdBuf
 	for i := range td {
-		td[i] = s.pilot[i] * h[i]
+		td[i] = s.pilot[i] * complex(hRe[i], hIm[i])
 	}
 	if err := dsp.IFFT(td); err != nil {
 		panic(err) // length checked at construction
@@ -271,10 +240,9 @@ func (s *Sounder) DelayKernel(tau float64) cmx.Vector {
 	return s.DelayKernelInto(tau, make(cmx.Vector, s.NumSC))
 }
 
-// DelayKernelInto is DelayKernel writing into dst (allocated when nil). It
-// satisfies superres.KernelIntoFunc, so the super-resolution search — which
-// evaluates this kernel hundreds of times per fit — can run on one reused
-// scratch column.
+// DelayKernelInto is DelayKernel writing into dst (allocated when nil), so
+// a caller that evaluates many delays — building a super-resolution
+// dictionary, say — can run on one reused scratch column.
 func (s *Sounder) DelayKernelInto(tau float64, dst cmx.Vector) cmx.Vector {
 	// Closed form of IFFT_n{e^{−j2πf_k τ}} over the centered subcarrier
 	// grid f_k = −B/2 + (k+½)B/N: a geometric series whose ratio at output

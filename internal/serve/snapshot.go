@@ -10,10 +10,12 @@ import (
 // bumps whenever the document layout, the replay semantics, OR the digest
 // fold change — a restore refuses any other version rather than replaying
 // into a different simulation or checking against a different fold.
-// Version 3 is the word-wise core.Digest fold.
+// Version 3 is the word-wise core.Digest fold; version 4 is the planar-only
+// wideband path (admission probes evaluate the channel on the same planar
+// kernels as monitor rounds, which moves the state digest by ulps).
 const (
 	SnapshotFormat  = "mmserved-snapshot"
-	SnapshotVersion = 3
+	SnapshotVersion = 4
 )
 
 // snapshotFile is the versioned snapshot document. It is event-sourced:

@@ -25,7 +25,7 @@ func rxWeightsHead(m *channel.Model) *complex128 {
 // This is the batched front door of the planar DSP backend (DESIGN.md
 // "Planar DSP backend"): instead of interleaving per-UE wideband
 // evaluations with slot bookkeeping, the coordinator gathers the whole
-// frame's UEs and streams them through the active kernel back-to-back, so
+// frame's UEs and streams them through the planar kernels back-to-back, so
 // the planar inner loops stay hot across sessions.
 //
 // Determinism: the pass runs on the coordinator between scheduleFrame and
