@@ -22,31 +22,38 @@ import (
 	"mmreliable/internal/sim"
 )
 
-func scenario() *sim.MultiScenario {
+// scenarios builds one Scenario per gNB: the same room, UE and array, seen
+// from each gNB's pose.
+func scenarios() []*sim.Scenario {
 	e := env.NewEnvironment(env.Band28GHz(),
 		env.Wall{Seg: env.Segment{A: env.Vec2{X: -5, Y: 4}, B: env.Vec2{X: 25, Y: 4}}, Mat: env.Metal},
 	)
 	e.FrontHalfOnly = false
-	sc := &sim.MultiScenario{
-		Env: e,
-		GNBs: []env.Pose{
-			{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},
-			{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi},
-		},
-		UE:       motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}},
-		Duration: 1.0,
-		Num:      nr.Mu3(),
-		TxArray:  antenna.NewULA(8, 28e9),
-		MaxPaths: 3,
+	ue := motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}}
+	tx := antenna.NewULA(8, 28e9)
+	var scs []*sim.Scenario
+	for _, gnb := range []env.Pose{
+		{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},
+		{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi},
+	} {
+		scs = append(scs, &sim.Scenario{
+			Env:      e,
+			GNB:      gnb,
+			UE:       ue,
+			Duration: 1.0,
+			Num:      nr.Mu3(),
+			TxArray:  tx,
+			MaxPaths: 3,
+		})
 	}
-	// Block every path of gNB 0 (path indices 0..MaxPaths−1) for 400 ms.
-	for k := 0; k < sc.MaxPaths; k++ {
-		sc.Blockage = append(sc.Blockage, events.Event{
+	// Block every path of gNB 0 for 400 ms.
+	for k := 0; k < scs[0].MaxPaths; k++ {
+		scs[0].Blockage = append(scs[0].Blockage, events.Event{
 			PathIndex: k, Start: 0.3, Duration: 0.4, DepthDB: 45,
 			RampTime: events.RampFor(45),
 		})
 	}
-	return sc
+	return scs
 }
 
 func main() {
@@ -66,11 +73,11 @@ func main() {
 	}
 
 	runner := sim.Runner{}
-	outH, err := runner.RunMulti(scenario(), ctrl)
+	outH, err := runner.RunMulti(scenarios(), ctrl)
 	if err != nil {
 		panic(err)
 	}
-	outP, err := runner.RunMulti(scenario(), sim.Pinned{Scheme: pinnedMgr, GNB: 0})
+	outP, err := runner.RunMulti(scenarios(), sim.Pinned{Scheme: pinnedMgr, GNB: 0})
 	if err != nil {
 		panic(err)
 	}

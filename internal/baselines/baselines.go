@@ -42,12 +42,14 @@ type Common struct {
 	offsets []float64
 	opt     Options
 
-	w              cmx.Vector
-	wbRe, wbIm     []float64  // planar wideband-response scratch for snr()
-	csi            cmx.Vector // probe scratch for scanUE
-	trainRemaining int
-	onTrainDone    func(t float64, m *channel.Model)
-	badSlots       int // consecutive below-threshold data slots
+	w               cmx.Vector
+	txLin, noiseLin float64    // hoisted budget.SNRTerms()
+	wbRe, wbIm      []float64  // planar wideband-response scratch for snr()
+	csi             cmx.Vector // probe scratch for scanUE
+	sweep           nr.SweepScratch
+	trainRemaining  int
+	onTrainDone     func(t float64, m *channel.Model)
+	badSlots        int // consecutive below-threshold data slots
 
 	// Directional-UE state (nil for a quasi-omni UE).
 	ueArr *antenna.ULA
@@ -91,7 +93,7 @@ func newCommon(name string, u *antenna.ULA, budget link.Budget, num nr.Numerolog
 		return nil, err
 	}
 	scan := dsp.Rad(opt.ScanRangeDeg)
-	return &Common{
+	c := &Common{
 		name:    name,
 		u:       u,
 		budget:  budget,
@@ -103,7 +105,9 @@ func newCommon(name string, u *antenna.ULA, budget link.Budget, num nr.Numerolog
 		wbRe:    make([]float64, opt.NumSC),
 		wbIm:    make([]float64, opt.NumSC),
 		csi:     make(cmx.Vector, opt.NumSC),
-	}, nil
+	}
+	c.txLin, c.noiseLin = budget.SNRTerms()
+	return c, nil
 }
 
 // ssbWaitSlots returns the slots to wait from time t until the next SSB
@@ -178,7 +182,7 @@ func (c *Common) snr(m *channel.Model) float64 {
 		return math.Inf(-1)
 	}
 	m.EffectiveWidebandSplitInto(c.w, c.offsets, c.wbRe, c.wbIm)
-	return c.budget.WidebandSNRdBSplit(c.wbRe, c.wbIm)
+	return link.WidebandSNRdBSplitTerms(c.wbRe, c.wbIm, c.txLin, c.noiseLin)
 }
 
 func (c *Common) slotsFor(airTime float64) int {
@@ -258,7 +262,7 @@ func (b *SingleBeamReactive) beginTrain(t float64) {
 			b.scanUE(m, b.w)
 			return
 		}
-		res := nr.Sweep(b.sounder, m, b.cb, 1, 1, 30)
+		res := nr.SweepInto(b.sounder, m, b.cb, 1, 1, 30, &b.sweep)
 		if len(res.Peaks) == 0 {
 			b.w = nil
 			return
@@ -309,12 +313,14 @@ func (b *BeamSpy) beginTrain(t0 float64) {
 	b.Retrains++
 	slots := b.ssbWaitSlots(t0) + b.slotsFor(float64(b.cb.Len())*b.num.SSBDuration()) + b.ueScanSlots()
 	b.beginOp(slots, func(t float64, m *channel.Model) {
-		res := nr.Sweep(b.sounder, m, b.cb, 3, 4, 10)
+		res := nr.SweepInto(b.sounder, m, b.cb, 3, 4, 10, &b.sweep)
 		if len(res.Peaks) == 0 {
 			b.w = nil
 			b.profile = nil
 			return
 		}
+		// Peaks lives in the sweep scratch until the next sweep, which
+		// replaces the profile anyway.
 		b.profile = res.Peaks
 		b.current = 0
 		b.w = b.u.SingleBeam(b.cb.Angles[b.profile[0]])
@@ -374,7 +380,7 @@ func (b *WideBeam) beginTrain(t0 float64) {
 	b.Retrains++
 	slots := b.ssbWaitSlots(t0) + b.slotsFor(float64(b.cb.Len())*b.num.SSBDuration()) + b.ueScanSlots()
 	b.beginOp(slots, func(t float64, m *channel.Model) {
-		res := nr.Sweep(b.sounder, m, b.cb, 1, 1, 30)
+		res := nr.SweepInto(b.sounder, m, b.cb, 1, 1, 30, &b.sweep)
 		if len(res.Peaks) == 0 {
 			b.w = nil
 			return
@@ -407,21 +413,24 @@ func (b *WideBeam) Step(t float64, m *channel.Model) sim.Slot {
 // every slot with zero training overhead — an unattainable upper bound that
 // calibrates how close the 2- and 3-beam multi-beams come (Fig. 15d).
 type Oracle struct {
-	name       string
-	budget     link.Budget
-	offsets    []float64
-	wbRe, wbIm []float64 // planar wideband-response scratch
+	name            string
+	budget          link.Budget
+	txLin, noiseLin float64 // hoisted budget.SNRTerms()
+	offsets         []float64
+	wbRe, wbIm      []float64 // planar wideband-response scratch
 }
 
 // NewOracle builds the oracle scheme.
 func NewOracle(budget link.Budget, numSC int) *Oracle {
-	return &Oracle{
+	o := &Oracle{
 		name:    "oracle",
 		budget:  budget,
 		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, numSC),
 		wbRe:    make([]float64, numSC),
 		wbIm:    make([]float64, numSC),
 	}
+	o.txLin, o.noiseLin = budget.SNRTerms()
+	return o
 }
 
 // Name implements sim.Scheme.
@@ -451,7 +460,7 @@ func (o *Oracle) Step(t float64, m *channel.Model) sim.Slot {
 	best := math.Inf(-1)
 	for _, w := range cands {
 		m.EffectiveWidebandSplitInto(w, o.offsets, o.wbRe, o.wbIm)
-		if snr := o.budget.WidebandSNRdBSplit(o.wbRe, o.wbIm); snr > best {
+		if snr := link.WidebandSNRdBSplitTerms(o.wbRe, o.wbIm, o.txLin, o.noiseLin); snr > best {
 			best = snr
 		}
 	}

@@ -13,6 +13,7 @@ import (
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
+	"mmreliable/internal/cmx"
 	"mmreliable/internal/core/manager"
 	"mmreliable/internal/dsp"
 	"mmreliable/internal/link"
@@ -56,6 +57,7 @@ type Controller struct {
 	mgrs    []*manager.Manager
 	sounder *nr.Sounder
 	cb      *antenna.Codebook
+	csi     cmx.Vector // evaluation-sweep probe scratch
 
 	serving        int
 	badSlots       int
@@ -92,6 +94,7 @@ func New(name string, n int, u *antenna.ULA, budget link.Budget, num nr.Numerolo
 		return nil, err
 	}
 	c.sounder = s
+	c.csi = make(cmx.Vector, s.NumSC)
 	scan := dsp.Rad(cfg.Manager.ScanRangeDeg)
 	c.cb = antenna.DFTCodebook(u, cfg.EvalBeams, -scan, scan)
 	return c, nil
@@ -156,7 +159,7 @@ func (c *Controller) evaluate(ms []*channel.Model) {
 	for g := range c.mgrs {
 		rss := 0.0
 		for _, w := range c.cb.Weights {
-			if r := nr.RSS(c.sounder.Probe(ms[g], w)); r > rss {
+			if r := nr.RSS(c.sounder.ProbeInto(ms[g], w, c.csi)); r > rss {
 				rss = r
 			}
 		}

@@ -16,36 +16,40 @@ import (
 )
 
 // twoGNBScenario builds an open area with two gNBs on opposite sides of the
-// UE, plus a reflector near each so both cells support multi-beams.
-func twoGNBScenario(blockA bool) *sim.MultiScenario {
+// UE, plus a reflector near each so both cells support multi-beams: one
+// Scenario per gNB over the same room, UE and array.
+func twoGNBScenario(blockA bool) []*sim.Scenario {
 	e := env.NewEnvironment(env.Band28GHz(),
 		env.Wall{Seg: env.Segment{A: env.Vec2{X: -5, Y: 4}, B: env.Vec2{X: 25, Y: 4}}, Mat: env.Metal},
 	)
 	e.FrontHalfOnly = false // gNBs face opposite directions; keep it simple
-	sc := &sim.MultiScenario{
-		Env: e,
-		GNBs: []env.Pose{
-			{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},        // gNB A, west
-			{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi}, // gNB B, east
-		},
-		UE:       motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}},
-		Duration: 1.0,
-		Num:      nr.Mu3(),
-		TxArray:  antenna.NewULA(8, 28e9),
-		MaxPaths: 3,
+	ue := motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}}
+	tx := antenna.NewULA(8, 28e9)
+	var scs []*sim.Scenario
+	for _, gnb := range []env.Pose{
+		{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},        // gNB A, west
+		{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi}, // gNB B, east
+	} {
+		scs = append(scs, &sim.Scenario{
+			Env:      e,
+			GNB:      gnb,
+			UE:       ue,
+			Duration: 1.0,
+			Num:      nr.Mu3(),
+			TxArray:  tx,
+			MaxPaths: 3,
+		})
 	}
 	if blockA {
-		// Everything from gNB A dies for 400 ms mid-run: an AllPaths event
-		// would also hit gNB B, so block gNB A's paths individually
-		// (indices 0..MaxPaths-1 address gNB 0's paths).
-		for k := 0; k < sc.MaxPaths; k++ {
-			sc.Blockage = append(sc.Blockage, events.Event{
+		// Everything from gNB A dies for 400 ms mid-run.
+		for k := 0; k < scs[0].MaxPaths; k++ {
+			scs[0].Blockage = append(scs[0].Blockage, events.Event{
 				PathIndex: k, Start: 0.3, Duration: 0.4, DepthDB: 45,
 				RampTime: events.RampFor(45),
 			})
 		}
 	}
-	return sc
+	return scs
 }
 
 func newController(t *testing.T, n int, seed int64) *Controller {
@@ -122,9 +126,8 @@ func TestHandoverOnServingCellDeath(t *testing.T) {
 func TestEvaluationHysteresis(t *testing.T) {
 	// With a single gNB there is never anything to evaluate.
 	c := newController(t, 1, 4)
-	sc := twoGNBScenario(true)
-	sc.GNBs = sc.GNBs[:1]
-	if _, err := (sim.Runner{}).RunMulti(sc, c); err != nil {
+	scs := twoGNBScenario(true)[:1]
+	if _, err := (sim.Runner{}).RunMulti(scs, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Evaluations != 0 || c.Handovers != 0 {
@@ -150,19 +153,30 @@ func TestPinnedAdapter(t *testing.T) {
 	}
 }
 
+// TestMultiScenarioValidation: a multi-gNB world is a slice of per-gNB
+// scenarios on one slot grid. RunMulti refuses an empty world, gNBs on
+// different slot grids and an empty scheme list; an uncapped path count
+// (MaxPaths = 0) is fine, since each gNB's blockage schedule addresses its
+// own paths.
 func TestMultiScenarioValidation(t *testing.T) {
-	sc := twoGNBScenario(false)
-	sc.MaxPaths = 0
-	if _, err := (sim.Runner{}).RunMulti(sc, newController(t, 2, 6)); err == nil {
-		t.Fatal("MaxPaths=0 should fail for multi scenarios")
-	}
-	sc2 := twoGNBScenario(false)
-	sc2.GNBs = nil
-	if _, err := (sim.Runner{}).RunMulti(sc2, newController(t, 2, 7)); err == nil {
+	if _, err := (sim.Runner{}).RunMulti(nil, newController(t, 2, 6)); err == nil {
 		t.Fatal("no gNBs should fail")
+	}
+	scs := twoGNBScenario(false)
+	scs[1].Duration = 0.5
+	if _, err := (sim.Runner{}).RunMulti(scs, newController(t, 2, 7)); err == nil {
+		t.Fatal("gNBs on different slot grids should fail")
 	}
 	if _, err := (sim.Runner{}).RunMulti(twoGNBScenario(false)); err == nil {
 		t.Fatal("no schemes should fail")
+	}
+	scs = twoGNBScenario(true)
+	for _, sc := range scs {
+		sc.MaxPaths = 0
+		sc.Duration = 0.05
+	}
+	if _, err := (sim.Runner{}).RunMulti(scs, newController(t, 2, 6)); err != nil {
+		t.Fatalf("uncapped path count refused: %v", err)
 	}
 }
 
@@ -171,10 +185,12 @@ func TestMultiScenarioValidation(t *testing.T) {
 // evaluation, let alone hand over.
 func TestEmptyScheduleKeepsServingCell(t *testing.T) {
 	c := newController(t, 2, 8)
-	sc := twoGNBScenario(false)
-	sc.Blockage = events.Schedule{}
-	sc.Duration = 0.4
-	out, err := (sim.Runner{}).RunMulti(sc, c)
+	scs := twoGNBScenario(false)
+	for _, sc := range scs {
+		sc.Blockage = events.Schedule{}
+		sc.Duration = 0.4
+	}
+	out, err := (sim.Runner{}).RunMulti(scs, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,9 +207,9 @@ func TestEmptyScheduleKeepsServingCell(t *testing.T) {
 // link above the outage threshold; only the summed overlap window kills
 // the cell — the handover must fire off the combined loss.
 func TestOverlappingBlockageTriggersHandover(t *testing.T) {
-	sc := twoGNBScenario(false)
-	for k := 0; k < sc.MaxPaths; k++ {
-		sc.Blockage = append(sc.Blockage,
+	scs := twoGNBScenario(false)
+	for k := 0; k < scs[0].MaxPaths; k++ {
+		scs[0].Blockage = append(scs[0].Blockage,
 			events.Event{PathIndex: k, Start: 0.25, Duration: 0.35, DepthDB: 14,
 				RampTime: events.RampFor(14)},
 			events.Event{PathIndex: k, Start: 0.35, Duration: 0.45, DepthDB: 31,
@@ -201,7 +217,7 @@ func TestOverlappingBlockageTriggersHandover(t *testing.T) {
 		)
 	}
 	c := newController(t, 2, 9)
-	if _, err := (sim.Runner{}).RunMulti(sc, c); err != nil {
+	if _, err := (sim.Runner{}).RunMulti(scs, c); err != nil {
 		t.Fatal(err)
 	}
 	if c.Handovers == 0 {
@@ -212,20 +228,22 @@ func TestOverlappingBlockageTriggersHandover(t *testing.T) {
 	}
 }
 
-// TestBlockageIndexPastConcatenatedPaths: a path index at or beyond
-// nGNBs·MaxPaths addresses nothing in the concatenated per-gNB path list —
-// the event must be dropped silently, not wrap around onto some cell.
+// TestBlockageIndexPastConcatenatedPaths: a path index at or beyond a
+// gNB's MaxPaths addresses nothing in that gNB's path list — the event must
+// be dropped silently, not wrap around onto some path or some other cell.
 func TestBlockageIndexPastConcatenatedPaths(t *testing.T) {
-	sc := twoGNBScenario(false)
-	sc.Duration = 0.4
-	for _, idx := range []int{2 * sc.MaxPaths, 2*sc.MaxPaths + 5, 1000} {
-		sc.Blockage = append(sc.Blockage, events.Event{
+	scs := twoGNBScenario(false)
+	for _, sc := range scs {
+		sc.Duration = 0.4
+	}
+	for _, idx := range []int{scs[0].MaxPaths, scs[0].MaxPaths + 5, 1000} {
+		scs[0].Blockage = append(scs[0].Blockage, events.Event{
 			PathIndex: idx, Start: 0.1, Duration: 0.25, DepthDB: 50,
 			RampTime: events.RampFor(50),
 		})
 	}
 	c := newController(t, 2, 10)
-	out, err := (sim.Runner{}).RunMulti(sc, c)
+	out, err := (sim.Runner{}).RunMulti(scs, c)
 	if err != nil {
 		t.Fatal(err)
 	}

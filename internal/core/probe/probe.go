@@ -54,13 +54,9 @@ type Result struct {
 	Probes int
 }
 
-// Beams converts the result into a constructive multi-beam lobe list.
-func (r Result) Beams(angles []float64) ([]multibeam.Beam, error) {
-	return r.BeamsInto(angles, nil)
-}
-
-// BeamsInto is Beams appending into dst's storage (dst may be nil), so a
-// caller that keeps a lobe buffer across rounds stays off the allocator.
+// BeamsInto converts the result into a constructive multi-beam lobe list,
+// appending into dst's storage (dst may be nil), so a caller that keeps a
+// lobe buffer across rounds stays off the allocator.
 func (r Result) BeamsInto(angles []float64, dst []multibeam.Beam) ([]multibeam.Beam, error) {
 	if len(angles) != len(r.Relative)+1 {
 		return nil, fmt.Errorf("probe: %d angles vs %d relative estimates", len(angles), len(r.Relative))

@@ -196,7 +196,7 @@ func TestEstimateMultiBeamProbeCountAndQuality(t *testing.T) {
 		t.Fatalf("per-beam powers %v not ordered", res.PerBeamPower)
 	}
 	// The synthesized multi-beam must clearly beat the single beam.
-	beams, err := res.Beams(angles)
+	beams, err := res.BeamsInto(angles, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,10 +225,10 @@ func TestEstimateMultiBeamErrors(t *testing.T) {
 
 func TestBeamsShapeValidation(t *testing.T) {
 	r := Result{Relative: []Estimate{{Delta: 0.5}}}
-	if _, err := r.Beams([]float64{0}); err == nil {
+	if _, err := r.BeamsInto([]float64{0}, nil); err == nil {
 		t.Fatal("angle/estimate mismatch should fail")
 	}
-	beams, err := r.Beams([]float64{0, 0.5})
+	beams, err := r.BeamsInto([]float64{0, 0.5}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -359,24 +359,29 @@ func ExtensionHandover(cfg Config) *stats.Table {
 		env.Wall{Seg: env.Segment{A: env.Vec2{X: -5, Y: 4}, B: env.Vec2{X: 25, Y: 4}}, Mat: env.Metal},
 	)
 	e.FrontHalfOnly = false
-	mk := func() *sim.MultiScenario {
-		sc := &sim.MultiScenario{
-			Env: e,
-			GNBs: []env.Pose{
-				{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},
-				{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi},
-			},
-			UE:       motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}},
-			Duration: 1.0, Num: nr.Mu3(),
-			TxArray: antenna.NewULA(8, 28e9), MaxPaths: 3,
+	// One Scenario per gNB over the same room, UE and array; gNB 0's three
+	// paths black out for 400 ms mid-run.
+	mk := func() []*sim.Scenario {
+		ue := motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}}
+		tx := antenna.NewULA(8, 28e9)
+		var scs []*sim.Scenario
+		for _, gnb := range []env.Pose{
+			{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},
+			{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi},
+		} {
+			scs = append(scs, &sim.Scenario{
+				Env: e, GNB: gnb, UE: ue,
+				Duration: 1.0, Num: nr.Mu3(),
+				TxArray: tx, MaxPaths: 3,
+			})
 		}
-		for k := 0; k < sc.MaxPaths; k++ {
-			sc.Blockage = append(sc.Blockage, events.Event{
+		for k := 0; k < scs[0].MaxPaths; k++ {
+			scs[0].Blockage = append(scs[0].Blockage, events.Event{
 				PathIndex: k, Start: 0.3, Duration: 0.4, DepthDB: 45,
 				RampTime: events.RampFor(45),
 			})
 		}
-		return sc
+		return scs
 	}
 	budget := sim.IndoorBudget()
 	type outcome struct {

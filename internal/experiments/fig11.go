@@ -86,8 +86,8 @@ func Fig11bTwoSinc(cfg Config) *stats.Table {
 		panic(err)
 	}
 	// Reconstruct the two components on the aligned grid.
-	k0 := s.DelayKernel(res.BaseDelay).Scaled(res.Amp[0])
-	k1 := s.DelayKernel(res.BaseDelay + excess).Scaled(res.Amp[1])
+	k0 := s.DelayKernelInto(res.BaseDelay, nil).Scaled(res.Amp[0])
+	k1 := s.DelayKernelInto(res.BaseDelay+excess, nil).Scaled(res.Amp[1])
 
 	t := stats.NewTable("Fig 11b — two-sinc decomposition of the measured CIR",
 		"tap", "sinc0_mag", "sinc1_mag", "combined_mag")

@@ -18,7 +18,7 @@ func TestDelayKernelEqualsIFFT(t *testing.T) {
 	offs := s.SubcarrierOffsets()
 	for _, tauNs := range []float64{0, 0.3, 2.5, 7.31, 40, -3.2, 200} {
 		tau := tauNs * 1e-9
-		got := s.DelayKernel(tau)
+		got := s.DelayKernelInto(tau, nil)
 		want := make(cmx.Vector, s.NumSC)
 		for k, f := range offs {
 			want[k] = cmplx.Exp(complex(0, -2*math.Pi*f*tau))
@@ -38,7 +38,7 @@ func TestDelayKernelUnitEnergy(t *testing.T) {
 	s := testSounder(t, 0, Impairments{})
 	want := 1.0
 	for _, tauNs := range []float64{0, 1.1, 13.7} {
-		e := s.DelayKernel(tauNs * 1e-9).Norm2()
+		e := s.DelayKernelInto(tauNs*1e-9, nil).Norm2()
 		if math.Abs(e-want) > 1e-12 {
 			t.Fatalf("tau=%g ns: kernel energy %g want %g", tauNs, e, want)
 		}
@@ -55,8 +55,8 @@ func TestDelayKernelShiftInvariantGram(t *testing.T) {
 		d1 := rng.Float64() * 20e-9
 		d2 := rng.Float64() * 20e-9
 		shift := (rng.Float64() - 0.5) * 10e-9
-		a := s.DelayKernel(d1).Hdot(s.DelayKernel(d2))
-		b := s.DelayKernel(d1 + shift).Hdot(s.DelayKernel(d2 + shift))
+		a := s.DelayKernelInto(d1, nil).Hdot(s.DelayKernelInto(d2, nil))
+		b := s.DelayKernelInto(d1+shift, nil).Hdot(s.DelayKernelInto(d2+shift, nil))
 		if cmplx.Abs(a-b) > 1e-9 {
 			t.Fatalf("Gram not shift-invariant: %v vs %v (shift %g ns)", a, b, shift*1e9)
 		}

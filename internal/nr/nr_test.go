@@ -204,7 +204,7 @@ func TestDelayKernelMatchesChannel(t *testing.T) {
 	})
 	w := m.Tx.SingleBeam(0)
 	cir := s.CIR(s.Probe(m, w))
-	kern := s.DelayKernel(tau)
+	kern := s.DelayKernelInto(tau, nil)
 	// cir = α·kern for a single complex α: check collinearity.
 	alpha := kern.Hdot(cir)
 	alpha /= complex(kern.Norm2(), 0)
@@ -218,7 +218,7 @@ func TestSweepFindsBothPaths(t *testing.T) {
 	m := testChannel()
 	u := m.Tx
 	cb := antenna.DFTCodebook(u, 33, dsp.Rad(-60), dsp.Rad(60))
-	res := Sweep(s, m, cb, 3, 4, 20)
+	res := SweepInto(s, m, cb, 3, 4, 20, &SweepScratch{})
 	if res.NumProbe != 33 {
 		t.Fatalf("probes %d", res.NumProbe)
 	}
@@ -228,7 +228,7 @@ func TestSweepFindsBothPaths(t *testing.T) {
 	if len(res.Peaks) < 2 {
 		t.Fatalf("found %d peaks, want ≥ 2", len(res.Peaks))
 	}
-	angles := res.Angles(cb)
+	angles := res.AnglesInto(cb, nil)
 	// Strongest peak near 0°, second near 30°.
 	if math.Abs(dsp.Deg(angles[0])) > 5 {
 		t.Fatalf("first peak at %g°", dsp.Deg(angles[0]))

@@ -103,12 +103,13 @@ func TestProbeIntoAllocs(t *testing.T) {
 	}
 }
 
-// TestDelayKernelIntoMatches pins the scratch variant to the allocating one.
+// TestDelayKernelIntoMatches pins a reused scratch column (written by the
+// previous delay) to a freshly allocated one.
 func TestDelayKernelIntoMatches(t *testing.T) {
 	s := testSounder(t, 0, Impairments{})
 	dst := make(cmx.Vector, s.NumSC)
 	for _, tau := range []float64{0, 1.3e-9, 12e-9, -4e-9, 157e-9} {
-		a := s.DelayKernel(tau)
+		a := s.DelayKernelInto(tau, nil)
 		b := s.DelayKernelInto(tau, dst)
 		for k := range a {
 			if a[k] != b[k] {

@@ -230,19 +230,14 @@ func (s *Sounder) CIRInto(csi, dst cmx.Vector) cmx.Vector {
 // paper's "system resolution" (2.5 ns at 400 MHz).
 func (s *Sounder) SampleSpacing() float64 { return 1 / s.BandwidthHz }
 
-// DelayKernel returns the CIR signature of a unit-amplitude path at delay
-// tau: the inverse FFT of its baseband frequency response over this
-// sounder's subcarriers. Super-resolution (Eq. 23) uses these as dictionary
-// columns so the model matches the measurement transform exactly; for
-// delays well inside the CIR span the magnitude approaches
-// |sinc(B(nTs − τ))| (Eq. 22).
-func (s *Sounder) DelayKernel(tau float64) cmx.Vector {
-	return s.DelayKernelInto(tau, make(cmx.Vector, s.NumSC))
-}
-
-// DelayKernelInto is DelayKernel writing into dst (allocated when nil), so
-// a caller that evaluates many delays — building a super-resolution
-// dictionary, say — can run on one reused scratch column.
+// DelayKernelInto writes into dst (allocated when nil) the CIR signature of
+// a unit-amplitude path at delay tau: the inverse FFT of its baseband
+// frequency response over this sounder's subcarriers. Super-resolution
+// (Eq. 23) uses these as dictionary columns so the model matches the
+// measurement transform exactly; for delays well inside the CIR span the
+// magnitude approaches |sinc(B(nTs − τ))| (Eq. 22). A caller that evaluates
+// many delays — building a super-resolution dictionary, say — can run on
+// one reused scratch column.
 func (s *Sounder) DelayKernelInto(tau float64, dst cmx.Vector) cmx.Vector {
 	// Closed form of IFFT_n{e^{−j2πf_k τ}} over the centered subcarrier
 	// grid f_k = −B/2 + (k+½)B/N: a geometric series whose ratio at output

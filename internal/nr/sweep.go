@@ -16,28 +16,13 @@ type SweepResult struct {
 	NumProbe int       // probes issued
 }
 
-// Angles returns the nominal angle of each selected peak.
-func (r SweepResult) Angles(cb *antenna.Codebook) []float64 {
-	return r.AnglesInto(cb, make([]float64, 0, len(r.Peaks)))
-}
-
 // AnglesInto appends the nominal angle of each selected peak to dst and
-// returns it — the allocation-free form of Angles.
+// returns it.
 func (r SweepResult) AnglesInto(cb *antenna.Codebook, dst []float64) []float64 {
 	for _, p := range r.Peaks {
 		dst = append(dst, cb.Angles[p])
 	}
 	return dst
-}
-
-// Sweep performs an exhaustive SSB sweep over the codebook, measuring RSS
-// with each beam, and selects up to maxBeams viable directions: local RSS
-// peaks separated by at least minSepIdx codebook entries and within
-// dynRangeDB of the strongest. This is the paper's "any standard beam
-// training" building block (Fig. 2).
-func Sweep(s *Sounder, m *channel.Model, cb *antenna.Codebook, maxBeams, minSepIdx int, dynRangeDB float64) SweepResult {
-	var sc SweepScratch
-	return SweepInto(s, m, cb, maxBeams, minSepIdx, dynRangeDB, &sc)
 }
 
 // SweepScratch holds the reusable storage one SweepInto call needs: the RSS
@@ -53,9 +38,12 @@ type SweepScratch struct {
 	csi   cmx.Vector
 }
 
-// SweepInto is Sweep drawing every buffer from sc. Probing order, peak
-// selection, and result ordering are identical to Sweep; only the storage
-// differs, so the two are interchangeable under the determinism contract.
+// SweepInto performs an exhaustive SSB sweep over the codebook, measuring
+// RSS with each beam, and selects up to maxBeams viable directions: local
+// RSS peaks separated by at least minSepIdx codebook entries and within
+// dynRangeDB of the strongest (see SelectPeaks). This is the paper's "any
+// standard beam training" building block (Fig. 2). Every buffer, the
+// returned RSS and Peaks included, is drawn from sc.
 func SweepInto(s *Sounder, m *channel.Model, cb *antenna.Codebook, maxBeams, minSepIdx int, dynRangeDB float64, sc *SweepScratch) SweepResult {
 	n := cb.Len()
 	if cap(sc.rss) < n {

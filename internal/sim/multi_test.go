@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"mmreliable/internal/antenna"
@@ -12,85 +14,31 @@ import (
 	"mmreliable/internal/nr"
 )
 
-func multiScenario() *MultiScenario {
+// twoGNBWorld returns one Scenario per gNB over a shared room, UE and
+// array: gNB 0 at 8 m from the UE, gNB 1 at 12 m.
+func twoGNBWorld(duration float64) []*Scenario {
 	e := env.NewEnvironment(env.Band28GHz(),
 		env.Wall{Seg: env.Segment{A: env.Vec2{X: -5, Y: 4}, B: env.Vec2{X: 25, Y: 4}}, Mat: env.Metal},
 	)
 	e.FrontHalfOnly = false
-	return &MultiScenario{
-		Env: e,
-		GNBs: []env.Pose{
-			{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},
-			{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi},
-		},
-		UE:       motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}},
-		Duration: 0.05,
-		Num:      nr.Mu3(),
-		TxArray:  antenna.NewULA(8, 28e9),
-		MaxPaths: 3,
+	ue := motion.Static{Pose: env.Pose{Pos: env.Vec2{X: 8, Y: 0.5}, Facing: 0}}
+	tx := antenna.NewULA(8, 28e9)
+	var scs []*Scenario
+	for _, gnb := range []env.Pose{
+		{Pos: env.Vec2{X: 0, Y: 0}, Facing: 0},
+		{Pos: env.Vec2{X: 20, Y: 0}, Facing: math.Pi},
+	} {
+		scs = append(scs, &Scenario{
+			Env: e, GNB: gnb, UE: ue,
+			Duration: duration, Num: nr.Mu3(),
+			TxArray: tx, MaxPaths: 3,
+		})
 	}
+	return scs
 }
 
-func TestChannelsAtPerGNB(t *testing.T) {
-	sc := multiScenario()
-	ms := sc.ChannelsAt(0)
-	if len(ms) != 2 {
-		t.Fatalf("channels %d", len(ms))
-	}
-	// Different gNB positions → different LOS delays.
-	d0 := ms[0].Paths[0].Delay
-	d1 := ms[1].Paths[0].Delay
-	if math.Abs(d0-d1) < 1e-12 {
-		t.Fatal("both gNBs produced identical delays")
-	}
-	// gNB 0 at 8 m, gNB 1 at 12 m.
-	if d0 >= d1 {
-		t.Fatalf("gNB0 delay %g should be shorter than gNB1 %g", d0, d1)
-	}
-}
-
-// TestMultiBlockageAddressing: event PathIndex g·MaxPaths+k must hit gNB
-// g's path k only.
-func TestMultiBlockageAddressing(t *testing.T) {
-	sc := multiScenario()
-	sc.Blockage = events.Schedule{
-		{PathIndex: 0, Start: 0, Duration: 1, DepthDB: 30, RampTime: 1e-4},                 // gNB 0, path 0
-		{PathIndex: sc.MaxPaths + 1, Start: 0, Duration: 1, DepthDB: 20, RampTime: 1e-4},   // gNB 1, path 1
-		{PathIndex: 2*sc.MaxPaths + 2, Start: 0, Duration: 1, DepthDB: 10, RampTime: 1e-4}, // out of range: nobody
-	}
-	ms := sc.ChannelsAt(0.01)
-	if ms[0].Paths[0].ExtraLossDB < 29 {
-		t.Fatalf("gNB0 path0 not blocked: %g", ms[0].Paths[0].ExtraLossDB)
-	}
-	for k := 1; k < len(ms[0].Paths); k++ {
-		if ms[0].Paths[k].ExtraLossDB != 0 {
-			t.Fatalf("gNB0 path%d wrongly blocked", k)
-		}
-	}
-	if len(ms[1].Paths) > 1 && ms[1].Paths[1].ExtraLossDB < 19 {
-		t.Fatalf("gNB1 path1 not blocked: %g", ms[1].Paths[1].ExtraLossDB)
-	}
-	if ms[1].Paths[0].ExtraLossDB != 0 {
-		t.Fatal("gNB1 path0 wrongly blocked")
-	}
-}
-
-// TestMultiAllPathsEventHitsEveryGNB: an AllPaths event is a body block —
-// it occludes every path of every cell.
-func TestMultiAllPathsEventHitsEveryGNB(t *testing.T) {
-	sc := multiScenario()
-	sc.Blockage = events.Schedule{{AllPaths: true, Start: 0, Duration: 1, DepthDB: 40, RampTime: 1e-4}}
-	ms := sc.ChannelsAt(0.01)
-	for g := range ms {
-		for k := range ms[g].Paths {
-			if ms[g].Paths[k].ExtraLossDB < 39 {
-				t.Fatalf("gNB%d path%d not body-blocked: %g", g, k, ms[g].Paths[k].ExtraLossDB)
-			}
-		}
-	}
-}
-
-// recorder captures the channels handed to a MultiScheme.
+// recorder counts the slots handed to a MultiScheme and checks each slot
+// carries one channel per gNB, gNB 0's LOS path shorter than gNB 1's.
 type recorder struct {
 	calls int
 }
@@ -101,13 +49,15 @@ func (r *recorder) StepMulti(t float64, ms []*channel.Model) Slot {
 	if len(ms) != 2 {
 		panic("wrong gNB count")
 	}
+	if ms[0].Paths[0].Delay >= ms[1].Paths[0].Delay {
+		panic("gNB 0 (8 m) delay not shorter than gNB 1 (12 m)")
+	}
 	return Slot{SNRdB: 20, ThroughputBps: 1e9}
 }
 
 func TestRunMultiDrivesScheme(t *testing.T) {
-	sc := multiScenario()
 	r := &recorder{}
-	out, err := (Runner{}).RunMulti(sc, r)
+	out, err := (Runner{}).RunMulti(twoGNBWorld(0.05), r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,51 +70,118 @@ func TestRunMultiDrivesScheme(t *testing.T) {
 	}
 }
 
-// TestMultiScenarioStaleCacheGuard: mutating a MultiScenario after its
-// sub-scenarios are cached must trip the guard instead of silently serving
-// channels built from the old configuration; Reset() rebuilds legitimately.
-func TestMultiScenarioStaleCacheGuard(t *testing.T) {
-	sc := multiScenario()
-	sc.ChannelsAt(0) // build the per-gNB cache
-
-	// Mutation without Reset: panic.
-	sc.Blockage = events.Schedule{{PathIndex: 0, Start: 0, Duration: 1, DepthDB: 30, RampTime: 1e-4}}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("ChannelsAt served channels from a stale cache without panicking")
-			}
-		}()
-		sc.ChannelsAt(0.01)
-	}()
-
-	// Reset then re-query: the new blockage takes effect.
-	sc.Reset()
-	ms := sc.ChannelsAt(0.01)
-	if ms[0].Paths[0].ExtraLossDB < 29 {
-		t.Fatalf("post-Reset blockage not applied: %g dB", ms[0].Paths[0].ExtraLossDB)
+// TestRunMultiPerGNBBlockage: each scenario's blockage schedule addresses
+// its own gNB's initial path ranks and nobody else's.
+func TestRunMultiPerGNBBlockage(t *testing.T) {
+	scs := twoGNBWorld(0.02)
+	scs[0].Blockage = events.Schedule{{PathIndex: 0, Start: 0, Duration: 1, DepthDB: 30, RampTime: 1e-4}}
+	scs[1].Blockage = events.Schedule{{PathIndex: 1, Start: 0, Duration: 1, DepthDB: 20, RampTime: 1e-4}}
+	last := make([][]channel.PathState, 2)
+	probe := multiFunc(func(t float64, ms []*channel.Model) Slot {
+		for g, m := range ms {
+			last[g] = append(last[g][:0], m.Paths...)
+		}
+		return Slot{}
+	})
+	if _, err := (Runner{}).RunMulti(scs, probe); err != nil {
+		t.Fatal(err)
 	}
-
-	// Mutating the gNB list is likewise guarded.
-	sc2 := multiScenario()
-	sc2.ChannelsAt(0)
-	sc2.GNBs[1].Pos.X = 30
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("gNB pose mutation not detected")
+	for g, paths := range last {
+		if len(paths) < 2 {
+			t.Fatalf("gNB %d has %d paths, want ≥ 2", g, len(paths))
+		}
+		for k, p := range paths {
+			blocked := k == g // gNB 0's path 0, gNB 1's path 1
+			if blocked != (p.ExtraLossDB > 19) {
+				t.Fatalf("gNB %d path %d: extra loss %g dB, blocked=%v", g, k, p.ExtraLossDB, blocked)
 			}
-		}()
-		sc2.ChannelsAt(0.01)
-	}()
-	sc2.Reset()
-	if got := len(sc2.ChannelsAt(0)); got != 2 {
-		t.Fatalf("post-Reset channels %d", got)
+		}
 	}
+}
 
-	// An unmutated scenario keeps working across calls (no false positives).
-	sc3 := multiScenario()
-	for i := 0; i < 3; i++ {
-		sc3.ChannelsAt(float64(i) * 1e-3)
+// multiFunc adapts a function to MultiScheme.
+type multiFunc func(t float64, ms []*channel.Model) Slot
+
+func (f multiFunc) Name() string                                  { return "func" }
+func (f multiFunc) StepMulti(t float64, ms []*channel.Model) Slot { return f(t, ms) }
+
+// TestRunMultiValidation: RunMulti refuses worlds that are not one slot
+// grid of independent per-gNB scenarios, and empty scheme lists.
+func TestRunMultiValidation(t *testing.T) {
+	ok := multiFunc(func(float64, []*channel.Model) Slot { return Slot{} })
+	cases := []struct {
+		name    string
+		scs     func() []*Scenario
+		schemes []MultiScheme
+		want    string
+	}{
+		{"no scenarios", func() []*Scenario { return nil }, []MultiScheme{ok}, "no scenarios"},
+		{"invalid scenario", func() []*Scenario {
+			scs := twoGNBWorld(0.01)
+			scs[1].UE = nil
+			return scs
+		}, []MultiScheme{ok}, "gNB 1"},
+		{"duration differs", func() []*Scenario {
+			scs := twoGNBWorld(0.01)
+			scs[1].Duration = 0.02
+			return scs
+		}, []MultiScheme{ok}, "slot grid"},
+		{"numerology differs", func() []*Scenario {
+			scs := twoGNBWorld(0.01)
+			scs[1].Num.SCSHz = 60e3
+			return scs
+		}, []MultiScheme{ok}, "slot grid"},
+		{"shared fading", func() []*Scenario {
+			scs := twoGNBWorld(0.01)
+			f := NewFading(1, 0.1, rand.New(rand.NewSource(1)))
+			scs[0].Fading, scs[1].Fading = f, f
+			return scs
+		}, []MultiScheme{ok}, "share one *Fading"},
+		{"no schemes", func() []*Scenario { return twoGNBWorld(0.01) }, nil, "no schemes"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := (Runner{}).RunMulti(tc.scs(), tc.schemes...)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
+			}
+		})
+	}
+	// Separate fading processes per gNB are the supported form.
+	scs := twoGNBWorld(0.01)
+	scs[0].Fading = NewFading(1, 0.1, rand.New(rand.NewSource(1)))
+	scs[1].Fading = NewFading(1, 0.1, rand.New(rand.NewSource(2)))
+	if _, err := (Runner{}).RunMulti(scs, ok); err != nil {
+		t.Fatalf("independent fading refused: %v", err)
+	}
+}
+
+// TestRunAllocsIndependentOfDuration pins the slot loop allocation-free in
+// steady state: on a static two-gNB world with a constant-Slot scheme,
+// RunMulti (and Run, its one-gNB form) makes as many allocations for a
+// 500 ms run as for a 50 ms one.
+func TestRunAllocsIndependentOfDuration(t *testing.T) {
+	allocs := func(duration float64, multi bool) float64 {
+		return testing.AllocsPerRun(3, func() {
+			scs := twoGNBWorld(duration)
+			scs[0].Blockage = events.Schedule{{PathIndex: 0, Start: 0.01, Duration: 0.02, DepthDB: 30, RampTime: 1e-3}}
+			var err error
+			if multi {
+				_, err = (Runner{}).RunMulti(scs,
+					Pinned{Scheme: fixedScheme{"a", Slot{SNRdB: 20}}},
+					Pinned{Scheme: fixedScheme{"b", Slot{SNRdB: 5}}, GNB: 1})
+			} else {
+				_, err = (Runner{}).Run(scs[0], fixedScheme{"a", Slot{SNRdB: 20}})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	for _, multi := range []bool{true, false} {
+		short, long := allocs(0.05, multi), allocs(0.5, multi)
+		if short != long {
+			t.Errorf("multi=%v: %v allocations for 50 ms, %v for 500 ms; the slot loop allocates", multi, short, long)
+		}
 	}
 }

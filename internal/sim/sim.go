@@ -43,7 +43,16 @@ type Scheme interface {
 	Step(t float64, m *channel.Model) Slot
 }
 
-// Scenario describes one end-to-end experiment.
+// MultiScheme is a beam-management policy that sees one channel snapshot
+// per gNB each slot — the contract for handover controllers and
+// joint-transmission schemes (see Runner.RunMulti).
+type MultiScheme interface {
+	Name() string
+	StepMulti(t float64, ms []*channel.Model) Slot
+}
+
+// Scenario describes one end-to-end experiment: one gNB's world. A
+// multi-gNB run is a slice of Scenarios (see Runner.RunMulti).
 type Scenario struct {
 	Env      *env.Environment
 	GNB      env.Pose
@@ -66,7 +75,7 @@ type Scenario struct {
 
 	initialVias map[int]int // wall id → stable path rank (lazily built)
 	nextID      int
-	// traceBuf and idsBuf are the per-slot scratch of ChannelAt/channelInto:
+	// traceBuf and idsBuf are the per-slot scratch of ChannelInto:
 	// the ray tracer appends into traceBuf and the stable-id mapping reuses
 	// idsBuf, so steady-state slot stepping does not touch the allocator.
 	// They make a Scenario single-goroutine; parallel trials each build
@@ -168,28 +177,22 @@ func (sc *Scenario) Validate() error {
 // stable path labeling.
 func (sc *Scenario) ChannelAt(t float64) *channel.Model {
 	m := &channel.Model{}
-	sc.channelInto(t, m)
+	sc.ChannelInto(t, m)
 	return m
 }
 
 // ChannelInto rebuilds m in place as the channel snapshot at time t — the
 // allocation-free variant of ChannelAt for persistent-model slot loops
-// (Runner.Run, the station serving engine). The model should have
-// Reuse = true so path/response storage is recycled across slots.
+// (Runner.RunMulti, the station serving engine). The model should have
+// Reuse = true so path/response storage is recycled across slots. The trace
+// runs ONCE per slot (the stable-id mapping reuses the same paths instead of
+// re-tracing), appending into the scenario's retained trace buffer, and the
+// paths are copied into m's existing capacity; in steady state the slot
+// loop does not touch the allocator.
 //
 // The scenario's per-slot scratch (trace buffer, stable-id map) is reused
 // by every call, so a Scenario must never be shared between goroutines.
 func (sc *Scenario) ChannelInto(t float64, m *channel.Model) {
-	sc.channelInto(t, m)
-}
-
-// channelInto rebuilds m in place as the channel snapshot at time t — the
-// per-slot variant of ChannelAt behind Runner.Run. The trace runs ONCE per
-// slot (the stable-id mapping reuses the same paths instead of re-tracing),
-// appending into the scenario's retained trace buffer, and the paths are
-// copied into m's existing capacity; in steady state the slot loop does not
-// touch the allocator.
-func (sc *Scenario) channelInto(t float64, m *channel.Model) {
 	pose := sc.UE.At(t)
 	posed := sc.traceValid && pose == sc.tracePose
 	if !posed {
@@ -354,43 +357,80 @@ type Runner struct {
 
 // Run replays the scenario against each scheme independently (each scheme
 // sees the same channel realizations) and returns per-scheme results keyed
-// by Scheme.Name.
+// by Scheme.Name. It is RunMulti over the one-gNB world, every scheme
+// pinned to gNB 0.
+func (r Runner) Run(sc *Scenario, schemes ...Scheme) (map[string]Result, error) {
+	multi := make([]MultiScheme, len(schemes))
+	for i, s := range schemes {
+		multi[i] = Pinned{Scheme: s}
+	}
+	return r.RunMulti([]*Scenario{sc}, multi...)
+}
+
+// RunMulti replays a multi-gNB world — one Scenario per gNB, all on one
+// slot grid — against each scheme independently and returns per-scheme
+// results keyed by MultiScheme.Name. Each scenario is a self-contained
+// per-gNB world (its own blockage schedule addressing its own initial path
+// ranks, its own fading process), so the scenarios must share Duration and
+// Num and must not share a *Fading: path ids restart at 0 in every
+// scenario, and a shared process would hand gNB 0's path k and gNB 1's
+// path k the same fade.
 //
-// Each scheme steps on its own persistent model: cloned from the base
-// snapshot on the first slot (so schemes never share mutable state, exactly
-// as the old per-slot Clone guaranteed), then refreshed in place with
+// Each scenario writes one base model per slot. Each scheme steps on its
+// own persistent per-gNB models: cloned from the base on the first slot (so
+// schemes never share mutable state), then refreshed in place with
 // CopyStateFrom and recycled caches (Model.Reuse) every slot after — the
 // slot loop is allocation-free in steady state.
-func (r Runner) Run(sc *Scenario, schemes ...Scheme) (map[string]Result, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
+func (r Runner) RunMulti(scs []*Scenario, schemes ...MultiScheme) (map[string]Result, error) {
+	if len(scs) == 0 {
+		return nil, fmt.Errorf("sim: no scenarios")
+	}
+	for g, sc := range scs {
+		if err := sc.Validate(); err != nil {
+			return nil, fmt.Errorf("%w (gNB %d)", err, g)
+		}
+		if sc.Duration != scs[0].Duration || sc.Num != scs[0].Num {
+			return nil, fmt.Errorf("sim: gNB %d slot grid (%gs, %+v) differs from gNB 0 (%gs, %+v)",
+				g, sc.Duration, sc.Num, scs[0].Duration, scs[0].Num)
+		}
+		for h := 0; h < g; h++ {
+			if sc.Fading != nil && sc.Fading == scs[h].Fading {
+				return nil, fmt.Errorf("sim: gNBs %d and %d share one *Fading", h, g)
+			}
+		}
 	}
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("sim: no schemes")
 	}
-	slotDur := sc.Num.SlotDuration()
-	nSlots := int(math.Ceil((sc.Duration + r.Warmup) / slotDur))
-	out := make(map[string]Result, len(schemes))
+	slotDur := scs[0].Num.SlotDuration()
+	nSlots := int(math.Ceil((scs[0].Duration + r.Warmup) / slotDur))
 	meters := make([]*link.Meter, len(schemes))
 	results := make([]Result, len(schemes))
-	models := make([]*channel.Model, len(schemes))
+	models := make([][]*channel.Model, len(schemes))
 	for i := range schemes {
 		meters[i] = link.NewMeter()
+		models[i] = make([]*channel.Model, len(scs))
 	}
-	base := &channel.Model{}
+	bases := make([]*channel.Model, len(scs))
+	for g := range bases {
+		bases[g] = &channel.Model{}
+	}
 	for s := 0; s < nSlots; s++ {
 		t := float64(s) * slotDur
-		sc.channelInto(t, base)
+		for g, sc := range scs {
+			sc.ChannelInto(t, bases[g])
+		}
 		for i, scheme := range schemes {
-			sm := models[i]
-			if sm == nil {
-				sm = base.Clone()
-				sm.Reuse = true
-				models[i] = sm
-			} else {
-				sm.CopyStateFrom(base)
+			ms := models[i]
+			for g, base := range bases {
+				if ms[g] == nil {
+					ms[g] = base.Clone()
+					ms[g].Reuse = true
+				} else {
+					ms[g].CopyStateFrom(base)
+				}
 			}
-			slot := scheme.Step(t, sm)
+			slot := scheme.StepMulti(t, ms)
 			if t < r.Warmup {
 				continue
 			}
@@ -401,9 +441,25 @@ func (r Runner) Run(sc *Scenario, schemes ...Scheme) (map[string]Result, error) 
 			}
 		}
 	}
+	out := make(map[string]Result, len(schemes))
 	for i, scheme := range schemes {
 		results[i].Summary = meters[i].Summarize()
 		out[scheme.Name()] = results[i]
 	}
 	return out, nil
+}
+
+// Pinned adapts a single-gNB Scheme to MultiScheme by pinning it to one
+// gNB — the no-handover baseline, and how Run drives a Scheme.
+type Pinned struct {
+	Scheme Scheme
+	GNB    int
+}
+
+// Name implements MultiScheme.
+func (p Pinned) Name() string { return p.Scheme.Name() }
+
+// StepMulti implements MultiScheme.
+func (p Pinned) StepMulti(t float64, ms []*channel.Model) Slot {
+	return p.Scheme.Step(t, ms[p.GNB])
 }

@@ -21,7 +21,7 @@
 // byte-identical at any worker count — the same contract as
 // experiments.ParallelTrials. Per-session steady-state stepping is
 // zero-alloc (pinned by TestStationSlotAllocs): persistent channel models
-// (Model.Reuse + channelInto), manager buffers, and per-worker scratch
+// (Model.Reuse + Scenario.ChannelInto), manager buffers, and per-worker scratch
 // arenas keep the slot loop off the allocator.
 package station
 
