@@ -22,7 +22,7 @@
 // value. CI diffs -workers 1 against -workers 8 on a 32-UE churn run.
 //
 // The UEs share the cell's airtime. -sdma-chains N sets the RF-chain
-// count of the hybrid multi-panel front end (internal/hybrid): with the
+// count of the hybrid SDMA tier (internal/hybrid): with the
 // default 1 the cell serves one UE per slot (round-robin TDMA); with N ≥ 2
 // slots are shared across interference-screened session groups of up to N
 // UEs. The "sdma:" summary line reports the planner's outcome.

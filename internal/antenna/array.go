@@ -94,15 +94,6 @@ func (u *ULA) GainDB(w cmx.Vector, theta float64) float64 {
 	return 10 * math.Log10(u.Gain(w, theta))
 }
 
-// Pattern evaluates the power gain of w over the given angles.
-func (u *ULA) Pattern(w cmx.Vector, thetas []float64) []float64 {
-	out := make([]float64, len(thetas))
-	for i, th := range thetas {
-		out[i] = u.Gain(w, th)
-	}
-	return out
-}
-
 // ArrayFactor returns the normalized magnitude of the classic ULA array
 // factor for a beam steered at phi0 and observed at theta:
 //
@@ -122,22 +113,6 @@ func arrayFactorPsi(n int, psi float64) float64 {
 		return 1
 	}
 	return math.Abs(math.Sin(float64(n)*psi/2) / (float64(n) * s))
-}
-
-// HalfPowerBeamwidth returns the −3 dB beamwidth (radians) of a broadside
-// matched beam, found numerically from the array factor.
-func (u *ULA) HalfPowerBeamwidth() float64 {
-	target := math.Sqrt(0.5) // amplitude at −3 dB
-	lo, hi := 0.0, math.Pi/2
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		if u.ArrayFactor(0, mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return 2 * lo
 }
 
 // InvertArrayFactor returns the angular offset Δ ≥ 0 (radians) from beam
@@ -174,7 +149,3 @@ func (u *ULA) InvertArrayFactor(ratio float64) float64 {
 	}
 	return math.Asin(sinOffset)
 }
-
-// Directivity returns the broadside directivity estimate N for a matched
-// uniform-amplitude beam (linear scale).
-func (u *ULA) Directivity() float64 { return float64(u.N) }

@@ -1,8 +1,6 @@
 package antenna
 
 import (
-	"math"
-
 	"mmreliable/internal/cmx"
 )
 
@@ -34,17 +32,6 @@ func DFTCodebook(u *ULA, n int, minAngle, maxAngle float64) *Codebook {
 		cb.Weights[i] = u.SingleBeam(ang)
 	}
 	return cb
-}
-
-// Nearest returns the codebook index whose nominal angle is closest to phi.
-func (c *Codebook) Nearest(phi float64) int {
-	best, bestd := 0, math.Inf(1)
-	for i, a := range c.Angles {
-		if d := math.Abs(a - phi); d < bestd {
-			best, bestd = i, d
-		}
-	}
-	return best
 }
 
 // WideBeam returns a unit-norm weight vector that uses only the first

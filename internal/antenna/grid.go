@@ -73,12 +73,3 @@ func (g *SteeringGrid) Gain(i int, w cmx.Vector) float64 {
 func (g *SteeringGrid) GainDB(i int, w cmx.Vector) float64 {
 	return 10 * math.Log10(g.Gain(i, w))
 }
-
-// Pattern evaluates the power gain of w over the whole grid.
-func (g *SteeringGrid) Pattern(w cmx.Vector) []float64 {
-	out := make([]float64, len(g.vecs))
-	for i := range g.vecs {
-		out[i] = g.Gain(i, w)
-	}
-	return out
-}

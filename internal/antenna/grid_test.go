@@ -13,11 +13,10 @@ func TestSteeringGridMatchesDirect(t *testing.T) {
 		t.Fatalf("grid length %d, want 41", g.Len())
 	}
 	w := u.SingleBeam(0.3)
-	pat := g.Pattern(w)
 	for i, th := range g.Thetas {
-		direct := u.Gain(w, th)
-		if d := math.Abs(pat[i] - direct); d > 1e-12 {
-			t.Fatalf("grid gain at θ=%g differs from direct: %g vs %g", th, pat[i], direct)
+		got, direct := g.Gain(i, w), u.Gain(w, th)
+		if d := math.Abs(got - direct); d > 1e-12 {
+			t.Fatalf("grid gain at θ=%g differs from direct: %g vs %g", th, got, direct)
 		}
 		if d := math.Abs(g.GainDB(i, w) - u.GainDB(w, th)); d > 1e-9 {
 			t.Fatalf("grid dB gain at θ=%g differs from direct", th)
@@ -64,7 +63,11 @@ func TestSteeringGridSinglePoint(t *testing.T) {
 func TestSteeringGridConcurrent(t *testing.T) {
 	u := NewULA(8, 28e9)
 	w := u.SingleBeam(0)
-	want := u.SteeringGrid(-1.2, 1.2, 33).Pattern(w)
+	ref := u.SteeringGrid(-1.2, 1.2, 33)
+	want := make([]float64, ref.Len())
+	for i := range want {
+		want[i] = ref.Gain(i, w)
+	}
 	var wg sync.WaitGroup
 	fail := make([]bool, 8)
 	for g := 0; g < 8; g++ {
@@ -73,9 +76,8 @@ func TestSteeringGridConcurrent(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 100; iter++ {
 				grid := u.SteeringGrid(-1.2, 1.2, 33)
-				pat := grid.Pattern(w)
-				for i := range pat {
-					if pat[i] != want[i] {
+				for i := range want {
+					if grid.Gain(i, w) != want[i] {
 						fail[g] = true
 						return
 					}

@@ -18,7 +18,6 @@
 package baselines
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -474,19 +473,3 @@ var (
 	_ sim.Scheme = (*WideBeam)(nil)
 	_ sim.Scheme = (*Oracle)(nil)
 )
-
-// Describe returns a one-line description for CLI help.
-func Describe(name string) string {
-	switch name {
-	case "reactive":
-		return "single beam, fast reactive retraining on outage"
-	case "beamspy":
-		return "single beam with stored alternate-path profile"
-	case "widebeam":
-		return "quarter-aperture wide beam"
-	case "oracle":
-		return "true-CSI MRT upper bound, zero overhead"
-	default:
-		return fmt.Sprintf("unknown scheme %q", name)
-	}
-}

@@ -154,14 +154,6 @@ func TestOracleIsUpperBound(t *testing.T) {
 	}
 }
 
-func TestDescribe(t *testing.T) {
-	for _, n := range []string{"reactive", "beamspy", "widebeam", "oracle", "bogus"} {
-		if Describe(n) == "" {
-			t.Fatalf("empty description for %s", n)
-		}
-	}
-}
-
 // TestHeadlineComparison reproduces the shape of Fig. 18b/c: under
 // concurrent mobility and blockage on the thin-margin outdoor link,
 // mmReliable keeps reliability high while the reactive baseline churns and

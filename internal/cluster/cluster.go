@@ -234,9 +234,6 @@ func (cl *Cluster) Now() float64 {
 	return float64(cl.frame*cl.slotsPerFrame) * cl.slotDur
 }
 
-// Frame returns the index of the next frame to execute.
-func (cl *Cluster) Frame() int { return cl.frame }
-
 // FramePeriod returns the duration of one cluster frame in seconds.
 func (cl *Cluster) FramePeriod() float64 { return float64(cl.slotsPerFrame) * cl.slotDur }
 

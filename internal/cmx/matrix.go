@@ -37,15 +37,6 @@ func FromColumns(cols []Vector) *Matrix {
 	return m
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) complex128 { return m.Data[i*m.Cols+j] }
 
@@ -56,22 +47,6 @@ func (m *Matrix) Set(i, j int, v complex128) { m.Data[i*m.Cols+j] = v }
 func (m *Matrix) Clone() *Matrix {
 	out := NewMatrix(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
-	return out
-}
-
-// Row returns row i as a copied Vector.
-func (m *Matrix) Row(i int) Vector {
-	out := make(Vector, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
-
-// Col returns column j as a copied Vector.
-func (m *Matrix) Col(j int) Vector {
-	out := make(Vector, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.At(i, j)
-	}
 	return out
 }
 
@@ -86,67 +61,6 @@ func (m *Matrix) MulVec(v Vector) Vector {
 			s += x * v[j]
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// MulVecInto computes m·v into dst and returns it. dst must have length
-// m.Rows and must not alias v. No allocations.
-func (m *Matrix) MulVecInto(dst, v Vector) Vector {
-	mustSameLen(m.Cols, len(v))
-	mustSameLen(m.Rows, len(dst))
-	for i := 0; i < m.Rows; i++ {
-		var s complex128
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, x := range row {
-			s += x * v[j]
-		}
-		dst[i] = s
-	}
-	return dst
-}
-
-// HmulVec returns mᴴ·v (conjugate transpose times v).
-func (m *Matrix) HmulVec(v Vector) Vector {
-	mustSameLen(m.Rows, len(v))
-	out := make(Vector, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		vi := v[i]
-		for j, x := range row {
-			out[j] += cmplx.Conj(x) * vi
-		}
-	}
-	return out
-}
-
-// Mul returns the matrix product m·b.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	mustSameLen(m.Cols, b.Rows)
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, x := range brow {
-				orow[j] += a * x
-			}
-		}
-	}
-	return out
-}
-
-// H returns the conjugate transpose mᴴ as a new matrix.
-func (m *Matrix) H() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, cmplx.Conj(m.At(i, j)))
-		}
 	}
 	return out
 }

@@ -68,38 +68,3 @@ func swapRows(m *Matrix, i, j int) {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
 }
-
-// LeastSquares solves min_x ‖A·x − b‖² via the normal equations
-// (AᴴA)x = Aᴴb. A must have at least as many rows as columns and full
-// column rank; otherwise ErrSingular is returned.
-func LeastSquares(a *Matrix, b Vector) (Vector, error) {
-	return RidgeLeastSquares(a, b, 0)
-}
-
-// RidgeLeastSquares solves the Tikhonov-regularized least squares problem
-//
-//	min_x ‖A·x − b‖² + λ‖x‖²
-//
-// via (AᴴA + λI)x = Aᴴb. λ must be ≥ 0. This is the solver used by the
-// super-resolution module (Eq. 23 of the paper), where A is a sinc
-// dictionary with a handful of columns.
-func RidgeLeastSquares(a *Matrix, b Vector, lambda float64) (Vector, error) {
-	if lambda < 0 {
-		return nil, fmt.Errorf("cmx: negative ridge parameter %g", lambda)
-	}
-	mustSameLen(a.Rows, len(b))
-	g := a.Gram()
-	if lambda > 0 {
-		for i := 0; i < g.Rows; i++ {
-			g.Set(i, i, g.At(i, i)+complex(lambda, 0))
-		}
-	}
-	rhs := a.HmulVec(b)
-	return Solve(g, rhs)
-}
-
-// Residual returns b − A·x, useful for checking solver quality in tests and
-// for the super-resolution model-order search.
-func Residual(a *Matrix, x, b Vector) Vector {
-	return b.Sub(a.MulVec(x))
-}

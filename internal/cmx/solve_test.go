@@ -100,63 +100,6 @@ func TestSolveNonSquare(t *testing.T) {
 	}
 }
 
-func TestLeastSquaresExactWhenConsistent(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for trial := 0; trial < 50; trial++ {
-		rows, cols := 8, 3
-		a := randMatrix(rng, rows, cols)
-		want := randVec(rng, cols)
-		b := a.MulVec(want)
-		x, err := LeastSquares(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := x.Sub(want).Norm(); d > 1e-7 {
-			t.Fatalf("trial %d: error %g", trial, d)
-		}
-	}
-}
-
-func TestLeastSquaresResidualOrthogonality(t *testing.T) {
-	// The LS residual must be orthogonal to the column space of A.
-	rng := rand.New(rand.NewSource(13))
-	a := randMatrix(rng, 10, 3)
-	b := randVec(rng, 10)
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := Residual(a, x, b)
-	proj := a.HmulVec(r)
-	if proj.Norm() > 1e-7 {
-		t.Fatalf("residual not orthogonal to columns: ‖Aᴴr‖ = %g", proj.Norm())
-	}
-}
-
-func TestRidgeShrinksSolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := randMatrix(rng, 12, 4)
-	b := randVec(rng, 12)
-	x0, err := RidgeLeastSquares(a, b, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x1, err := RidgeLeastSquares(a, b, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x1.Norm() >= x0.Norm() {
-		t.Fatalf("ridge did not shrink: ‖x₁‖=%g ≥ ‖x₀‖=%g", x1.Norm(), x0.Norm())
-	}
-}
-
-func TestRidgeNegativeLambda(t *testing.T) {
-	a := Identity(2)
-	if _, err := RidgeLeastSquares(a, Vector{1, 1}, -1); err == nil {
-		t.Fatal("expected error for negative lambda")
-	}
-}
-
 func TestGramIsHermitianPSD(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	a := randMatrix(rng, 9, 4)
@@ -181,45 +124,6 @@ func TestGramIsHermitianPSD(t *testing.T) {
 	}
 }
 
-func TestMatrixOps(t *testing.T) {
-	a := NewMatrix(2, 3)
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			a.Set(i, j, complex(float64(i+1), float64(j)))
-		}
-	}
-	h := a.H()
-	if h.Rows != 3 || h.Cols != 2 {
-		t.Fatalf("H shape %dx%d", h.Rows, h.Cols)
-	}
-	for i := 0; i < 2; i++ {
-		for j := 0; j < 3; j++ {
-			if !almostEqC(h.At(j, i), cmplx.Conj(a.At(i, j))) {
-				t.Fatalf("H mismatch at (%d,%d)", i, j)
-			}
-		}
-	}
-	// (A·Aᴴ) via Mul must equal Gram of Aᴴ.
-	prod := a.Mul(a.H())
-	gram := a.H().Gram()
-	for i := range prod.Data {
-		if !almostEqC(prod.Data[i], gram.Data[i]) {
-			t.Fatalf("Mul/Gram mismatch at %d", i)
-		}
-	}
-}
-
-func TestHmulVecMatchesHMul(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := randMatrix(rng, 7, 4)
-	v := randVec(rng, 7)
-	got := a.HmulVec(v)
-	want := a.H().MulVec(v)
-	if got.Sub(want).Norm() > 1e-9 {
-		t.Fatalf("HmulVec mismatch: %g", got.Sub(want).Norm())
-	}
-}
-
 func TestFromColumns(t *testing.T) {
 	c0 := Vector{1, 2}
 	c1 := Vector{3i, 4}
@@ -229,11 +133,5 @@ func TestFromColumns(t *testing.T) {
 	}
 	if !almostEqC(m.At(0, 1), 3i) || !almostEqC(m.At(1, 0), 2) {
 		t.Fatalf("content wrong: %v", m)
-	}
-	if got := m.Col(1); !almostEqC(got[0], 3i) || !almostEqC(got[1], 4) {
-		t.Fatalf("Col(1) = %v", got)
-	}
-	if got := m.Row(0); !almostEqC(got[0], 1) || !almostEqC(got[1], 3i) {
-		t.Fatalf("Row(0) = %v", got)
 	}
 }

@@ -7,7 +7,6 @@
 package cmx
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
@@ -131,11 +130,6 @@ func (v Vector) Normalize() Vector {
 	return v.Scale(complex(1/n, 0))
 }
 
-// Normalized returns a unit-norm copy of v (or a zero copy if v is zero).
-func (v Vector) Normalized() Vector {
-	return v.Clone().Normalize()
-}
-
 // MaxAbs returns the largest elementwise magnitude in v, and its index.
 // For an empty vector it returns (0, -1).
 func (v Vector) MaxAbs() (float64, int) {
@@ -166,37 +160,6 @@ func (v Vector) AbsInto(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// Phase returns the elementwise phases (radians, in (−π, π]) of v.
-func (v Vector) Phase() []float64 {
-	out := make([]float64, len(v))
-	for i, x := range v {
-		out[i] = cmplx.Phase(x)
-	}
-	return out
-}
-
-// Mul returns the elementwise (Hadamard) product v∘u as a new vector.
-func (v Vector) Mul(u Vector) Vector {
-	mustSameLen(len(v), len(u))
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] * u[i]
-	}
-	return out
-}
-
-// Expj returns the vector [e^{jθ₀}, e^{jθ₁}, …] for the given phases.
-func Expj(phases []float64) Vector {
-	out := make(Vector, len(phases))
-	for i, p := range phases {
-		out[i] = cmplx.Exp(complex(0, p))
-	}
-	return out
-}
-
-// ErrDimension reports incompatible operand dimensions.
-var ErrDimension = errors.New("cmx: dimension mismatch")
 
 func mustSameLen(a, b int) {
 	if a != b {

@@ -138,7 +138,6 @@ func TestCheckFlags(t *testing.T) {
 		{"churn negative", FloatAtLeast("churn", -0.5, 0), true, "-churn must be ≥ 0 (got -0.5)"},
 		{"mobile high", FloatInRange("mobile", 1.5, 0, 1), true, "-mobile must be in [0, 1] (got 1.5)"},
 		{"mobile ok", FloatInRange("mobile", 1, 0, 1), false, ""},
-		{"seed ok", Int64AtLeast("seed", -5, math.MinInt64), false, ""},
 		{"strict without compare", FlagRequires("strict", true, "compare", false), true, "-strict requires -compare"},
 		{"strict with compare", FlagRequires("strict", true, "compare", true), false, ""},
 		{"strict unset", FlagRequires("strict", false, "compare", false), false, ""},

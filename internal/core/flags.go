@@ -30,16 +30,6 @@ func IntAtLeast(name string, v, min int) FlagCheck {
 	}
 }
 
-// Int64AtLeast requires -name ≥ min.
-func Int64AtLeast(name string, v, min int64) FlagCheck {
-	return func() error {
-		if v < min {
-			return fmt.Errorf("-%s must be ≥ %d (got %d)", name, min, v)
-		}
-		return nil
-	}
-}
-
 // FloatPositive requires -name > 0.
 func FloatPositive(name string, v float64) FlagCheck {
 	return func() error {

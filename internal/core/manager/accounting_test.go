@@ -74,7 +74,7 @@ func TestResetForcesRetraining(t *testing.T) {
 	}
 	retrains := mgr.Retrains
 	mgr.Reset()
-	if mgr.ActiveWeights() != nil {
+	if mgr.ActiveWeightsView() != nil {
 		t.Fatal("Reset left active weights")
 	}
 	sc2 := staticScenario(0.3)

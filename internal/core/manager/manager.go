@@ -345,10 +345,6 @@ func (g *Manager) Name() string { return g.name }
 // NumBeams returns the current multi-beam order (0 before establishment).
 func (g *Manager) NumBeams() int { return len(g.beams) }
 
-// ActiveWeights returns the currently transmitted weights (nil before
-// establishment).
-func (g *Manager) ActiveWeights() cmx.Vector { return g.fe.Active() }
-
 // ActiveWeightsView returns the live transmit weights without copying (nil
 // before establishment). Read-only; do not retain across a weight reload.
 // Frame-barrier batch evaluation uses this to register beams with a
@@ -356,7 +352,7 @@ func (g *Manager) ActiveWeights() cmx.Vector { return g.fe.Active() }
 func (g *Manager) ActiveWeightsView() cmx.Vector { return g.fe.ActiveView() }
 
 // WeightsVersion returns the front end's program counter: it advances on
-// every SetWeights/LoadBeam, so an unchanged version guarantees the active
+// every SetWeights, so an unchanged version guarantees the active
 // weight CONTENT is unchanged — a guarantee slice identity cannot give,
 // since SetWeights double-buffers into recycled backing arrays. Stamp-keyed
 // consumers (the station's batch-entry skip) pair this with Model.Stamp.
@@ -753,7 +749,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 	for range beams {
 		g.active = append(g.active, true)
 	}
-	if !g.applyWeights(t) {
+	if !g.applyWeights() {
 		g.w = nil
 		g.fullReset()
 		g.beginOp(g.slotsFor(g.cfg.RetrainBackoff), g.retryComposeFn)
@@ -804,7 +800,7 @@ func (g *Manager) fullReset() {
 
 // applyWeights composes the active beams into weights and programs the
 // front end. Returns false if no active beam remains.
-func (g *Manager) applyWeights(t float64) bool {
+func (g *Manager) applyWeights() bool {
 	lobes := g.lobesBuf[:0]
 	for k, b := range g.beams {
 		if g.active[k] {
@@ -832,7 +828,7 @@ func (g *Manager) applyWeights(t float64) bool {
 		// happens at attach time, never in the steady state.
 		g.wSpare = make(cmx.Vector, g.u.N)
 	}
-	if err := g.fe.SetWeights(w, t); err != nil {
+	if err := g.fe.SetWeights(w); err != nil {
 		return false
 	}
 	if g.ueArr != nil && len(g.ueAngles) > 0 {
@@ -894,7 +890,7 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 		rss := nr.RSS(g.sounder.ProbeInto(m, g.u.SingleBeamInto(g.angles[k], g.sbBuf), g.csiBuf))
 		if rss >= g.rssAnchor[k]*dsp.FromDB(-3) {
 			g.active[k] = true
-			if g.applyWeights(t) {
+			if g.applyWeights() {
 				g.needAnch = true
 			}
 			return
@@ -914,12 +910,12 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 		}
 	}
 	if changed {
-		if !g.applyWeights(t) {
+		if !g.applyWeights() {
 			// Every beam blocked: hold the last weights and retrain.
 			for i := range g.active {
 				g.active[i] = true
 			}
-			g.applyWeights(t)
+			g.applyWeights()
 			g.retrainCause(t, "all-blocked")
 			return
 		}
@@ -1010,7 +1006,7 @@ func (g *Manager) ccRefresh(t float64, m *channel.Model) {
 		}
 	}
 	if changed {
-		g.applyWeights(t)
+		g.applyWeights()
 	}
 }
 
@@ -1212,7 +1208,7 @@ func (g *Manager) refine(t float64, m *channel.Model, deviated []int, devs []flo
 			}
 		}
 	}
-	if !g.applyWeights(t) {
+	if !g.applyWeights() {
 		g.retrainCause(t, "compose")
 		return
 	}

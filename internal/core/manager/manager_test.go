@@ -65,7 +65,7 @@ func TestEstablishesMultiBeamOnStaticLink(t *testing.T) {
 	if mgr.NumBeams() < 2 {
 		t.Fatalf("established %d beams, want ≥2 in a reflective room", mgr.NumBeams())
 	}
-	if mgr.ActiveWeights() == nil {
+	if mgr.ActiveWeightsView() == nil {
 		t.Fatal("no active weights")
 	}
 	s := out["mmreliable"].Summary
@@ -121,7 +121,7 @@ func TestMultiBeamBeatsSingleBeamSNR(t *testing.T) {
 		t.Fatalf("selected %d beams; reflector should be worth a lobe", mgr.NumBeams())
 	}
 	m := sc.ChannelAt(0.2)
-	mbSNR := widebandSNRdB(m, mgr.ActiveWeights(), mgr.offsets)
+	mbSNR := widebandSNRdB(m, mgr.ActiveWeightsView(), mgr.offsets)
 	sbSNR := widebandSNRdB(m, m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets)
 	if mbSNR <= sbSNR {
 		t.Fatalf("multi-beam %g dB not above single beam %g dB", mbSNR, sbSNR)
@@ -140,7 +140,7 @@ func TestBeamSelectionNeverWorseThanSingle(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := sc.ChannelAt(0.2)
-	mbSNR := widebandSNRdB(m, mgr.ActiveWeights(), mgr.offsets)
+	mbSNR := widebandSNRdB(m, mgr.ActiveWeightsView(), mgr.offsets)
 	sbSNR := widebandSNRdB(m, m.Tx.SingleBeam(m.Paths[0].AoD), mgr.offsets)
 	// The manager may sacrifice up to SelectionTolDB for an extra lobe
 	// (reliability-first); allow that plus estimation slack.
@@ -242,10 +242,10 @@ func TestRetrainsWhenAllPathsBlocked(t *testing.T) {
 	}
 	// The link must come back after the blockage clears.
 	m := sc.ChannelAt(0.8)
-	if mgr.ActiveWeights() == nil {
+	if mgr.ActiveWeightsView() == nil {
 		t.Fatal("never re-established")
 	}
-	snr := widebandSNRdB(m, mgr.ActiveWeights(), mgr.offsets)
+	snr := widebandSNRdB(m, mgr.ActiveWeightsView(), mgr.offsets)
 	if snr < link.OutageThresholdDB {
 		t.Fatalf("post-recovery SNR %g", snr)
 	}

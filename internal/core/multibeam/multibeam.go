@@ -69,25 +69,6 @@ func WeightsInto(u *antenna.ULA, beams []Beam, dst, scratch cmx.Vector) (cmx.Vec
 	return dst.Normalize(), nil
 }
 
-// FromChannelRatios builds the lobe list from measured relative channel
-// ratios: angles[k] is the steering direction of path k and ratios[k] =
-// δ_k·e^{jσ_k} = h_k/h_0 its measured channel relative to path 0 (which
-// must have ratios[0] == 1 or be omitted by passing ratios[0] = 1).
-func FromChannelRatios(angles []float64, ratios []complex128) ([]Beam, error) {
-	if len(angles) != len(ratios) {
-		return nil, fmt.Errorf("multibeam: %d angles vs %d ratios", len(angles), len(ratios))
-	}
-	beams := make([]Beam, len(angles))
-	for k := range angles {
-		beams[k] = Beam{
-			Angle: angles[k],
-			Amp:   cmplx.Abs(ratios[k]),
-			Phase: cmplx.Phase(ratios[k]),
-		}
-	}
-	return beams, nil
-}
-
 // Optimal returns the maximum-ratio-transmission weights w = h*/‖h‖
 // (Eq. 4) — the oracle beamformer that requires full per-antenna CSI,
 // unobtainable on a single-RF-chain array but useful as an upper bound.
@@ -146,57 +127,4 @@ func TheoreticalGain(delta, appliedAmp, phaseErr float64) float64 {
 	num := 1 + 2*delta*appliedAmp*math.Cos(phaseErr) + delta*delta*appliedAmp*appliedAmp
 	den := 1 + appliedAmp*appliedAmp
 	return num / den
-}
-
-// PerBeamPowerFractions returns the fraction of radiated power each lobe of
-// the synthesized multi-beam carries, estimated by projecting the weight
-// vector on each lobe's matched beam. Fractions are normalized to sum to 1
-// when lobes are orthogonal (well separated); overlap makes them
-// approximate, mirroring the physical array.
-func PerBeamPowerFractions(u *antenna.ULA, w cmx.Vector, angles []float64) []float64 {
-	fr := make([]float64, len(angles))
-	var total float64
-	for k, a := range angles {
-		proj := u.SingleBeam(a).Hdot(w)
-		fr[k] = real(proj)*real(proj) + imag(proj)*imag(proj)
-		total += fr[k]
-	}
-	if total > 0 {
-		for k := range fr {
-			fr[k] /= total
-		}
-	}
-	return fr
-}
-
-// DropBeam returns a new lobe list with beam k removed and the remaining
-// amplitudes rescaled so the strongest remaining lobe is the reference
-// (Amp = 1, Phase = 0). This is the §4.1 blockage response: re-purpose the
-// power of a blocked lobe onto the survivors.
-func DropBeam(beams []Beam, k int) ([]Beam, error) {
-	if k < 0 || k >= len(beams) {
-		return nil, fmt.Errorf("multibeam: drop index %d out of range", k)
-	}
-	if len(beams) == 1 {
-		return nil, fmt.Errorf("multibeam: cannot drop the only beam")
-	}
-	out := make([]Beam, 0, len(beams)-1)
-	for i, b := range beams {
-		if i != k {
-			out = append(out, b)
-		}
-	}
-	// Re-reference to the strongest survivor.
-	ref := 0
-	for i := range out {
-		if out[i].Amp > out[ref].Amp {
-			ref = i
-		}
-	}
-	refAmp, refPhase := out[ref].Amp, out[ref].Phase
-	for i := range out {
-		out[i].Amp /= refAmp
-		out[i].Phase -= refPhase
-	}
-	return out, nil
 }

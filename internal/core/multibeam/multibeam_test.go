@@ -95,16 +95,10 @@ func TestMultibeamApproachesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		angles := make([]float64, len(m.Paths))
-		ratios := make([]complex128, len(m.Paths))
+		beams := make([]Beam, len(m.Paths))
 		for k := range m.Paths {
-			angles[k] = m.Paths[k].AoD
 			d, s := m.RelativeGain(k, 0)
-			ratios[k] = cmplx.Rect(d, s)
-		}
-		beams, err := FromChannelRatios(angles, ratios)
-		if err != nil {
-			t.Fatal(err)
+			beams[k] = Beam{Angle: m.Paths[k].AoD, Amp: d, Phase: s}
 		}
 		w, err := WeightsInto(m.Tx, beams, nil, nil)
 		if err != nil {
@@ -142,25 +136,6 @@ func TestWeightsErrors(t *testing.T) {
 		{Angle: 0, Amp: 1, Phase: math.Pi},
 	}, nil, nil); err == nil {
 		t.Fatal("cancelling beams should fail")
-	}
-}
-
-func TestFromChannelRatios(t *testing.T) {
-	beams, err := FromChannelRatios(
-		[]float64{0, 0.5},
-		[]complex128{1, cmplx.Rect(0.5, 1.2)},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if beams[0].Amp != 1 || beams[0].Phase != 0 {
-		t.Fatalf("reference beam %+v", beams[0])
-	}
-	if math.Abs(beams[1].Amp-0.5) > 1e-12 || math.Abs(beams[1].Phase-1.2) > 1e-12 {
-		t.Fatalf("second beam %+v", beams[1])
-	}
-	if _, err := FromChannelRatios([]float64{0}, []complex128{1, 2}); err == nil {
-		t.Fatal("length mismatch should fail")
 	}
 }
 
@@ -253,70 +228,6 @@ func TestSubArraySplitErrors(t *testing.T) {
 	}
 	if _, err := SubArraySplit(u, tooMany); err == nil {
 		t.Fatal("more beams than elements should fail")
-	}
-}
-
-func TestPerBeamPowerFractions(t *testing.T) {
-	u := ula8()
-	angles := []float64{0, dsp.Rad(40)}
-	// Equal-amplitude multi-beam → roughly equal fractions.
-	w, _ := WeightsInto(u, []Beam{Reference(0), {Angle: angles[1], Amp: 1}}, nil, nil)
-	fr := PerBeamPowerFractions(u, w, angles)
-	if math.Abs(fr[0]-0.5) > 0.05 || math.Abs(fr[1]-0.5) > 0.05 {
-		t.Fatalf("equal split fractions %v", fr)
-	}
-	// Unbalanced multi-beam → fractions follow amp².
-	w2, _ := WeightsInto(u, []Beam{Reference(0), {Angle: angles[1], Amp: 0.5}}, nil, nil)
-	fr2 := PerBeamPowerFractions(u, w2, angles)
-	// Steering vectors at 0° and 40° are not exactly orthogonal for 8
-	// elements, so the projection picks up crosstalk; allow that bias.
-	ratio := fr2[1] / fr2[0]
-	if math.Abs(ratio-0.25) > 0.12 {
-		t.Fatalf("power ratio %g, want ≈0.25", ratio)
-	}
-	// Sum to 1.
-	if math.Abs(fr2[0]+fr2[1]-1) > 1e-9 {
-		t.Fatalf("fractions don't sum to 1: %v", fr2)
-	}
-}
-
-func TestDropBeam(t *testing.T) {
-	beams := []Beam{
-		Reference(0),
-		{Angle: 0.5, Amp: 0.6, Phase: 1.0},
-		{Angle: -0.4, Amp: 0.3, Phase: 2.0},
-	}
-	// Drop the reference: strongest survivor (0.6) becomes the reference.
-	out, err := DropBeam(beams, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 2 {
-		t.Fatalf("len %d", len(out))
-	}
-	if math.Abs(out[0].Amp-1) > 1e-12 || out[0].Phase != 0 {
-		t.Fatalf("new reference %+v", out[0])
-	}
-	if math.Abs(out[1].Amp-0.5) > 1e-12 {
-		t.Fatalf("rescaled amp %g want 0.5", out[1].Amp)
-	}
-	if math.Abs(out[1].Phase-1.0) > 1e-12 {
-		t.Fatalf("re-referenced phase %g want 1.0", out[1].Phase)
-	}
-	// Drop a non-reference beam: reference unchanged.
-	out2, err := DropBeam(beams, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2[0] != beams[0] || out2[1] != beams[1] {
-		t.Fatalf("unexpected rescale: %+v", out2)
-	}
-	// Errors.
-	if _, err := DropBeam(beams, 5); err == nil {
-		t.Fatal("out of range index should fail")
-	}
-	if _, err := DropBeam(beams[:1], 0); err == nil {
-		t.Fatal("dropping the only beam should fail")
 	}
 }
 

@@ -41,9 +41,6 @@ type Estimate struct {
 	Sigma float64 // phase σ (radians)
 }
 
-// Ratio returns δ·e^{jσ}.
-func (e Estimate) Ratio() complex128 { return cmplx.Rect(e.Delta, e.Sigma) }
-
 // Result is the outcome of a full multi-beam estimation round.
 type Result struct {
 	// Relative[k] is the channel of angles[k+1] relative to angles[0].
@@ -157,70 +154,6 @@ func EstimatePairWithDelayWS(p Prober, u *antenna.ULA, phiRef, phiK float64, m1,
 	}
 	ratio := h1.Hdot(h2) / complex(den, 0)
 	return Estimate{Delta: cmplx.Abs(ratio), Sigma: cmplx.Phase(ratio)}, nil
-}
-
-// EstimateMultiBeamWithDelays runs the full estimation round for a K-beam
-// multi-beam over the given path angles (reference first): one single-beam
-// probe per angle to refresh per-beam magnitudes, then two combined probes
-// per non-reference beam — K + 2(K−1) probes total, independent of array
-// size. relDelays[k] is the excess delay of angles[k] relative to
-// angles[0] (relDelays[0] is ignored) for the per-beam ToF compensation of
-// EstimatePairWithDelayWS; pass nil to disable compensation.
-func EstimateMultiBeamWithDelays(p Prober, u *antenna.ULA, angles []float64, relDelays []float64, bandwidthHz float64) (Result, error) {
-	if len(angles) < 2 {
-		return Result{}, fmt.Errorf("probe: need ≥2 angles, got %d", len(angles))
-	}
-	if relDelays != nil && len(relDelays) != len(angles) {
-		return Result{}, fmt.Errorf("probe: %d delays vs %d angles", len(relDelays), len(angles))
-	}
-	res := Result{}
-	mags := make([][]float64, len(angles))
-	for k, a := range angles {
-		csi := p.ProbeInto(u.SingleBeam(a), nil)
-		res.Probes++
-		mags[k] = csi.Abs()
-		res.PerBeamPower = append(res.PerBeamPower, meanPower(mags[k]))
-	}
-	for k := 1; k < len(angles); k++ {
-		var rd float64
-		if relDelays != nil {
-			rd = relDelays[k]
-		}
-		est, err := EstimatePairWithDelayWS(p, u, angles[0], angles[k], mags[0], mags[k], rd, bandwidthHz, nil)
-		res.Probes += 2
-		if err != nil {
-			return Result{}, fmt.Errorf("probe: beam %d: %w", k, err)
-		}
-		res.Relative = append(res.Relative, est)
-	}
-	return res, nil
-}
-
-func meanPower(mags []float64) float64 {
-	if len(mags) == 0 {
-		return 0
-	}
-	var s float64
-	for _, m := range mags {
-		s += m * m
-	}
-	return s / float64(len(mags))
-}
-
-// NarrowbandEstimate applies Eq. 12 to scalar powers directly — the
-// narrowband special case (e.g. a single CSI-RS subcarrier or an
-// 802.11ad-style flat channel). p1, p2 are the single-beam powers; p3, p4
-// the combined powers at relative phase 0 and π/2 (already corrected for
-// TRP normalization).
-func NarrowbandEstimate(p1, p2, p3, p4 float64) (Estimate, error) {
-	if p1 <= 0 {
-		return Estimate{}, fmt.Errorf("probe: non-positive reference power %g", p1)
-	}
-	sq := math.Sqrt(p1)
-	re := (p3 - p1 - p2) / (2 * sq)
-	im := (p1 + p2 - p4) / (2 * sq)
-	h2 := complex(re, im)
-	return Estimate{Delta: cmplx.Abs(h2) / sq, Sigma: cmplx.Phase(h2)}, nil
 }
 
 // PhaseStability returns the per-subcarrier phase of the ratio h2/h1

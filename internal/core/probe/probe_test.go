@@ -2,15 +2,12 @@ package probe
 
 import (
 	"math"
-	"math/cmplx"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
 	"mmreliable/internal/cmx"
-	"mmreliable/internal/core/multibeam"
 	"mmreliable/internal/dsp"
 	"mmreliable/internal/env"
 	"mmreliable/internal/nr"
@@ -41,29 +38,6 @@ func twoPath(relAttDB, phase float64) *channel.Model {
 		{AoDDeg: 0},
 		{AoDDeg: 30, RelAttDB: relAttDB, PhaseRad: phase, DelayNs: 1.5},
 	})
-}
-
-func TestNarrowbandEstimateExact(t *testing.T) {
-	// Synthesize exact powers for h1 = 2, h2 = 0.8·e^{j1.1}.
-	h1 := complex(2, 0)
-	h2 := cmplx.Rect(0.8, 1.1)
-	p1 := real(h1 * cmplx.Conj(h1))
-	p2 := real(h2 * cmplx.Conj(h2))
-	p3 := cmplx.Abs(h1+h2) * cmplx.Abs(h1+h2)
-	p4 := cmplx.Abs(h1+cmplx.Rect(1, math.Pi/2)*h2) * cmplx.Abs(h1+cmplx.Rect(1, math.Pi/2)*h2)
-	est, err := NarrowbandEstimate(p1, p2, p3, p4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.Delta-0.4) > 1e-12 {
-		t.Fatalf("δ = %g want 0.4", est.Delta)
-	}
-	if math.Abs(est.Sigma-1.1) > 1e-12 {
-		t.Fatalf("σ = %g want 1.1", est.Sigma)
-	}
-	if _, err := NarrowbandEstimate(0, 1, 1, 1); err == nil {
-		t.Fatal("zero reference power should fail")
-	}
 }
 
 func TestEstimatePairNoiseless(t *testing.T) {
@@ -171,58 +145,6 @@ func TestEstimateAccuracyUnderNoise(t *testing.T) {
 	}
 }
 
-func TestEstimateMultiBeamProbeCountAndQuality(t *testing.T) {
-	m := channel.FromSpecs(env.Band28GHz(), antenna.NewULA(8, 28e9), 80, []channel.PathSpec{
-		{AoDDeg: 0},
-		{AoDDeg: 35, RelAttDB: 4, PhaseRad: 1.0, DelayNs: 3},
-		{AoDDeg: -30, RelAttDB: 7, PhaseRad: -0.5, DelayNs: 8},
-	})
-	p := newProber(t, m, 400e6, 1e-6, nr.DefaultImpairments(), 3)
-	angles := []float64{0, dsp.Rad(35), dsp.Rad(-30)}
-	relDelays := []float64{0, 3e-9, 8e-9}
-	res, err := EstimateMultiBeamWithDelays(p, m.Tx, angles, relDelays, 400e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// K + 2(K−1) probes = 3 + 4 = 7 for K = 3.
-	if res.Probes != 7 {
-		t.Fatalf("probes = %d want 7", res.Probes)
-	}
-	if len(res.Relative) != 2 || len(res.PerBeamPower) != 3 {
-		t.Fatalf("result shape %d/%d", len(res.Relative), len(res.PerBeamPower))
-	}
-	// Per-beam powers ordered LOS > path2 > path3 (4 dB and 7 dB weaker).
-	if !(res.PerBeamPower[0] > res.PerBeamPower[1] && res.PerBeamPower[1] > res.PerBeamPower[2]) {
-		t.Fatalf("per-beam powers %v not ordered", res.PerBeamPower)
-	}
-	// The synthesized multi-beam must clearly beat the single beam.
-	beams, err := res.BeamsInto(angles, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := multibeam.WeightsInto(m.Tx, beams, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pMB := cmplx.Abs(m.Effective(w, 0))
-	pSB := cmplx.Abs(m.Effective(m.Tx.SingleBeam(0), 0))
-	gainDB := 20 * math.Log10(pMB/pSB)
-	if gainDB < 1.2 {
-		t.Fatalf("estimated 3-beam gain %g dB, want > 1.2", gainDB)
-	}
-}
-
-func TestEstimateMultiBeamErrors(t *testing.T) {
-	m := twoPath(3, 0)
-	p := newProber(t, m, 100e6, 0, nr.Impairments{}, 1)
-	if _, err := EstimateMultiBeamWithDelays(p, m.Tx, []float64{0}, nil, 0); err == nil {
-		t.Fatal("single angle should fail")
-	}
-	if _, err := EstimateMultiBeamWithDelays(p, m.Tx, []float64{0, 0.5}, []float64{0}, 400e6); err == nil {
-		t.Fatal("delay/angle mismatch should fail")
-	}
-}
-
 func TestBeamsShapeValidation(t *testing.T) {
 	r := Result{Relative: []Estimate{{Delta: 0.5}}}
 	if _, err := r.BeamsInto([]float64{0}, nil); err == nil {
@@ -245,14 +167,6 @@ func TestEstimatePairLengthValidation(t *testing.T) {
 	}
 	if _, err := EstimatePairWithDelayWS(p, m.Tx, 0, dsp.Rad(30), nil, nil, 0, 0, nil); err == nil {
 		t.Fatal("empty magnitudes should fail")
-	}
-}
-
-func TestRatioRoundTrip(t *testing.T) {
-	e := Estimate{Delta: 0.7, Sigma: -1.3}
-	r := e.Ratio()
-	if math.Abs(cmplx.Abs(r)-0.7) > 1e-12 || math.Abs(cmplx.Phase(r)+1.3) > 1e-12 {
-		t.Fatalf("ratio %v", r)
 	}
 }
 
@@ -279,39 +193,5 @@ func TestPhaseStabilityAcrossBand(t *testing.T) {
 	}
 	if hi-lo > 1.0 {
 		t.Fatalf("phase spread %g rad over 100 MHz, want < 1", hi-lo)
-	}
-}
-
-// Property: NarrowbandEstimate inverts Eq. 11 exactly for any h1 > 0 and
-// any h2 (testing/quick over the complex plane).
-func TestNarrowbandEstimateRoundTripProperty(t *testing.T) {
-	f := func(h1raw, re, im float64) bool {
-		h1 := 0.1 + math.Abs(math.Mod(h1raw, 10))
-		h2 := complex(math.Mod(re, 10), math.Mod(im, 10))
-		if math.IsNaN(real(h2)) || math.IsNaN(imag(h2)) || math.IsNaN(h1) {
-			return true
-		}
-		p1 := h1 * h1
-		p2 := real(h2)*real(h2) + imag(h2)*imag(h2)
-		p3 := cmplx.Abs(complex(h1, 0)+h2) * cmplx.Abs(complex(h1, 0)+h2)
-		p4 := cmplx.Abs(complex(h1, 0)+h2*1i) * cmplx.Abs(complex(h1, 0)+h2*1i)
-		est, err := NarrowbandEstimate(p1, p2, p3, p4)
-		if err != nil {
-			return false
-		}
-		wantDelta := cmplx.Abs(h2) / h1
-		if math.Abs(est.Delta-wantDelta) > 1e-9*(1+wantDelta) {
-			return false
-		}
-		if cmplx.Abs(h2) > 1e-9 {
-			wantSigma := cmplx.Phase(h2)
-			if math.Abs(dsp.WrapPhase(est.Sigma-wantSigma)) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -16,7 +16,6 @@ package superres
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 
 	"mmreliable/internal/cmx"
 	"mmreliable/internal/scratch"
@@ -123,17 +122,4 @@ func RelativeDelay(d, ref, span float64) float64 {
 		x += span
 	}
 	return x
-}
-
-// PowerRatioDB returns the power of beam k relative to beam ref in dB.
-func (r Result) PowerRatioDB(k, ref int) float64 {
-	if r.Power[ref] <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(r.Power[k]/r.Power[ref])
-}
-
-// RelativePhase returns the phase of Amp[k] relative to Amp[ref].
-func (r Result) RelativePhase(k, ref int) float64 {
-	return cmplx.Phase(r.Amp[k] / r.Amp[ref])
 }

@@ -8,7 +8,6 @@ package track
 
 import (
 	"fmt"
-	"math"
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/dsp"
@@ -235,12 +234,6 @@ func (tr *Tracker) Reanchor(initPowers []float64) error {
 	return nil
 }
 
-// Blocked reports whether beam k is currently marked blocked.
-func (tr *Tracker) Blocked(k int) bool { return tr.bs[k].blocked }
-
-// SmoothedDB returns beam k's current smoothed power in dB.
-func (tr *Tracker) SmoothedDB(k int) float64 { return tr.bs[k].ewma.Value() }
-
 // Candidates returns the two candidate re-alignment angles for a beam
 // currently steered at angle with estimated deviation dev: the manager
 // probes one; if SNR does not improve, the other is correct (§4.2).
@@ -256,36 +249,4 @@ func RotationFromDrop(ue *antenna.ULA, dropDB float64) float64 {
 		return 0
 	}
 	return ue.InvertArrayFactor(dsp.AmpFromDB(-dropDB))
-}
-
-// TranslationFromDrop estimates the common misalignment angle when a UE
-// translation misaligns both the gNB and UE beams by the same angle (§4.4):
-// the drop is the product of both array factors, inverted numerically.
-func TranslationFromDrop(gnb, ue *antenna.ULA, dropDB float64) float64 {
-	if dropDB <= 0 {
-		return 0
-	}
-	target := dsp.AmpFromDB(-dropDB) // combined amplitude ratio
-	// Bisect on the monotone main-lobe product AF_gnb(Δ)·AF_ue(Δ).
-	lo, hi := 0.0, smallestFirstNull(gnb, ue)
-	for iter := 0; iter < 60; iter++ {
-		mid := (lo + hi) / 2
-		if gnb.ArrayFactor(0, mid)*ue.ArrayFactor(0, mid) > target {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-func smallestFirstNull(a, b *antenna.ULA) float64 {
-	null := func(u *antenna.ULA) float64 {
-		s := u.Lambda / (float64(u.N) * u.Spacing)
-		if s > 1 {
-			s = 1
-		}
-		return math.Asin(s)
-	}
-	return math.Min(null(a), null(b))
 }

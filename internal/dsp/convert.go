@@ -37,14 +37,3 @@ func Deg(rad float64) float64 { return rad * 180 / math.Pi }
 
 // Rad converts degrees to radians.
 func Rad(deg float64) float64 { return deg * math.Pi / 180 }
-
-// Clamp limits x to the closed interval [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

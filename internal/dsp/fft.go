@@ -1,25 +1,15 @@
 // Package dsp provides the signal-processing primitives the mmReliable
-// stack needs: an in-place radix-2 FFT, sinc interpolation kernels,
-// least-squares polynomial fitting, smoothing filters, and dB/linear
-// conversions. Go has no DSP standard library, so everything here is
-// implemented from scratch on math/cmplx.
+// stack needs: an in-place radix-2 FFT, smoothing filters, dB/linear
+// conversions and the planar phasor kernels. Go has no DSP standard
+// library, so everything here is implemented from scratch on math/cmplx.
 package dsp
 
 import (
 	"fmt"
-	"math/bits"
 )
 
 // IsPow2 reports whether n is a positive power of two.
 func IsPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
-
-// NextPow2 returns the smallest power of two ≥ n (and 1 for n ≤ 1).
-func NextPow2(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return 1 << bits.Len(uint(n-1))
-}
 
 // FFT computes the forward discrete Fourier transform of x in place.
 // len(x) must be a power of two. The convention is
@@ -82,26 +72,4 @@ func fftDir(x []complex128, inverse bool) error {
 		}
 	}
 	return nil
-}
-
-// FFTShift rotates the zero-frequency bin to the center of the spectrum,
-// returning a new slice. For even N the Nyquist bin lands at index 0 of the
-// output's left half, matching the usual numpy convention.
-func FFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := (n + 1) / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
-}
-
-// IFFTShift undoes FFTShift.
-func IFFTShift(x []complex128) []complex128 {
-	n := len(x)
-	out := make([]complex128, n)
-	half := n / 2
-	copy(out, x[half:])
-	copy(out[n-half:], x[:half])
-	return out
 }

@@ -135,44 +135,17 @@ func TestFFTRejectsNonPow2(t *testing.T) {
 	}
 }
 
-func TestFFTShiftRoundTrip(t *testing.T) {
-	for _, n := range []int{4, 5, 8, 9} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(float64(i), 0)
-		}
-		y := IFFTShift(FFTShift(x))
-		for i := range x {
-			if y[i] != x[i] {
-				t.Fatalf("n=%d shift round-trip broken at %d: %v", n, i, y)
-			}
-		}
-	}
-}
-
-func TestFFTShiftCentersDC(t *testing.T) {
-	x := []complex128{10, 1, 2, 3} // DC = index 0
-	y := FFTShift(x)
-	if y[2] != 10 {
-		t.Fatalf("DC not centered: %v", y)
-	}
-}
-
 func TestPow2Helpers(t *testing.T) {
 	cases := []struct {
-		n    int
-		is   bool
-		next int
+		n  int
+		is bool
 	}{
-		{1, true, 1}, {2, true, 2}, {3, false, 4}, {4, true, 4},
-		{5, false, 8}, {1023, false, 1024}, {1024, true, 1024}, {0, false, 1},
+		{1, true}, {2, true}, {3, false}, {4, true},
+		{5, false}, {1023, false}, {1024, true}, {0, false},
 	}
 	for _, c := range cases {
 		if IsPow2(c.n) != c.is {
 			t.Errorf("IsPow2(%d) = %v", c.n, !c.is)
-		}
-		if got := NextPow2(c.n); got != c.next {
-			t.Errorf("NextPow2(%d) = %d want %d", c.n, got, c.next)
 		}
 	}
 }

@@ -1,106 +1,8 @@
 package dsp
 
 import (
-	"errors"
 	"fmt"
-	"math"
 )
-
-// ErrFit reports an ill-posed fitting problem.
-var ErrFit = errors.New("dsp: ill-posed fit")
-
-// PolyFit fits a polynomial of the given degree to the points (x[i], y[i])
-// in the least-squares sense and returns the coefficients lowest order
-// first: p(x) = c[0] + c[1]x + … + c[degree]x^degree.
-//
-// The tracker uses quadratic fits (degree 2) to smooth noisy per-beam power
-// measurements before inverting the beam pattern (§6.1 of the paper).
-func PolyFit(x, y []float64, degree int) ([]float64, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("dsp: PolyFit length mismatch %d vs %d", len(x), len(y))
-	}
-	if degree < 0 {
-		return nil, fmt.Errorf("dsp: negative degree %d", degree)
-	}
-	n := degree + 1
-	if len(x) < n {
-		return nil, fmt.Errorf("%w: %d points for degree %d", ErrFit, len(x), degree)
-	}
-	// Normal equations on the Vandermonde system: (VᵀV)c = Vᵀy.
-	vtv := make([][]float64, n)
-	for i := range vtv {
-		vtv[i] = make([]float64, n)
-	}
-	vty := make([]float64, n)
-	for k := range x {
-		pow := make([]float64, n)
-		p := 1.0
-		for i := 0; i < n; i++ {
-			pow[i] = p
-			p *= x[k]
-		}
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				vtv[i][j] += pow[i] * pow[j]
-			}
-			vty[i] += pow[i] * y[k]
-		}
-	}
-	c, err := solveReal(vtv, vty)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
-// PolyEval evaluates the polynomial with coefficients c (lowest order first)
-// at x.
-func PolyEval(c []float64, x float64) float64 {
-	var y float64
-	for i := len(c) - 1; i >= 0; i-- {
-		y = y*x + c[i]
-	}
-	return y
-}
-
-// solveReal solves the small dense real system A·x = b with partial
-// pivoting. A and b are modified.
-func solveReal(a [][]float64, b []float64) ([]float64, error) {
-	n := len(a)
-	for col := 0; col < n; col++ {
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(a[r][col]) > math.Abs(a[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(a[pivot][col]) < 1e-300 {
-			return nil, ErrFit
-		}
-		a[col], a[pivot] = a[pivot], a[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		inv := 1 / a[col][col]
-		for r := col + 1; r < n; r++ {
-			f := a[r][col] * inv
-			if f == 0 {
-				continue
-			}
-			for c := col; c < n; c++ {
-				a[r][c] -= f * a[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= a[i][j] * x[j]
-		}
-		x[i] = s / a[i][i]
-	}
-	return x, nil
-}
 
 // EWMA is an exponentially weighted moving average with a forgetting
 // factor, used to smooth per-beam power time series. The zero value is

@@ -2,72 +2,9 @@ package dsp
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
-
-func TestPolyFitExactQuadratic(t *testing.T) {
-	// y = 2 − 3x + 0.5x²
-	want := []float64{2, -3, 0.5}
-	x := []float64{-2, -1, 0, 1, 2, 3}
-	y := make([]float64, len(x))
-	for i := range x {
-		y[i] = PolyEval(want, x[i])
-	}
-	c, err := PolyFit(x, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if math.Abs(c[i]-want[i]) > 1e-9 {
-			t.Fatalf("c = %v want %v", c, want)
-		}
-	}
-}
-
-func TestPolyFitNoisyRecovery(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	truth := []float64{1, 0.2, -0.05}
-	n := 200
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = float64(i) / 10
-		y[i] = PolyEval(truth, x[i]) + 0.01*rng.NormFloat64()
-	}
-	c, err := PolyFit(x, y, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range truth {
-		if math.Abs(c[i]-truth[i]) > 0.05 {
-			t.Fatalf("coefficient %d: %g want %g", i, c[i], truth[i])
-		}
-	}
-}
-
-func TestPolyFitUnderdetermined(t *testing.T) {
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Fatal("expected error: 2 points cannot fit a quadratic")
-	}
-	if _, err := PolyFit([]float64{1}, []float64{1, 2}, 1); err == nil {
-		t.Fatal("expected error on length mismatch")
-	}
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, -1); err == nil {
-		t.Fatal("expected error on negative degree")
-	}
-}
-
-func TestPolyEvalHorner(t *testing.T) {
-	c := []float64{1, 2, 3} // 1 + 2x + 3x²
-	if got := PolyEval(c, 2); got != 17 {
-		t.Fatalf("PolyEval = %g", got)
-	}
-	if got := PolyEval(nil, 5); got != 0 {
-		t.Fatalf("PolyEval(nil) = %g", got)
-	}
-}
 
 func TestEWMAConvergesToConstant(t *testing.T) {
 	e := NewEWMA(0.3)
@@ -154,73 +91,6 @@ func TestSlopePerSample(t *testing.T) {
 	}
 }
 
-func TestSincProperties(t *testing.T) {
-	if Sinc(0) != 1 {
-		t.Fatal("Sinc(0) != 1")
-	}
-	for n := 1; n <= 10; n++ {
-		if math.Abs(Sinc(float64(n))) > 1e-12 {
-			t.Fatalf("Sinc(%d) = %g, want 0", n, Sinc(float64(n)))
-		}
-		if math.Abs(Sinc(-float64(n))) > 1e-12 {
-			t.Fatalf("Sinc(-%d) != 0", n)
-		}
-	}
-	// Even symmetry.
-	for _, x := range []float64{0.3, 1.7, 2.5} {
-		if math.Abs(Sinc(x)-Sinc(-x)) > 1e-15 {
-			t.Fatalf("Sinc not even at %g", x)
-		}
-	}
-}
-
-func TestSincVector(t *testing.T) {
-	// Path at exactly one sample delay: kernel peaks at index 1.
-	bw := 400e6
-	ts := 1 / bw
-	v := SincVector(8, bw, ts, ts)
-	if math.Abs(real(v[1])-1) > 1e-12 {
-		t.Fatalf("peak not at index 1: %v", v[:3])
-	}
-	for i, x := range v {
-		if i != 1 && math.Abs(real(x)) > 1e-9 {
-			t.Fatalf("non-zero off-peak sample %d: %g", i, real(x))
-		}
-	}
-	// Fractional delay spreads energy but keeps peak closest to the delay.
-	v2 := SincVector(8, bw, ts, 1.4*ts)
-	if math.Abs(real(v2[1])) < math.Abs(real(v2[4])) {
-		t.Fatal("fractional-delay kernel not centered near sample 1")
-	}
-}
-
-func TestRaisedCosine(t *testing.T) {
-	if RaisedCosine(0, 0.25) != 1 {
-		t.Fatal("RC(0) != 1")
-	}
-	if math.Abs(RaisedCosine(0.7, 0)-Sinc(0.7)) > 1e-15 {
-		t.Fatal("RC with beta=0 should equal Sinc")
-	}
-	// The singular point x = 1/(2β) must be finite.
-	got := RaisedCosine(2, 0.25)
-	if math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Fatalf("RC singular point not handled: %g", got)
-	}
-}
-
-func TestHannWindow(t *testing.T) {
-	w := HannWindow(9)
-	if math.Abs(w[0]) > 1e-12 || math.Abs(w[8]) > 1e-12 {
-		t.Fatalf("Hann endpoints not ~0: %g %g", w[0], w[8])
-	}
-	if math.Abs(w[4]-1) > 1e-12 {
-		t.Fatalf("Hann center = %g", w[4])
-	}
-	if got := HannWindow(1); got[0] != 1 {
-		t.Fatalf("HannWindow(1) = %v", got)
-	}
-}
-
 func TestConversions(t *testing.T) {
 	if math.Abs(DB(100)-20) > 1e-12 {
 		t.Fatalf("DB(100) = %g", DB(100))
@@ -259,11 +129,5 @@ func TestWrapPhase(t *testing.T) {
 		if got := WrapPhase(c.in); math.Abs(got-c.want) > 1e-12 {
 			t.Errorf("WrapPhase(%g) = %g want %g", c.in, got, c.want)
 		}
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
-		t.Fatal("Clamp broken")
 	}
 }

@@ -42,9 +42,3 @@ func (b Band) FSPLdB(d float64) float64 {
 func (b Band) PathLossDB(d float64) float64 {
 	return b.FSPLdB(d) + b.AbsorptionDBm*d
 }
-
-// PathAmplitude returns the linear field-amplitude attenuation over
-// distance d (the square root of the linear power loss).
-func (b Band) PathAmplitude(d float64) float64 {
-	return math.Pow(10, -b.PathLossDB(d)/20)
-}

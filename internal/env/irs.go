@@ -51,12 +51,3 @@ func (e *Environment) irsPath(tx, rx Pose, i int) (Path, bool) {
 	}
 	return p, true
 }
-
-// ViaIRS returns the IRS index a path reflected off, or −1 for non-IRS
-// paths.
-func (p Path) ViaIRS() int {
-	if p.Via <= -2 {
-		return -2 - p.Via
-	}
-	return -1
-}

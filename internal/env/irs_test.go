@@ -16,7 +16,7 @@ func TestIRSPathGeometry(t *testing.T) {
 	}
 	var irs *Path
 	for i := range paths {
-		if paths[i].ViaIRS() == 0 {
+		if paths[i].Via == -2 {
 			irs = &paths[i]
 		}
 	}
@@ -36,12 +36,6 @@ func TestIRSPathGeometry(t *testing.T) {
 	// AoD toward the surface: 45°.
 	if math.Abs(irs.AoD-math.Pi/4) > 1e-9 {
 		t.Fatalf("IRS AoD %g", irs.AoD)
-	}
-	// LOS paths report ViaIRS −1.
-	for _, p := range paths {
-		if p.Via == -1 && p.ViaIRS() != -1 {
-			t.Fatal("LOS misreported as IRS")
-		}
 	}
 }
 
@@ -90,7 +84,7 @@ func TestIRSOcclusion(t *testing.T) {
 	// A metal wall between TX and the surface kills the first leg.
 	e.Walls = append(e.Walls, Wall{Seg: Segment{Vec2{2, 1}, Vec2{2, 4}}, Mat: Metal})
 	for _, p := range e.Trace(Pose{Pos: Vec2{0, 0}}, Pose{Pos: Vec2{10, 0}, Facing: math.Pi}) {
-		if p.ViaIRS() == 0 {
+		if p.Via == -2 {
 			t.Fatalf("occluded IRS path survived: %+v", p)
 		}
 	}

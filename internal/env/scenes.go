@@ -104,6 +104,11 @@ func FacingFrom(pos, target Vec2) float64 {
 	return target.Sub(pos).Angle()
 }
 
+// HallLengthM and HallWidthM are the MultiCellHall floor extent: the hall
+// spans x ∈ [0, HallLengthM] and y ∈ [0, HallWidthM], with its walls on
+// the boundary.
+const HallLengthM, HallWidthM = 20.0, 12.0
+
 // MultiCellHall builds the multi-cell indoor deployment scene: a 20 m × 12 m
 // exhibition-hall room with glass long walls and a couple of interior
 // reflectors, and `cells` gNBs mounted alternately on the south and north
@@ -119,7 +124,7 @@ func MultiCellHall(band Band, cells int) (*Environment, []Pose) {
 	if cells < 1 {
 		panic("env: MultiCellHall cells < 1")
 	}
-	const l, w = 20.0, 12.0
+	const l, w = HallLengthM, HallWidthM
 	walls := []Wall{
 		{Seg: Segment{Vec2{0, 0}, Vec2{l, 0}}, Mat: Glass},      // south glass wall
 		{Seg: Segment{Vec2{l, 0}, Vec2{l, w}}, Mat: Concrete},   // east wall
@@ -152,7 +157,7 @@ func HallUEPositions(n int) []Vec2 {
 	if n < 1 {
 		return nil
 	}
-	const l, w, margin = 20.0, 12.0, 2.0
+	const l, w, margin = HallLengthM, HallWidthM, 2.0
 	cols := 1
 	for cols*cols < n {
 		cols++
@@ -204,8 +209,7 @@ func MultiCellStreet(band Band, cells int) (*Environment, []Pose) {
 //
 // Geometry: buildings are building×building squares on a pitch of
 // building+street, with streets street metres wide; intersection i of the
-// (blocks+1)² lattice carries gNB i. UE drops come from MetroUEPositions,
-// which keeps UEs in the streets.
+// (blocks+1)² lattice carries gNB i.
 func MetroGrid(band Band, blocks int) (*Environment, []Pose) {
 	if blocks < 1 {
 		panic("env: MetroGrid blocks < 1")
@@ -248,35 +252,4 @@ func MetroGrid(band Band, blocks int) (*Environment, []Pose) {
 		}
 	}
 	return e, poses
-}
-
-// MetroUEPositions returns n deterministic UE drop positions in the street
-// grid of MetroGrid(_, blocks): positions walk the horizontal street
-// centrelines on a fixed pitch, row-major, wrapping around the scene as i
-// grows. A pure function of (i, n, blocks), which is what keeps sharded
-// metro runs byte-identical at any worker count.
-func MetroUEPositions(n, blocks int) []Vec2 {
-	if n < 1 {
-		return nil
-	}
-	const (
-		building = 20.0
-		street   = 12.0
-		pitch    = building + street
-	)
-	extent := street + float64(blocks)*pitch
-	// Drop points every stepX metres along each horizontal street's
-	// centreline; streets are visited round-robin so any n spreads over
-	// the whole grid.
-	perStreet := int(extent / 4)
-	streets := blocks + 1
-	pos := make([]Vec2, n)
-	for i := range pos {
-		s := i % streets
-		k := (i / streets) % perStreet
-		y := street/2 + float64(s)*pitch
-		x := 2 + float64(k)*4 + float64((i/(streets*perStreet))%4) // wrap shifts by 1 m
-		pos[i] = Vec2{x, y}
-	}
-	return pos
 }

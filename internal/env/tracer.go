@@ -47,7 +47,7 @@ type Path struct {
 	LossDB  float64 // total power loss (path loss + reflection + transmission)
 	PhasePi bool    // extra π phase flip from an odd number of reflections
 	Refl    int     // number of reflections (0 for LOS)
-	Via     int     // index of the first reflecting wall, −1 for LOS
+	Via     int     // index of the first reflecting wall, −1 for LOS, −2−i via IRS i
 	Via2    int     // index of the second reflecting wall, −1 otherwise
 }
 

@@ -90,11 +90,6 @@ func TestBandConstants(t *testing.T) {
 	if b28.FSPLdB(0) != 0 {
 		t.Fatal("FSPL at d=0 should be 0 by convention")
 	}
-	// Amplitude is the square root of the power loss.
-	amp := b28.PathAmplitude(10)
-	if math.Abs(-20*math.Log10(amp)-b28.PathLossDB(10)) > 1e-9 {
-		t.Fatal("PathAmplitude inconsistent with PathLossDB")
-	}
 }
 
 func TestLOSTrace(t *testing.T) {

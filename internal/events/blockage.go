@@ -57,9 +57,6 @@ func (e Event) LossAt(t float64) float64 {
 // End returns the time at which the event has fully cleared.
 func (e Event) End() float64 { return e.Start + 2*e.RampTime + e.Duration }
 
-// Active reports whether the event applies any loss at time t.
-func (e Event) Active(t float64) bool { return t > e.Start && t < e.End() }
-
 // Schedule is a set of blockage events over an observation interval.
 type Schedule []Event
 
@@ -73,16 +70,6 @@ func (s Schedule) LossAt(pathIndex int, t float64) float64 {
 		}
 	}
 	return loss
-}
-
-// AnyActive reports whether any event is applying loss at time t.
-func (s Schedule) AnyActive(t float64) bool {
-	for _, e := range s {
-		if e.Active(t) {
-			return true
-		}
-	}
-	return false
 }
 
 // Sorted returns a copy of the schedule ordered by start time.

@@ -27,9 +27,6 @@ func TestEventTrapezoid(t *testing.T) {
 	if e.End() != 1.4 {
 		t.Fatalf("End = %g", e.End())
 	}
-	if e.Active(0.9) || !e.Active(1.2) || e.Active(1.5) {
-		t.Fatal("Active wrong")
-	}
 }
 
 func TestRampSlopeMatchesMeasurement(t *testing.T) {
@@ -71,19 +68,6 @@ func TestAllPathsEvent(t *testing.T) {
 		if got := s.LossAt(path, 0.5); math.Abs(got-30) > 1e-9 {
 			t.Fatalf("path %d loss = %g", path, got)
 		}
-	}
-}
-
-func TestAnyActive(t *testing.T) {
-	s := Schedule{{PathIndex: 0, Start: 1, Duration: 0.1, DepthDB: 10, RampTime: 0.05}}
-	if s.AnyActive(0.5) {
-		t.Fatal("active before start")
-	}
-	if !s.AnyActive(1.1) {
-		t.Fatal("not active during event")
-	}
-	if s.AnyActive(5) {
-		t.Fatal("active after end")
 	}
 }
 
@@ -191,9 +175,6 @@ func TestEmptyScheduleIsNeutral(t *testing.T) {
 					t.Fatalf("empty schedule LossAt(%d, %g) = %g", path, tm, got)
 				}
 			}
-		}
-		if s.AnyActive(0.5) {
-			t.Fatal("empty schedule reports active")
 		}
 		if err := s.Validate(); err != nil {
 			t.Fatalf("empty schedule invalid: %v", err)

@@ -64,14 +64,8 @@ func NewCombiner(maxUsers, nsc int) *Combiner {
 	}
 }
 
-// MaxUsers returns the group-size capacity.
-func (c *Combiner) MaxUsers() int { return c.maxUsers }
-
 // NumSC returns the per-entry subcarrier count.
 func (c *Combiner) NumSC() int { return c.nsc }
-
-// K returns the group size of the slot in progress (0 before first Begin).
-func (c *Combiner) K() int { return c.k }
 
 // Begin starts a new slot for a group of k users, re-pointing the internal
 // matrices at k×k views of the preallocated slabs. Every Entry (u,v) with

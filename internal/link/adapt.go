@@ -50,9 +50,6 @@ func (r *RateAdapter) Observe(snrDB float64) {
 	r.haveEst = true
 }
 
-// MarginDB returns the current outer-loop margin.
-func (r *RateAdapter) MarginDB() float64 { return r.marginDB }
-
 // Transmit selects an MCS from the margin-adjusted estimate and attempts a
 // transmission against the true SNR. It returns the achieved throughput in
 // bits/s (0 on failure or when the adjusted estimate is below the outage

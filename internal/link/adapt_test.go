@@ -50,12 +50,12 @@ func TestOptimisticEstimateFailsThenBacksOff(t *testing.T) {
 	if fails == 0 {
 		t.Fatal("optimistic MCS never failed")
 	}
-	if r.MarginDB() == 0 {
+	if r.marginDB == 0 {
 		t.Fatal("margin did not grow after NACKs")
 	}
 	// After backing off, transmissions succeed again.
 	if _, ok := r.Transmit(15, 400e6); !ok {
-		t.Fatalf("still failing after %g dB margin", r.MarginDB())
+		t.Fatalf("still failing after %g dB margin", r.marginDB)
 	}
 }
 
@@ -77,8 +77,8 @@ func TestMarginCaps(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r.Transmit(-30, 400e6) // every block fails
 	}
-	if r.MarginDB() > r.MaxMarginDB {
-		t.Fatalf("margin %g exceeded cap", r.MarginDB())
+	if r.marginDB > r.MaxMarginDB {
+		t.Fatalf("margin %g exceeded cap", r.marginDB)
 	}
 	// Margin decays to zero under sustained success.
 	r2 := NewRateAdapter()
@@ -87,8 +87,8 @@ func TestMarginCaps(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		r2.Transmit(30, 400e6)
 	}
-	if r2.MarginDB() != 0 {
-		t.Fatalf("margin %g did not decay to 0", r2.MarginDB())
+	if r2.marginDB != 0 {
+		t.Fatalf("margin %g did not decay to 0", r2.marginDB)
 	}
 }
 

@@ -142,6 +142,7 @@ type Metro struct {
 	siteSketches []Sketch
 	shardLo      []int // shard s covers sites[shardLo[s]:shardLo[s+1]]
 	positions    []env.Vec2
+	cells        []env.Pose // every site's gNB poses (one shared hall)
 	workers      int
 	frame        int
 	runShardFn   func(worker, s int) // runShard, bound once: no closure per frame
@@ -200,6 +201,7 @@ func New(num nr.Numerology, cfg Config) (*Metro, error) {
 		sketches:     make([]Sketch, shards),
 		siteSketches: make([]Sketch, cfg.Clusters),
 		positions:    positions,
+		cells:        poses,
 		workers:      workers,
 	}
 	m.runShardFn = m.runShard

@@ -2,6 +2,7 @@ package metro
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -227,5 +228,39 @@ func TestMetroFrameZeroAllocTwoWorkers(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, m.AdvanceFrame); avg != 0 {
 		t.Errorf("metro AdvanceFrame allocates %.1f objects/frame in steady state, want 0", avg)
+	}
+}
+
+// TestInjectAttachRejectsOffFloor pins the attach position gate: a point
+// not strictly inside the hall floor, or within half a metre of a gNB, is
+// refused without adding a UE; an interior point is admitted.
+func TestInjectAttachRejectsOffFloor(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Clusters = 1
+	m, err := New(nr.Mu3(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := m.sites[0].cl.ResidentUEs()
+	for _, p := range []struct {
+		name string
+		x, y float64
+	}{
+		{"far away", 1e6, 1e6},
+		{"west of the west wall", -5, 6},
+		{"on the south wall", 10, 0},
+		{"on gNB 0", 5, 0.4},
+		{"next to gNB 1", 15.3, 11.4},
+		{"NaN", math.NaN(), 6},
+	} {
+		if _, err := m.InjectAttach(0, AttachSpec{HasPos: true, X: p.x, Y: p.y}); err == nil {
+			t.Errorf("%s (%g, %g): attach accepted", p.name, p.x, p.y)
+		}
+	}
+	if got := m.sites[0].cl.ResidentUEs(); got != resident {
+		t.Fatalf("rejected attaches changed the population: %d UEs, want %d", got, resident)
+	}
+	if _, err := m.InjectAttach(0, AttachSpec{HasPos: true, X: 3.5, Y: 1.25}); err != nil {
+		t.Fatalf("interior attach refused: %v", err)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mmreliable/internal/cluster"
 	"mmreliable/internal/core"
+	"mmreliable/internal/env"
 	"mmreliable/internal/station"
 )
 
@@ -19,8 +20,9 @@ import (
 // site's resident count), session length from the site's churn stream when
 // churn is on (never-ending otherwise).
 type AttachSpec struct {
-	// X, Y place the UE when HasPos is set; otherwise a lattice point is
-	// chosen deterministically.
+	// X, Y place the UE when HasPos is set; the point must lie strictly
+	// inside the hall floor and more than 0.5 m from a gNB. Otherwise a
+	// lattice point is chosen deterministically.
 	X      float64 `json:"x,omitempty"`
 	Y      float64 `json:"y,omitempty"`
 	HasPos bool    `json:"has_pos,omitempty"`
@@ -42,7 +44,10 @@ func (m *Metro) InjectAttach(siteIdx int, spec AttachSpec) (int, error) {
 	s := m.sites[siteIdx]
 	pos := m.positions[s.cl.ResidentUEs()%len(m.positions)]
 	if spec.HasPos {
-		pos.X, pos.Y = spec.X, spec.Y
+		pos = env.Vec2{X: spec.X, Y: spec.Y}
+		if err := m.checkAttachPos(pos); err != nil {
+			return 0, err
+		}
 	}
 	uc := m.newUEConfig(s, pos)
 	now := s.cl.Now()
@@ -54,6 +59,26 @@ func (m *Metro) InjectAttach(siteIdx int, spec AttachSpec) (int, error) {
 		uc.DetachAt = now + m.sessionLen(s)
 	}
 	return s.cl.AddUE(uc)
+}
+
+// minGNBClearanceM is how close an attach position may come to a gNB.
+const minGNBClearanceM = 0.5
+
+// checkAttachPos refuses an attach position that is not strictly inside
+// the hall floor or that sits within minGNBClearanceM of a gNB: the tracer
+// and the link budget assume a UE in the room and off the radio heads.
+func (m *Metro) checkAttachPos(p env.Vec2) error {
+	if !(p.X > 0 && p.X < env.HallLengthM && p.Y > 0 && p.Y < env.HallWidthM) {
+		return fmt.Errorf("metro: attach position (%g, %g) is not inside the %gx%g m floor",
+			p.X, p.Y, env.HallLengthM, env.HallWidthM)
+	}
+	for i, c := range m.cells {
+		if p.Dist(c.Pos) <= minGNBClearanceM {
+			return fmt.Errorf("metro: attach position (%g, %g) is within %g m of gNB %d",
+				p.X, p.Y, minGNBClearanceM, i)
+		}
+	}
+	return nil
 }
 
 // InjectDetach schedules the UE's departure at this frame boundary.

@@ -249,34 +249,38 @@ func TestSweepFindsBothPaths(t *testing.T) {
 }
 
 func TestSelectPeaks(t *testing.T) {
+	var sc SweepScratch
+	sel := func(rss []float64, maxBeams, minSep int, dynRangeDB float64) []int {
+		return append([]int(nil), selectPeaksInto(&sc, rss, maxBeams, minSep, dynRangeDB)...)
+	}
 	rss := []float64{1, 5, 2, 1, 1, 4, 1, 0.001}
-	peaks := SelectPeaks(rss, 2, 2, 20)
+	peaks := sel(rss, 2, 2, 20)
 	if len(peaks) != 2 || peaks[0] != 1 || peaks[1] != 5 {
 		t.Fatalf("peaks = %v", peaks)
 	}
 	// Dynamic range filter: 0.001 is 37 dB below 5 → excluded.
 	rss2 := []float64{0.001, 0, 5, 0, 0}
-	peaks2 := SelectPeaks(rss2, 3, 1, 20)
+	peaks2 := sel(rss2, 3, 1, 20)
 	if len(peaks2) != 1 || peaks2[0] != 2 {
 		t.Fatalf("peaks2 = %v", peaks2)
 	}
 	// Separation filter: everything within the mask collapses to one peak.
 	rss3 := []float64{0, 4, 5, 4, 0}
-	peaks3 := SelectPeaks(rss3, 3, 3, 30)
+	peaks3 := sel(rss3, 3, 3, 30)
 	if len(peaks3) != 1 {
 		t.Fatalf("peaks3 = %v", peaks3)
 	}
 	// Merged hump: a second path that only shows as a shoulder (no local
 	// maximum) is still found once the main lobe is masked.
 	hump := []float64{1, 3, 5, 4.5, 4, 2, 1}
-	peaksH := SelectPeaks(hump, 2, 2, 20)
+	peaksH := sel(hump, 2, 2, 20)
 	if len(peaksH) != 2 || peaksH[0] != 2 || peaksH[1] != 4 {
 		t.Fatalf("hump peaks = %v", peaksH)
 	}
-	if SelectPeaks(nil, 3, 1, 20) != nil {
+	if sel(nil, 3, 1, 20) != nil {
 		t.Fatal("nil input should give nil")
 	}
-	if SelectPeaks(rss, 0, 1, 20) != nil {
+	if sel(rss, 0, 1, 20) != nil {
 		t.Fatal("maxBeams=0 should give nil")
 	}
 }

@@ -41,7 +41,7 @@ type SweepScratch struct {
 // SweepInto performs an exhaustive SSB sweep over the codebook, measuring
 // RSS with each beam, and selects up to maxBeams viable directions: local
 // RSS peaks separated by at least minSepIdx codebook entries and within
-// dynRangeDB of the strongest (see SelectPeaks). This is the paper's "any
+// dynRangeDB of the strongest (see selectPeaksInto). This is the paper's "any
 // standard beam training" building block (Fig. 2). Every buffer, the
 // returned RSS and Peaks included, is drawn from sc.
 func SweepInto(s *Sounder, m *channel.Model, cb *antenna.Codebook, maxBeams, minSepIdx int, dynRangeDB float64, sc *SweepScratch) SweepResult {
@@ -63,22 +63,17 @@ func SweepInto(s *Sounder, m *channel.Model, cb *antenna.Codebook, maxBeams, min
 	return res
 }
 
-// SelectPeaks picks up to maxBeams viable-beam indices from an RSS sweep by
-// successive masked selection (matching-pursuit style): take the global
-// maximum, mask out its angular neighborhood (± minSep−1 indices), take the
-// next maximum, and so on. Candidates more than dynRangeDB below the
-// strongest are rejected. This finds a second path even when wide scanning
-// beams merge two nearby paths into a single hump with no second local
-// maximum. Results are ordered strongest first.
-func SelectPeaks(rss []float64, maxBeams, minSep int, dynRangeDB float64) []int {
-	var sc SweepScratch
-	return selectPeaksInto(&sc, rss, maxBeams, minSep, dynRangeDB)
-}
-
-// selectPeaksInto is SelectPeaks working out of sc's mask/peak storage.
-// The greedy selection yields peaks in non-increasing RSS order already, so
-// the final stable insertion sort is a no-op guard that matches
-// sort.Slice's behavior on the tiny (≤ maxBeams) slices involved.
+// selectPeaksInto picks up to maxBeams viable-beam indices from an RSS
+// sweep by successive masked selection (matching-pursuit style): take the
+// global maximum, mask out its angular neighborhood (± minSep−1 indices),
+// take the next maximum, and so on. Candidates more than dynRangeDB below
+// the strongest are rejected. This finds a second path even when wide
+// scanning beams merge two nearby paths into a single hump with no second
+// local maximum. Results are ordered strongest first and live in sc's
+// mask/peak storage. The greedy selection yields peaks in non-increasing
+// RSS order already, so the final stable insertion sort is a no-op guard
+// that matches sort.Slice's behavior on the tiny (≤ maxBeams) slices
+// involved.
 func selectPeaksInto(sc *SweepScratch, rss []float64, maxBeams, minSep int, dynRangeDB float64) []int {
 	if len(rss) == 0 || maxBeams <= 0 {
 		return nil
@@ -124,13 +119,6 @@ func selectPeaksInto(sc *SweepScratch, rss []float64, maxBeams, minSep int, dynR
 	}
 	sc.peaks = peaks[:0]
 	return peaks
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // OverheadModel captures the §6.2 probing-overhead accounting (Fig. 18d).

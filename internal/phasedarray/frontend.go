@@ -1,9 +1,7 @@
 // Package phasedarray emulates the analog front-end of the paper's testbed:
-// a single-RF-chain phased array whose weights are programmed from a
-// register bank of stored beams over a slow control bus (≈100 µs per beam
-// switch), with quantized phase shifters and attenuators, and with
-// multi-beam weights synthesized on the fly as linear combinations of
-// stored single beams (§5.1).
+// a single-RF-chain phased array whose weights are programmed with
+// quantized phase shifters and attenuators. The paper's ≈100 µs SPI
+// beam-switch latency is not modelled: a program takes effect at once.
 //
 // The single-RF-chain constraint is the architectural fact that shapes the
 // whole paper: the receiver can only ever observe one scalar (the
@@ -13,26 +11,18 @@ package phasedarray
 
 import (
 	"fmt"
-	"math/cmplx"
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/cmx"
 )
 
-// DefaultSwitchLatency is the paper's measured beam-programming time over
-// the SPI bus (100 µs per beam).
-const DefaultSwitchLatency = 100e-6
-
 // FrontEnd emulates one phased-array panel.
 type FrontEnd struct {
-	Array         *antenna.ULA
-	Quant         antenna.Quantizer
-	SwitchLatency float64 // seconds per weight reprogram
+	Array *antenna.ULA
+	Quant antenna.Quantizer
 
-	regs      map[int]cmx.Vector
-	active    cmx.Vector
-	busyUntil float64
-	switches  int
+	active   cmx.Vector
+	switches int
 	// setBufs double-buffer the quantized weights SetWeights programs, so
 	// steady-state reprogramming stays off the allocator. Two buffers keep
 	// ActiveView's contract intact: a view taken before the latest
@@ -44,12 +34,7 @@ type FrontEnd struct {
 
 // New returns a front end for the given array and quantizer.
 func New(arr *antenna.ULA, q antenna.Quantizer) *FrontEnd {
-	f := &FrontEnd{
-		Array:         arr,
-		Quant:         q,
-		SwitchLatency: DefaultSwitchLatency,
-		regs:          make(map[int]cmx.Vector),
-	}
+	f := &FrontEnd{Array: arr, Quant: q}
 	// Pre-size both weight registers: SetWeights double-buffers through
 	// them, and lazy sizing would otherwise charge one allocation to each
 	// of the first two weight loads — visible as a late one-time blip in
@@ -59,32 +44,8 @@ func New(arr *antenna.ULA, q antenna.Quantizer) *FrontEnd {
 	return f
 }
 
-// StoreBeam quantizes w and stores it in register id. Real arrays keep only
-// single-beam codebook entries in registers; multi-beams are combined from
-// them (see ComposeMultiBeam).
-func (f *FrontEnd) StoreBeam(id int, w cmx.Vector) error {
-	if len(w) != f.Array.N {
-		return fmt.Errorf("phasedarray: weight length %d != %d elements", len(w), f.Array.N)
-	}
-	f.regs[id] = f.Quant.Apply(w)
-	return nil
-}
-
-// Beam returns the stored (quantized) weights for register id.
-func (f *FrontEnd) Beam(id int) (cmx.Vector, bool) {
-	w, ok := f.regs[id]
-	if !ok {
-		return nil, false
-	}
-	return w.Clone(), true
-}
-
-// NumStored returns the number of occupied registers.
-func (f *FrontEnd) NumStored() int { return len(f.regs) }
-
-// SetWeights programs arbitrary weights (quantized on the way in) at time
-// now. The array is busy until now + SwitchLatency.
-func (f *FrontEnd) SetWeights(w cmx.Vector, now float64) error {
+// SetWeights programs arbitrary weights, quantized on the way in.
+func (f *FrontEnd) SetWeights(w cmx.Vector) error {
 	if len(w) != f.Array.N {
 		return fmt.Errorf("phasedarray: weight length %d != %d elements", len(w), f.Array.N)
 	}
@@ -95,90 +56,16 @@ func (f *FrontEnd) SetWeights(w cmx.Vector, now float64) error {
 	f.setBufs[f.setIdx] = f.Quant.ApplyInto(w, buf)
 	f.active = f.setBufs[f.setIdx]
 	f.setIdx ^= 1
-	f.busyUntil = now + f.SwitchLatency
 	f.switches++
 	return nil
-}
-
-// LoadBeam activates a stored register at time now.
-func (f *FrontEnd) LoadBeam(id int, now float64) error {
-	w, ok := f.regs[id]
-	if !ok {
-		return fmt.Errorf("phasedarray: no beam in register %d", id)
-	}
-	f.active = w
-	f.busyUntil = now + f.SwitchLatency
-	f.switches++
-	return nil
-}
-
-// Active returns the currently programmed weights (nil before the first
-// SetWeights/LoadBeam).
-func (f *FrontEnd) Active() cmx.Vector {
-	if f.active == nil {
-		return nil
-	}
-	return f.active.Clone()
 }
 
 // ActiveView returns the currently programmed weights WITHOUT copying
-// (nil before the first SetWeights/LoadBeam). The returned slice is the
-// front end's live state: callers must treat it as read-only and must not
-// retain it across the next SetWeights/LoadBeam. The per-slot SNR
-// evaluation uses this to avoid one clone per slot; mutating callers use
-// Active.
+// (nil before the first SetWeights). The returned slice is the front end's
+// live state: callers must treat it as read-only and must not retain it
+// across the next SetWeights; a caller that mutates takes a Clone.
 func (f *FrontEnd) ActiveView() cmx.Vector { return f.active }
-
-// Ready reports whether the weight reprogram has settled by time t.
-func (f *FrontEnd) Ready(t float64) bool { return t >= f.busyUntil }
-
-// BusyUntil returns the settle deadline of the last switch.
-func (f *FrontEnd) BusyUntil() float64 { return f.busyUntil }
 
 // Switches returns the number of weight programs since creation, for
 // overhead accounting.
 func (f *FrontEnd) Switches() int { return f.switches }
-
-// ComposeMultiBeam builds constructive multi-beam weights from stored
-// registers: w = Σ_k coeff[k]·regs[ids[k]], normalized to unit norm, then
-// quantized. This mirrors the paper's FPGA implementation, which stores
-// only single-beam weights and synthesizes multi-beams by addition and
-// multiplication (§5.1).
-func (f *FrontEnd) ComposeMultiBeam(ids []int, coeffs []complex128) (cmx.Vector, error) {
-	if len(ids) != len(coeffs) {
-		return nil, fmt.Errorf("phasedarray: %d ids vs %d coefficients", len(ids), len(coeffs))
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("phasedarray: empty multi-beam")
-	}
-	sum := cmx.NewVector(f.Array.N)
-	for k, id := range ids {
-		w, ok := f.regs[id]
-		if !ok {
-			return nil, fmt.Errorf("phasedarray: no beam in register %d", id)
-		}
-		sum.AddScaled(coeffs[k], w)
-	}
-	if sum.Norm() == 0 {
-		return nil, fmt.Errorf("phasedarray: multi-beam coefficients cancel")
-	}
-	return f.Quant.Apply(sum.Normalize()), nil
-}
-
-// TRP returns the total radiated power factor ‖w‖² of the active weights
-// (1.0 when a beam is loaded, by construction).
-func (f *FrontEnd) TRP() float64 {
-	if f.active == nil {
-		return 0
-	}
-	var s float64
-	for _, x := range f.active {
-		s += real(x)*real(x) + imag(x)*imag(x)
-	}
-	return s
-}
-
-// PhaseAt returns the phase programmed on element n of the active weights.
-func (f *FrontEnd) PhaseAt(n int) float64 {
-	return cmplx.Phase(f.active[n])
-}

@@ -6,8 +6,7 @@ import "math/rand"
 // counter, making a stream's position serializable: the pair
 // (seed, Draws()) fully describes where the stream is, because the stdlib
 // rngSource advances by exactly one internal step per Int63 OR Uint64 call
-// regardless of which was used. A fresh CountingSource for the same seed,
-// fast-forwarded with Skip(draws), continues the stream identically.
+// regardless of which was used.
 //
 // The service layer's snapshots record every site's churn-stream draw
 // count; after a restore replays to the snapshot frame, the replayed
@@ -25,7 +24,7 @@ func NewCountingSource(seed int64) *CountingSource {
 }
 
 // NewCountingRand returns a *rand.Rand over a fresh counting source plus
-// the source itself (for Draws / Skip). The Rand draws the same values as
+// the source itself (for Draws). The Rand draws the same values as
 // rand.New(rand.NewSource(seed)) — wrapping adds counting, not a different
 // stream.
 func NewCountingRand(seed int64) (*rand.Rand, *CountingSource) {
@@ -54,13 +53,4 @@ func (c *CountingSource) Seed(seed int64) {
 // Draws returns how many values have been consumed since the last seed.
 func (c *CountingSource) Draws() uint64 {
 	return c.draws
-}
-
-// Skip fast-forwards the stream by n draws (n single-step advances of the
-// underlying source), as if n values had been consumed and discarded.
-func (c *CountingSource) Skip(n uint64) {
-	for i := uint64(0); i < n; i++ {
-		c.src.Uint64()
-	}
-	c.draws += n
 }

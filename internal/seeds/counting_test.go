@@ -33,35 +33,6 @@ func TestCountingRandMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestCountingSkipResumes pins the snapshot/restore property: a fresh
-// source skipped by Draws() continues the original stream exactly, even
-// when the original mixed Int63- and Uint64-consuming calls.
-func TestCountingSkipResumes(t *testing.T) {
-	orig, ocs := NewCountingRand(7)
-	for i := 0; i < 123; i++ {
-		switch i % 4 {
-		case 0:
-			orig.ExpFloat64()
-		case 1:
-			orig.Intn(9) // may consume multiple draws internally
-		case 2:
-			orig.Float64()
-		default:
-			orig.Uint64()
-		}
-	}
-	resumed, rcs := NewCountingRand(7)
-	rcs.Skip(ocs.Draws())
-	if rcs.Draws() != ocs.Draws() {
-		t.Fatalf("Skip did not mirror draw count: %d vs %d", rcs.Draws(), ocs.Draws())
-	}
-	for i := 0; i < 64; i++ {
-		if a, b := orig.ExpFloat64(), resumed.ExpFloat64(); a != b {
-			t.Fatalf("post-skip draw %d diverged: %v != %v", i, b, a)
-		}
-	}
-}
-
 // TestCountingSeedResets pins that reseeding zeroes the counter.
 func TestCountingSeedResets(t *testing.T) {
 	cs := NewCountingSource(1)

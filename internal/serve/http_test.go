@@ -157,6 +157,8 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"attach bad site", "/ue/attach", `{"site":99}`},
 		{"attach x without y", "/ue/attach", `{"site":0,"x":1}`},
 		{"attach unknown field", "/ue/attach", `{"site":0,"altitude":3}`},
+		{"attach off the floor", "/ue/attach", `{"site":0,"x":1e6,"y":1e6}`},
+		{"attach on a gNB", "/ue/attach", `{"site":0,"x":5,"y":0.4}`},
 		{"detach unknown ue", "/ue/detach", `{"site":0,"ue":9999}`},
 		{"blockage zero depth", "/event/blockage", `{"site":0,"ue":0,"duration_s":1}`},
 		{"config negative budget", "/config", `{"probe_budget":-1}`},

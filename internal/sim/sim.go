@@ -156,7 +156,7 @@ func (f *Fading) at(pathID int, t float64) float64 {
 	return v
 }
 
-// Validate checks the scenario.
+// Validate checks the scenario, its numerology and its blockage schedule.
 func (sc *Scenario) Validate() error {
 	if sc.Env == nil || sc.UE == nil || sc.TxArray == nil {
 		return fmt.Errorf("sim: scenario missing env/UE/array")
@@ -167,7 +167,7 @@ func (sc *Scenario) Validate() error {
 	if err := sc.Num.Validate(); err != nil {
 		return err
 	}
-	return nil
+	return sc.Blockage.Validate()
 }
 
 // ChannelAt builds the true channel snapshot at time t: ray-traced paths

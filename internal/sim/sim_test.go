@@ -65,6 +65,16 @@ func TestValidate(t *testing.T) {
 	if err := bad2.Validate(); err == nil {
 		t.Fatal("nil UE should fail")
 	}
+	for _, ev := range []events.Event{
+		{PathIndex: 0, Start: 0.1, Duration: 0.1, DepthDB: -20},
+		{PathIndex: -1, Start: 0.1, Duration: 0.1, DepthDB: 20},
+	} {
+		bad3 := *sc
+		bad3.Blockage = events.Schedule{ev}
+		if err := bad3.Validate(); err == nil {
+			t.Fatalf("blockage event %+v should fail", ev)
+		}
+	}
 }
 
 func TestRunSlotCountAndMetrics(t *testing.T) {

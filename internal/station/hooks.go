@@ -68,13 +68,6 @@ func (st *Station) DetachNow(id int) {
 	st.session(id).detachNow = true
 }
 
-// CanAdmit reports whether an attach at the next frame boundary would pass
-// admission control — the cluster's load-balancing input when choosing a
-// handover target or backup cell.
-func (st *Station) CanAdmit() bool {
-	return len(st.active) < st.cfg.MaxSessions
-}
-
 // ChargeExternalProbes debits n probes from the NEXT frame's budget — the
 // same carryover mechanism emergency preemptions use — so cluster-level
 // monitoring probes transmitted by this cell are paid for out of its own

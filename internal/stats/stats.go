@@ -1,11 +1,10 @@
 // Package stats provides the descriptive statistics and table-rendering
-// helpers used by the benchmark harness: CDFs, percentiles, moments, RMSE,
-// histograms, and fixed-width ASCII tables matching the paper's reported
+// helpers used by the benchmark harness: moments, percentiles, evenly
+// spaced grids, and fixed-width ASCII tables matching the paper's reported
 // series.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -61,29 +60,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// RMSE returns the root-mean-square error between a and b, which must have
-// equal lengths.
-func RMSE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("stats: RMSE length mismatch %d vs %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(a)))
-}
-
-// MSE returns the mean squared error between a and b.
-func MSE(a, b []float64) float64 {
-	r := RMSE(a, b)
-	return r * r
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
 // interpolation between order statistics. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -111,92 +87,6 @@ func Percentile(xs []float64, p float64) float64 {
 // Median returns the 50th percentile of xs.
 func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
-// CDF holds an empirical cumulative distribution.
-type CDF struct {
-	X []float64 // sorted sample values
-	P []float64 // cumulative probability at each X, in (0, 1]
-}
-
-// NewCDF builds the empirical CDF of xs.
-func NewCDF(xs []float64) *CDF {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	p := make([]float64, len(s))
-	n := float64(len(s))
-	for i := range s {
-		p[i] = float64(i+1) / n
-	}
-	return &CDF{X: s, P: p}
-}
-
-// At returns the empirical probability P(X ≤ x).
-func (c *CDF) At(x float64) float64 {
-	idx := sort.SearchFloat64s(c.X, x)
-	// idx is the first element > x after adjusting for equal runs.
-	for idx < len(c.X) && c.X[idx] <= x {
-		idx++
-	}
-	if idx == 0 {
-		return 0
-	}
-	return c.P[idx-1]
-}
-
-// Quantile returns the smallest sample value v with P(X ≤ v) ≥ q.
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.X) == 0 {
-		panic("stats: Quantile of empty CDF")
-	}
-	for i, p := range c.P {
-		if p >= q {
-			return c.X[i]
-		}
-	}
-	return c.X[len(c.X)-1]
-}
-
-// Sample returns n evenly spaced (value, probability) points of the CDF for
-// plotting/printing.
-func (c *CDF) Sample(n int) (xs, ps []float64) {
-	if n <= 0 || len(c.X) == 0 {
-		return nil, nil
-	}
-	xs = make([]float64, n)
-	ps = make([]float64, n)
-	for i := 0; i < n; i++ {
-		idx := i * (len(c.X) - 1) / max(n-1, 1)
-		xs[i] = c.X[idx]
-		ps[i] = c.P[idx]
-	}
-	return xs, ps
-}
-
-// Histogram bins xs into nbins equal-width bins over [lo, hi] and returns
-// bin centers and counts. Values outside the range are clamped into the
-// first/last bin.
-func Histogram(xs []float64, lo, hi float64, nbins int) (centers []float64, counts []int) {
-	if nbins <= 0 || hi <= lo {
-		return nil, nil
-	}
-	centers = make([]float64, nbins)
-	counts = make([]int, nbins)
-	w := (hi - lo) / float64(nbins)
-	for i := range centers {
-		centers[i] = lo + (float64(i)+0.5)*w
-	}
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return centers, counts
-}
-
 // Linspace returns n evenly spaced values from lo to hi inclusive.
 func Linspace(lo, hi float64, n int) []float64 {
 	if n <= 0 {
@@ -211,11 +101,4 @@ func Linspace(lo, hi float64, n int) []float64 {
 		out[i] = lo + float64(i)*step
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanVarStd(t *testing.T) {
@@ -35,28 +34,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestRMSE(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 2, 3}
-	if RMSE(a, b) != 0 {
-		t.Fatal("RMSE of identical slices != 0")
-	}
-	c := []float64{2, 2, 3}
-	want := math.Sqrt(1.0 / 3.0)
-	if math.Abs(RMSE(a, c)-want) > 1e-12 {
-		t.Fatalf("RMSE = %g want %g", RMSE(a, c), want)
-	}
-	if MSE(a, c) < 0 {
-		t.Fatal("MSE negative")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on mismatched lengths")
-		}
-	}()
-	RMSE(a, []float64{1})
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	cases := []struct{ p, want float64 }{
@@ -80,94 +57,6 @@ func TestPercentileUnsortedInput(t *testing.T) {
 	// Input must not be mutated.
 	if xs[0] != 5 {
 		t.Fatal("Percentile mutated its input")
-	}
-}
-
-func TestCDFBasics(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 2, 3})
-	if got := c.At(0.5); got != 0 {
-		t.Fatalf("At(0.5) = %g", got)
-	}
-	if got := c.At(2); got != 0.75 {
-		t.Fatalf("At(2) = %g", got)
-	}
-	if got := c.At(10); got != 1 {
-		t.Fatalf("At(10) = %g", got)
-	}
-	if got := c.Quantile(0.5); got != 2 {
-		t.Fatalf("Quantile(0.5) = %g", got)
-	}
-	if got := c.Quantile(1); got != 3 {
-		t.Fatalf("Quantile(1) = %g", got)
-	}
-}
-
-// Property: a CDF is monotone nondecreasing and bounded by [0, 1].
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		var xs []float64
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		c := NewCDF(xs)
-		prev := 0.0
-		for i := range c.X {
-			if c.P[i] < prev || c.P[i] < 0 || c.P[i] > 1+1e-12 {
-				return false
-			}
-			prev = c.P[i]
-			if i > 0 && c.X[i] < c.X[i-1] {
-				return false
-			}
-		}
-		return math.Abs(c.P[len(c.P)-1]-1) < 1e-12
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCDFSample(t *testing.T) {
-	c := NewCDF(Linspace(0, 99, 100))
-	xs, ps := c.Sample(5)
-	if len(xs) != 5 || len(ps) != 5 {
-		t.Fatalf("Sample sizes %d %d", len(xs), len(ps))
-	}
-	if !sort.Float64sAreSorted(xs) || !sort.Float64sAreSorted(ps) {
-		t.Fatal("Sample not sorted")
-	}
-	if xs[0] != 0 || xs[4] != 99 {
-		t.Fatalf("Sample endpoints %g %g", xs[0], xs[4])
-	}
-	if gotX, gotP := c.Sample(0); gotX != nil || gotP != nil {
-		t.Fatal("Sample(0) should be nil")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.9, 1.5, 2.5, -5, 99}
-	centers, counts := Histogram(xs, 0, 3, 3)
-	if len(centers) != 3 {
-		t.Fatalf("centers %v", centers)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram dropped samples: %d != %d", total, len(xs))
-	}
-	// Out-of-range clamped into end bins.
-	if counts[0] < 1 || counts[2] < 1 {
-		t.Fatalf("clamping failed: %v", counts)
-	}
-	if c, n := Histogram(xs, 3, 0, 3); c != nil || n != nil {
-		t.Fatal("invalid range should return nil")
 	}
 }
 
@@ -207,7 +96,7 @@ func TestPercentileMatchesSortedIndex(t *testing.T) {
 func TestTableRender(t *testing.T) {
 	tb := NewTable("Demo", "scheme", "snr_db")
 	tb.AddRow("single", "20.0")
-	tb.AddFloats(1.23456, 7)
+	tb.AddRow(Fmt(1.23456), Fmt(7))
 	out := tb.String()
 	if !strings.Contains(out, "== Demo ==") {
 		t.Fatalf("missing title:\n%s", out)

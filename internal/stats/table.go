@@ -25,15 +25,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddFloats appends a row formatted from float64 values with %.3g.
-func (t *Table) AddFloats(vals ...float64) {
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		cells[i] = Fmt(v)
-	}
-	t.AddRow(cells...)
-}
-
 // Fmt formats a float for table display.
 func Fmt(v float64) string { return fmt.Sprintf("%.4g", v) }
 
