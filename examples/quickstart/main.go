@@ -69,10 +69,11 @@ func main() {
 	}
 	offs := channel.SubcarrierOffsets(budget.BandwidthHz, 64)
 	re, im := make([]float64, len(offs)), make([]float64, len(offs))
+	txLin, noiseLin := budget.SNRTerms()
 	m.EffectiveWidebandSplitInto(u.SingleBeam(angles[0]), offs, re, im)
-	single := budget.WidebandSNRdBSplit(re, im)
+	single := link.WidebandSNRdB(re, im, txLin, noiseLin)
 	m.EffectiveWidebandSplitInto(w, offs, re, im)
-	multi := budget.WidebandSNRdBSplit(re, im)
+	multi := link.WidebandSNRdB(re, im, txLin, noiseLin)
 	fmt.Printf("single beam SNR : %.2f dB → %.0f Mbps\n", single, link.Throughput(single, budget.BandwidthHz, 0)/1e6)
 	fmt.Printf("multi-beam SNR  : %.2f dB → %.0f Mbps\n", multi, link.Throughput(multi, budget.BandwidthHz, 0)/1e6)
 	fmt.Printf("constructive combining gain: %.2f dB\n", multi-single)

@@ -181,7 +181,7 @@ func (c *Common) snr(m *channel.Model) float64 {
 		return math.Inf(-1)
 	}
 	m.EffectiveWidebandSplitInto(c.w, c.offsets, c.wbRe, c.wbIm)
-	return link.WidebandSNRdBSplitTerms(c.wbRe, c.wbIm, c.txLin, c.noiseLin)
+	return link.WidebandSNRdB(c.wbRe, c.wbIm, c.txLin, c.noiseLin)
 }
 
 func (c *Common) slotsFor(airTime float64) int {
@@ -459,7 +459,7 @@ func (o *Oracle) Step(t float64, m *channel.Model) sim.Slot {
 	best := math.Inf(-1)
 	for _, w := range cands {
 		m.EffectiveWidebandSplitInto(w, o.offsets, o.wbRe, o.wbIm)
-		if snr := link.WidebandSNRdBSplitTerms(o.wbRe, o.wbIm, o.txLin, o.noiseLin); snr > best {
+		if snr := link.WidebandSNRdB(o.wbRe, o.wbIm, o.txLin, o.noiseLin); snr > best {
 			best = snr
 		}
 	}

@@ -45,15 +45,23 @@ func TestSubcarrierOffsetsEdgeCases(t *testing.T) {
 	// 64/128/192 (exact multiples), 65/129 (one past). The planar path is
 	// pinned against the reference evaluator — the same phase
 	// decomposition, so the 1e-12 bound isolates the recurrence/re-seed
-	// behavior (direct-vs-factored is pinned separately; the grid step
-	// f₁ − f₀ alone differs from the true grid by rounding worth 1.5e-12
-	// relative error at nsc = 192 on this draw).
+	// behavior — and against the direct per-subcarrier form, which also
+	// charges the rounding of the grid step.
 	t.Run("planar", func(t *testing.T) {
 		for _, nsc := range []int{1, 2, 63, 64, 65, 128, 129, 192} {
 			fOffs := SubcarrierOffsets(400e6, nsc)
 			mm := m.Clone()
 			if err := maxRelErr(wideband(mm, w, fOffs), referenceWideband(mm, w, fOffs)); err > 1e-12 {
 				t.Fatalf("nsc=%d: planar vs reference rel err %.3g > 1e-12", nsc, err)
+			}
+		}
+	})
+	t.Run("direct", func(t *testing.T) {
+		for _, nsc := range []int{1, 2, 63, 64, 65, 128, 129, 192} {
+			fOffs := SubcarrierOffsets(400e6, nsc)
+			mm := m.Clone()
+			if err := maxRelErr(wideband(mm, w, fOffs), directWideband(mm, w, fOffs)); err > 1e-12 {
+				t.Fatalf("nsc=%d: planar vs direct rel err %.3g > 1e-12", nsc, err)
 			}
 		}
 	})

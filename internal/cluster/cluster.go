@@ -169,6 +169,9 @@ type Cluster struct {
 	monWS    *scratch.Workspace
 	monBatch channel.WidebandBatch
 	monPairs []monPair // registration order, (UE asc, cell asc)
+	// monRe/monIm take each monitor estimate's probe CSI in planar form
+	// for the SNR reduction (every estimate runs on the coordinator).
+	monRe, monIm []float64
 }
 
 // monPair is one batched (UE, cell) monitor registration.
@@ -216,6 +219,8 @@ func New(num nr.Numerology, cfg Config, dep Deployment) (*Cluster, error) {
 		dep:       dep,
 		monGainDB: 10 * math.Log10(float64(cfg.ArrayElems)/float64(cfg.MonitorElems)),
 		monWS:     scratch.New(),
+		monRe:     make([]float64, monitorNumSC),
+		monIm:     make([]float64, monitorNumSC),
 	}
 	for i := range dep.Cells {
 		st, err := station.New(num, scfg)

@@ -317,7 +317,9 @@ func (u *ue) monRowStore(c int, m *channel.Model, re, im []float64) {
 // foldMonitorEstimate converts a probe's CSI into the narrow-beam-equivalent
 // SNR estimate and folds it into the pair's monitor EWMA.
 func (u *ue) foldMonitorEstimate(cl *Cluster, c int, csi cmx.Vector) float64 {
-	snr := cl.dep.Budget.WidebandSNRdB(csi) + cl.monGainDB
+	cmx.Split(csi, cl.monRe, cl.monIm)
+	txLin, noiseLin := cl.dep.Budget.SNRTerms()
+	snr := link.WidebandSNRdB(cl.monRe, cl.monIm, txLin, noiseLin) + cl.monGainDB
 	if !u.monSeen[c] {
 		u.monEst[c] = snr
 		u.monSeen[c] = true

@@ -187,9 +187,10 @@ type Manager struct {
 	// relStore/rssStore the per-beam vectors (the manager's published
 	// angles/relDelays/rssAnchor slices alias these stores), magsFlat +
 	// magHeads the per-beam magnitude matrix, beamStore the live lobe list,
-	// snrSel/selW/magSel the beam-set selection scratch, activeStore the
-	// active flags. establishFn and the retry callbacks are prebound at New
-	// so scheduling an operation never materializes a method value.
+	// snrSel/selW/magSel/zeroIm the beam-set selection scratch (zeroIm is
+	// the all-zero im row magnitude rows are reduced against), activeStore
+	// the active flags. establishFn and the retry callbacks are prebound at
+	// New so scheduling an operation never materializes a method value.
 	swp            nr.SweepScratch
 	angStore       []float64
 	delayStore     []float64
@@ -201,6 +202,7 @@ type Manager struct {
 	snrSel         []float64
 	selW           cmx.Vector
 	magSel         []float64
+	zeroIm         []float64
 	activeStore    []bool
 	establishFn    func(t float64, m *channel.Model)
 	retrySweepFn   func(t float64, m *channel.Model)
@@ -319,7 +321,8 @@ func New(name string, u *antenna.ULA, budget link.Budget, num nr.Numerology, cfg
 	mgr.beamStore = make([]multibeam.Beam, 0, cfg.MaxBeams)
 	mgr.snrSel = make([]float64, cfg.MaxBeams+1)
 	mgr.selW = make(cmx.Vector, u.N)
-	mgr.magSel = make([]float64, cfg.NumSC)
+	sel := make([]float64, 2*cfg.NumSC)
+	mgr.magSel, mgr.zeroIm = sel[:cfg.NumSC:cfg.NumSC], sel[cfg.NumSC:]
 	mgr.activeStore = make([]bool, 0, cfg.MaxBeams)
 	mgr.establishFn = mgr.establish
 	mgr.retrySweepFn = func(t float64, m *channel.Model) { mgr.retrainCause(t, "sweep-empty") }
@@ -502,7 +505,7 @@ func (g *Manager) snr(m *channel.Model) float64 {
 	}
 	if !incr.Enabled {
 		m.EffectiveWidebandSplitInto(w, g.offsets, g.wbRe, g.wbIm)
-		return link.WidebandSNRdBSplitTerms(g.wbRe, g.wbIm, g.txLin, g.noiseLin)
+		return link.WidebandSNRdB(g.wbRe, g.wbIm, g.txLin, g.noiseLin)
 	}
 	var rxHead *complex128
 	if len(m.RxWeights) > 0 {
@@ -514,7 +517,7 @@ func (g *Manager) snr(m *channel.Model) float64 {
 		return g.snrVal
 	}
 	m.EffectiveWidebandSplitInto(w, g.offsets, g.wbRe, g.wbIm)
-	v := link.WidebandSNRdBSplitTerms(g.wbRe, g.wbIm, g.txLin, g.noiseLin)
+	v := link.WidebandSNRdB(g.wbRe, g.wbIm, g.txLin, g.noiseLin)
 	g.snrModel, g.snrStamp, g.snrFEVer = m, m.Stamp(), ver
 	g.snrRxHead, g.snrRxLen = rxHead, len(m.RxWeights)
 	g.snrVal, g.snrValid = v, true
@@ -685,13 +688,15 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 				m.RxWeights = g.ueW
 			}
 		}
+		// Every candidate is scored on its measured magnitude row.
 		if g.ueCB != nil {
 			// Under a directional UE the k=1 config must be re-measured
 			// with a single UE lobe.
 			bindK(1)
-			snrs[1] = g.budget.WidebandSNRdBFromMags(pr.ProbeInto(g.u.SingleBeam(angles[0]), nil).Abs())
+			csi := pr.ProbeInto(g.u.SingleBeamInto(angles[0], g.sbBuf), g.csiBuf)
+			snrs[1] = link.WidebandSNRdB(csi.AbsInto(g.magSel), g.zeroIm, g.txLin, g.noiseLin)
 		} else {
-			snrs[1] = g.budget.WidebandSNRdBFromMags(mags[0])
+			snrs[1] = link.WidebandSNRdB(mags[0], g.zeroIm, g.txLin, g.noiseLin)
 		}
 		maxSNR := snrs[1]
 		for k := 2; k <= len(beams); k++ {
@@ -702,7 +707,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 			}
 			bindK(k)
 			csi := pr.ProbeInto(wk, g.csiBuf)
-			snrs[k] = g.budget.WidebandSNRdBFromMags(csi.AbsInto(g.magSel))
+			snrs[k] = link.WidebandSNRdB(csi.AbsInto(g.magSel), g.zeroIm, g.txLin, g.noiseLin)
 			if snrs[k] > maxSNR {
 				maxSNR = snrs[k]
 			}

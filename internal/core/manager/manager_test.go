@@ -106,7 +106,8 @@ func smallSpreadScenario(dur float64) *sim.Scenario {
 func widebandSNRdB(m *channel.Model, w cmx.Vector, offs []float64) float64 {
 	re, im := make([]float64, len(offs)), make([]float64, len(offs))
 	m.EffectiveWidebandSplitInto(w, offs, re, im)
-	return link.DefaultBudget().WidebandSNRdBSplit(re, im)
+	txLin, noiseLin := link.DefaultBudget().SNRTerms()
+	return link.WidebandSNRdB(re, im, txLin, noiseLin)
 }
 
 func TestMultiBeamBeatsSingleBeamSNR(t *testing.T) {

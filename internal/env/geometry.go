@@ -48,6 +48,9 @@ type Segment struct {
 // Len returns the segment length.
 func (s Segment) Len() float64 { return s.A.Dist(s.B) }
 
+// Dist returns the distance from p to the nearest point of the segment.
+func (s Segment) Dist(p Vec2) float64 { return math.Sqrt(distSqToSegment(p, s)) }
+
 // intersect returns (t, u, ok): the parametric intersection of segment s
 // (parameter t in [0,1]) with segment o (parameter u in [0,1]). ok is false
 // for parallel or non-crossing segments.

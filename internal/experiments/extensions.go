@@ -103,6 +103,9 @@ func ExtensionRateAdaptation(cfg Config) *stats.Table {
 		panic(err)
 	}
 	offs := sounderOffsets(budget, 64)
+	txLin, noiseLin := budget.SNRTerms()
+	csi := make(cmx.Vector, 64)
+	csiRe, csiIm := make([]float64, 64), make([]float64, 64)
 
 	t := stats.NewTable("Extension E3 — measured-CQI link adaptation vs genie MCS",
 		"csi_period_ms", "adaptive_Mbps", "genie_Mbps", "ratio", "bler")
@@ -126,7 +129,8 @@ func ExtensionRateAdaptation(cfg Config) *stats.Table {
 			m := sc.ChannelAt(tm)
 			truth := widebandSNRdB(budget, m, w, offs)
 			if s%every == 0 {
-				adapter.Observe(budget.WidebandSNRdBFromMags(sounder.Probe(m, w).Abs()))
+				cmx.Split(sounder.ProbeInto(m, w, csi), csiRe, csiIm)
+				adapter.Observe(link.WidebandSNRdB(csiRe, csiIm, txLin, noiseLin))
 			}
 			genie += link.Throughput(truth, budget.BandwidthHz, 0)
 			thr, _ := adapter.Transmit(truth, budget.BandwidthHz)

@@ -152,7 +152,8 @@ func Fig15cPhaseStability(cfg Config) *stats.Table {
 func widebandSNRdB(budget link.Budget, m *channel.Model, w cmx.Vector, offs []float64) float64 {
 	re, im := make([]float64, len(offs)), make([]float64, len(offs))
 	m.EffectiveWidebandSplitInto(w, offs, re, im)
-	return budget.WidebandSNRdBSplit(re, im)
+	txLin, noiseLin := budget.SNRTerms()
+	return link.WidebandSNRdB(re, im, txLin, noiseLin)
 }
 
 func combined(u *antenna.ULA, phiRef, phiK, psi float64) (cmx.Vector, float64) {

@@ -193,7 +193,7 @@ func TestCombinerZeroCrossTermsMatchesSNR(t *testing.T) {
 		t.Fatalf("diagonal channel produced cross weight |W[0][1]| = %.3e", w01)
 	}
 	got := c.UserSINRdB(0, txLin, noiseLin)
-	want := link.WidebandSNRdBSplitTerms(ownRe, ownIm, txLin/2, noiseLin)
+	want := link.WidebandSNRdB(ownRe, ownIm, txLin/2, noiseLin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("zero-interference SINR %.12f dB != half-power SNR %.12f dB", got, want)
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 
-	"mmreliable/internal/cmx"
 	"mmreliable/internal/dsp"
 )
 
@@ -57,76 +56,35 @@ func (b Budget) SNRdB(heffAbs float64) float64 {
 	return rxDBm - b.NoiseFloorDBm()
 }
 
-// WidebandSNRdB returns the effective wideband SNR of a per-subcarrier
-// channel estimate: the capacity-equivalent SNR
-//
-//	SNR_eff = 2^(mean_k log2(1 + SNR_k)) − 1,
-//
-// which penalizes frequency-selective dips the way a real decoder does.
-func (b Budget) WidebandSNRdB(csi cmx.Vector) float64 {
-	if len(csi) == 0 {
-		return math.Inf(-1)
-	}
-	noiseLin := math.Pow(10, b.NoiseFloorDBm()/10)
-	txLin := math.Pow(10, b.TxPowerDBm/10)
-	var sumLog float64
-	for _, h := range csi {
-		p := real(h)*real(h) + imag(h)*imag(h)
-		snr := txLin * p / noiseLin
-		sumLog += math.Log2(1 + snr)
-	}
-	eff := math.Exp2(sumLog/float64(len(csi))) - 1
-	if eff <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(eff)
-}
-
-// SNRTerms returns the linear transmit and noise powers of the budget — the
-// two math.Pow evaluations inside every WidebandSNRdB call, hoisted so a
-// slot loop can compute them once and use WidebandSNRdBSplitTerms per
-// evaluation.
+// SNRTerms returns the linear transmit and noise powers of the budget, the
+// two math.Pow evaluations a caller hoists out of its slot loop and hands to
+// WidebandSNRdB on every evaluation.
 func (b Budget) SNRTerms() (txLin, noiseLin float64) {
 	return math.Pow(10, b.TxPowerDBm/10), math.Pow(10, b.NoiseFloorDBm()/10)
 }
 
-// WidebandSNRdBSplit is WidebandSNRdB over a planar per-subcarrier channel
-// estimate (separate re/im slices, the batched-kernel layout).
-func (b Budget) WidebandSNRdBSplit(re, im []float64) float64 {
-	txLin, noiseLin := b.SNRTerms()
-	return WidebandSNRdBSplitTerms(re, im, txLin, noiseLin)
-}
-
-// WidebandSNRdBSplitTerms is WidebandSNRdBSplit with the budget's linear
-// terms (see SNRTerms) precomputed by the caller. The capacity sum runs on
-// the planar dsp.SumLog2SNR kernel, which agrees with WidebandSNRdB's
-// per-term sum to well under 1e-12.
-func WidebandSNRdBSplitTerms(re, im []float64, txLin, noiseLin float64) float64 {
+// WidebandSNRdB returns the effective wideband SNR of a planar
+// per-subcarrier channel estimate (separate re/im rows; a magnitude row
+// passes an all-zero im row): the capacity-equivalent SNR
+//
+//	SNR_eff = 2^(mean_k log2(1 + SNR_k)) − 1,
+//
+// which penalizes frequency-selective dips the way a real decoder does.
+// txLin and noiseLin are the budget's linear terms (see SNRTerms). The
+// capacity sum runs on the planar product-form dsp.SumLog2SNR kernel. It is
+// the one wideband-SNR reduction in the program.
+func WidebandSNRdB(re, im []float64, txLin, noiseLin float64) float64 {
 	if len(re) == 0 {
 		return math.Inf(-1)
 	}
-	sumLog := dsp.SumLog2SNR(re, im, txLin, noiseLin)
-	eff := math.Exp2(sumLog/float64(len(re))) - 1
-	if eff <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(eff)
+	return capacityEquivalentDB(dsp.SumLog2SNR(re, im, txLin, noiseLin), len(re))
 }
 
-// WidebandSNRdBFromMags is WidebandSNRdB computed from per-subcarrier
-// channel magnitudes (the CFO/SFO-proof observable a sounder provides).
-func (b Budget) WidebandSNRdBFromMags(mags []float64) float64 {
-	if len(mags) == 0 {
-		return math.Inf(-1)
-	}
-	noiseLin := math.Pow(10, b.NoiseFloorDBm()/10)
-	txLin := math.Pow(10, b.TxPowerDBm/10)
-	var sumLog float64
-	for _, m := range mags {
-		snr := txLin * m * m / noiseLin
-		sumLog += math.Log2(1 + snr)
-	}
-	eff := math.Exp2(sumLog/float64(len(mags))) - 1
+// capacityEquivalentDB turns a capacity sum Σ_k log2(1+SINR_k) over n
+// subcarriers into the equivalent flat SINR in dB, 10·log10(2^(sum/n) − 1),
+// or −Inf when that SINR vanishes.
+func capacityEquivalentDB(sumLog float64, n int) float64 {
+	eff := math.Exp2(sumLog/float64(n)) - 1
 	if eff <= 0 {
 		return math.Inf(-1)
 	}

@@ -37,38 +37,80 @@ func TestSNRMatchesPaperIndoorScale(t *testing.T) {
 	}
 }
 
+// TestWidebandSNRFlatEqualsNarrowband: a flat magnitude row reduced
+// against an all-zero im row is the narrowband SNR of that amplitude.
 func TestWidebandSNRFlatEqualsNarrowband(t *testing.T) {
 	b := DefaultBudget()
+	txLin, noiseLin := b.SNRTerms()
 	amp := 3e-4
-	csi := make(cmx.Vector, 32)
-	for i := range csi {
-		csi[i] = complex(amp, 0)
+	mags := make([]float64, 32)
+	for i := range mags {
+		mags[i] = amp
 	}
-	wb := b.WidebandSNRdB(csi)
+	wb := WidebandSNRdB(mags, make([]float64, len(mags)), txLin, noiseLin)
 	nb := b.SNRdB(amp)
-	if math.Abs(wb-nb) > 0.01 {
+	if math.Abs(wb-nb) > 1e-9 {
 		t.Fatalf("flat wideband %g vs narrowband %g", wb, nb)
 	}
 }
 
-func TestWidebandSNRPenalizesSelectivity(t *testing.T) {
+// TestWidebandSNRSplitCSI: a split complex CSI row reduces to the
+// per-subcarrier capacity-equivalent SNR, and rotating every sample's phase
+// (which leaves |h| unchanged) moves the result only by rounding.
+func TestWidebandSNRSplitCSI(t *testing.T) {
 	b := DefaultBudget()
+	txLin, noiseLin := b.SNRTerms()
+	const nsc = 48
+	csi := make(cmx.Vector, nsc)
+	mags := make([]float64, nsc)
+	var sumLog float64
+	for k := range csi {
+		amp := 2e-4 * (1 + 0.5*math.Sin(0.3*float64(k)))
+		csi[k] = complex(amp*math.Cos(0.7*float64(k)), amp*math.Sin(0.7*float64(k)))
+		mags[k] = amp
+		sumLog += math.Log2(1 + txLin*amp*amp/noiseLin)
+	}
+	want := 10 * math.Log10(math.Exp2(sumLog/nsc)-1)
+	re, im := make([]float64, nsc), make([]float64, nsc)
+	cmx.Split(csi, re, im)
+	got := WidebandSNRdB(re, im, txLin, noiseLin)
+	if math.Abs(got-want) > 1e-12*math.Abs(want) {
+		t.Fatalf("split CSI %.15g dB, per-term sum %.15g dB", got, want)
+	}
+	if mag := WidebandSNRdB(mags, make([]float64, nsc), txLin, noiseLin); math.Abs(mag-got) > 1e-12*math.Abs(got) {
+		t.Fatalf("magnitude row %.15g dB vs split CSI %.15g dB", mag, got)
+	}
+}
+
+func TestWidebandSNRPenalizesSelectivity(t *testing.T) {
+	txLin, noiseLin := DefaultBudget().SNRTerms()
 	amp := 3e-4
-	flat := make(cmx.Vector, 32)
-	dips := make(cmx.Vector, 32)
+	flat := make([]float64, 32)
+	dips := make([]float64, 32)
+	zero := make([]float64, 32)
 	for i := range flat {
-		flat[i] = complex(amp, 0)
+		flat[i] = amp
 		if i%4 == 0 {
-			dips[i] = complex(amp/100, 0) // deep fade on 1/4 of the band
+			dips[i] = amp / 100 // deep fade on 1/4 of the band
 		} else {
-			dips[i] = complex(amp*1.15, 0) // energy moved to the rest
+			dips[i] = amp * 1.15 // energy moved to the rest
 		}
 	}
-	if b.WidebandSNRdB(dips) >= b.WidebandSNRdB(flat) {
+	if WidebandSNRdB(dips, zero, txLin, noiseLin) >= WidebandSNRdB(flat, zero, txLin, noiseLin) {
 		t.Fatal("selective channel should have lower effective SNR")
 	}
-	if !math.IsInf(b.WidebandSNRdB(nil), -1) {
-		t.Fatal("empty CSI should be −Inf")
+}
+
+// TestWidebandSNRVanishing: an empty row and an all-zero row both have no
+// capacity, so both reduce to −Inf.
+func TestWidebandSNRVanishing(t *testing.T) {
+	txLin, noiseLin := DefaultBudget().SNRTerms()
+	if got := WidebandSNRdB(nil, nil, txLin, noiseLin); !math.IsInf(got, -1) {
+		t.Fatalf("empty row = %g, want −Inf", got)
+	}
+	zero := make([]float64, 16)
+	if got := WidebandSNRdB(zero, zero, txLin, noiseLin); !math.IsInf(got, -1) {
+		t.Fatalf("all-zero row = %g, want −Inf", got)
 	}
 }
 

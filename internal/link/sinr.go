@@ -7,7 +7,7 @@ import "math"
 //
 //	SINR_eff = 2^(mean_k log2(1 + sig_k/(int_k + noise))) − 1,
 //
-// the SDMA counterpart of Budget.WidebandSNRdB: frequency-selective dips —
+// the SDMA counterpart of WidebandSNRdB: frequency-selective dips —
 // whether from the channel or from a co-scheduled user's beam leaking onto
 // a subcarrier — are penalized the way a real decoder would. sigPow and
 // intPow must be the same length and already include transmit power and
@@ -21,9 +21,5 @@ func WidebandSINRdB(sigPow, intPow []float64, noiseLin float64) float64 {
 	for k, sig := range sigPow {
 		sumLog += math.Log2(1 + sig/(intPow[k]+noiseLin))
 	}
-	eff := math.Exp2(sumLog/float64(len(sigPow))) - 1
-	if eff <= 0 {
-		return math.Inf(-1)
-	}
-	return 10 * math.Log10(eff)
+	return capacityEquivalentDB(sumLog, len(sigPow))
 }

@@ -22,7 +22,7 @@ func TestWidebandSINRZeroInterferenceMatchesSNR(t *testing.T) {
 		sig[j] = txLin * (re[j]*re[j] + im[j]*im[j])
 	}
 	got := WidebandSINRdB(sig, intf, noiseLin)
-	want := WidebandSNRdBSplitTerms(re, im, txLin, noiseLin)
+	want := WidebandSNRdB(re, im, txLin, noiseLin)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("zero-interference wideband SINR %.12f dB != SNR %.12f dB", got, want)
 	}

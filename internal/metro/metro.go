@@ -143,6 +143,7 @@ type Metro struct {
 	shardLo      []int // shard s covers sites[shardLo[s]:shardLo[s+1]]
 	positions    []env.Vec2
 	cells        []env.Pose // every site's gNB poses (one shared hall)
+	walls        []env.Wall // the shared hall's walls, interior ones included
 	workers      int
 	frame        int
 	runShardFn   func(worker, s int) // runShard, bound once: no closure per frame
@@ -202,6 +203,7 @@ func New(num nr.Numerology, cfg Config) (*Metro, error) {
 		siteSketches: make([]Sketch, cfg.Clusters),
 		positions:    positions,
 		cells:        poses,
+		walls:        scene.Walls,
 		workers:      workers,
 	}
 	m.runShardFn = m.runShard

@@ -232,8 +232,9 @@ func TestMetroFrameZeroAllocTwoWorkers(t *testing.T) {
 }
 
 // TestInjectAttachRejectsOffFloor pins the attach position gate: a point
-// not strictly inside the hall floor, or within half a metre of a gNB, is
-// refused without adding a UE; an interior point is admitted.
+// not strictly inside the hall floor, within half a metre of a gNB, or on a
+// wall (the interior glass partition and display row included) is refused
+// without adding a UE; an interior point is admitted.
 func TestInjectAttachRejectsOffFloor(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Clusters = 1
@@ -251,6 +252,11 @@ func TestInjectAttachRejectsOffFloor(t *testing.T) {
 		{"on the south wall", 10, 0},
 		{"on gNB 0", 5, 0.4},
 		{"next to gNB 1", 15.3, 11.4},
+		{"on the glass partition", 6, 7.8},
+		{"beside the glass partition", 6, 7.85},
+		{"on the wooden display row", 14, 4.2},
+		{"at the display row's end", 16.05, 4.2},
+		{"hugging the east wall", 19.95, 6},
 		{"NaN", math.NaN(), 6},
 	} {
 		if _, err := m.InjectAttach(0, AttachSpec{HasPos: true, X: p.x, Y: p.y}); err == nil {

@@ -61,12 +61,15 @@ func (m *Metro) InjectAttach(siteIdx int, spec AttachSpec) (int, error) {
 	return s.cl.AddUE(uc)
 }
 
-// minGNBClearanceM is how close an attach position may come to a gNB.
-const minGNBClearanceM = 0.5
+// minGNBClearanceM and minWallClearanceM are how close an attach position
+// may come to a gNB and to any wall.
+const minGNBClearanceM, minWallClearanceM = 0.5, 0.1
 
 // checkAttachPos refuses an attach position that is not strictly inside
-// the hall floor or that sits within minGNBClearanceM of a gNB: the tracer
-// and the link budget assume a UE in the room and off the radio heads.
+// the hall floor, that sits within minGNBClearanceM of a gNB, or that sits
+// within minWallClearanceM of a wall (an interior partition included): the
+// tracer and the link budget assume a UE in the room, off the radio heads
+// and on one side of every wall.
 func (m *Metro) checkAttachPos(p env.Vec2) error {
 	if !(p.X > 0 && p.X < env.HallLengthM && p.Y > 0 && p.Y < env.HallWidthM) {
 		return fmt.Errorf("metro: attach position (%g, %g) is not inside the %gx%g m floor",
@@ -76,6 +79,12 @@ func (m *Metro) checkAttachPos(p env.Vec2) error {
 		if p.Dist(c.Pos) <= minGNBClearanceM {
 			return fmt.Errorf("metro: attach position (%g, %g) is within %g m of gNB %d",
 				p.X, p.Y, minGNBClearanceM, i)
+		}
+	}
+	for i, w := range m.walls {
+		if w.Seg.Dist(p) <= minWallClearanceM {
+			return fmt.Errorf("metro: attach position (%g, %g) is within %g m of wall %d",
+				p.X, p.Y, minWallClearanceM, i)
 		}
 	}
 	return nil

@@ -331,7 +331,10 @@ func TestProbeSNRAgainstBudget(t *testing.T) {
 	})
 	w := m.Tx.SingleBeam(0)
 	est := s.Probe(m, w)
-	snr := b.WidebandSNRdB(est)
+	re, im := make([]float64, len(est)), make([]float64, len(est))
+	cmx.Split(est, re, im)
+	txLin, noiseLin := b.SNRTerms()
+	snr := link.WidebandSNRdB(re, im, txLin, noiseLin)
 	if snr < 23 || snr > 31 {
 		t.Fatalf("probe SNR = %g dB, want ≈27", snr)
 	}

@@ -159,6 +159,7 @@ func TestHTTPValidationErrors(t *testing.T) {
 		{"attach unknown field", "/ue/attach", `{"site":0,"altitude":3}`},
 		{"attach off the floor", "/ue/attach", `{"site":0,"x":1e6,"y":1e6}`},
 		{"attach on a gNB", "/ue/attach", `{"site":0,"x":5,"y":0.4}`},
+		{"attach on an interior wall", "/ue/attach", `{"site":0,"x":6,"y":7.8}`},
 		{"detach unknown ue", "/ue/detach", `{"site":0,"ue":9999}`},
 		{"blockage zero depth", "/event/blockage", `{"site":0,"ue":0,"duration_s":1}`},
 		{"config negative budget", "/config", `{"probe_budget":-1}`},

@@ -12,10 +12,13 @@ import (
 // into a different simulation or checking against a different fold.
 // Version 3 is the word-wise core.Digest fold; version 4 is the planar-only
 // wideband path (admission probes evaluate the channel on the same planar
-// kernels as monitor rounds, which moves the state digest by ulps).
+// kernels as monitor rounds, which moves the state digest by ulps); version
+// 5 is the one wideband-SNR reduction (the cluster monitor and the manager's
+// beam-set selection reduce on the planar product-form kernel) with the
+// span/(n−1) subcarrier phasor step, which moves the digest by ulps again.
 const (
 	SnapshotFormat  = "mmserved-snapshot"
-	SnapshotVersion = 4
+	SnapshotVersion = 5
 )
 
 // snapshotFile is the versioned snapshot document. It is event-sourced:

@@ -89,7 +89,7 @@ func (st *Station) batchFrameEntry() {
 	for r, i := range st.batchIdx {
 		ss := st.active[i]
 		re, im := st.batch.Row(r)
-		ss.entrySNR = link.WidebandSNRdBSplitTerms(re, im, ss.txLin, ss.noiseLin)
+		ss.entrySNR = link.WidebandSNRdB(re, im, ss.txLin, ss.noiseLin)
 		ss.entrySNRFrame = st.frame
 		ss.entryStamp = ss.model.Stamp()
 		ss.entryFEVer = ss.mgr.WeightsVersion()

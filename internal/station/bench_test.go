@@ -133,7 +133,7 @@ func BenchmarkBatchedSlot(b *testing.B) {
 		batch.Eval(ws)
 		for r := range mgrs {
 			re, im := batch.Row(r)
-			sink = link.WidebandSNRdBSplitTerms(re, im, txLin, noiseLin)
+			sink = link.WidebandSNRdB(re, im, txLin, noiseLin)
 		}
 		ws.Release(mk)
 	}

@@ -78,3 +78,7 @@ func (st *Station) ChargeExternalProbes(n int) {
 		st.carryover += n
 	}
 }
+
+// ProbeCarryover returns the probes already owed to the next frame's budget
+// (emergency rounds and external charges not yet paid back).
+func (st *Station) ProbeCarryover() int { return st.carryover }
