@@ -254,6 +254,17 @@ type Manager struct {
 	snrRxLen  int
 	snrVal    float64
 	snrValid  bool
+	// thrSNR/thrVal memoise the data slot's link.Throughput on its SNR
+	// (the bandwidth is fixed), so a quiescent link skips the MCS lookup.
+	thrSNR   float64
+	thrVal   float64
+	thrValid bool
+	// ccUpd caches ccUpdatable, which every data slot consults: it depends
+	// only on the beam count, the active flags and relDelays, so every site
+	// that changes one of those clears ccUpdValid (establish, fullReset and
+	// maintain's recovery, drop and all-blocked branches).
+	ccUpd      int
+	ccUpdValid bool
 
 	// Stats.
 	TrainingSlots int
@@ -472,10 +483,10 @@ func (g *Manager) Step(t float64, m *channel.Model) sim.Slot {
 		g.emergencyTried = false
 		g.badSlots = 0
 	}
-	return sim.Slot{
-		SNRdB:         snr,
-		ThroughputBps: link.Throughput(snr, g.budget.BandwidthHz, 0),
+	if !g.thrValid || snr != g.thrSNR {
+		g.thrSNR, g.thrVal, g.thrValid = snr, link.Throughput(snr, g.budget.BandwidthHz, 0), true
 	}
+	return sim.Slot{SNRdB: snr, ThroughputBps: g.thrVal}
 }
 
 // bindUE wires the manager's UE-side combining beam into the channel
@@ -754,6 +765,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 	for range beams {
 		g.active = append(g.active, true)
 	}
+	g.ccUpdValid = false
 	if !g.applyWeights() {
 		g.w = nil
 		g.fullReset()
@@ -801,6 +813,7 @@ func (g *Manager) trainAngles(m *channel.Model) []float64 {
 func (g *Manager) fullReset() {
 	g.angles, g.relDelays, g.beams, g.active, g.mags, g.rssAnchor = nil, nil, nil, nil, nil, nil
 	g.tracker = nil
+	g.ccUpdValid = false
 }
 
 // applyWeights composes the active beams into weights and programs the
@@ -895,6 +908,7 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 		rss := nr.RSS(g.sounder.ProbeInto(m, g.u.SingleBeamInto(g.angles[k], g.sbBuf), g.csiBuf))
 		if rss >= g.rssAnchor[k]*dsp.FromDB(-3) {
 			g.active[k] = true
+			g.ccUpdValid = false
 			if g.applyWeights() {
 				g.needAnch = true
 			}
@@ -915,6 +929,7 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 		}
 	}
 	if changed {
+		g.ccUpdValid = false
 		if !g.applyWeights() {
 			// Every beam blocked: hold the last weights and retrain.
 			for i := range g.active {
@@ -1041,8 +1056,16 @@ func (g *Manager) delayDegenerate() []bool {
 }
 
 // ccUpdatable returns how many non-reference active beams a CC phase
-// refresh could actually update.
+// refresh could actually update, from the cache when it is valid.
 func (g *Manager) ccUpdatable() int {
+	if !g.ccUpdValid {
+		g.ccUpd, g.ccUpdValid = g.countCCUpdatable(), true
+	}
+	return g.ccUpd
+}
+
+// countCCUpdatable computes ccUpdatable from the beam state.
+func (g *Manager) countCCUpdatable() int {
 	if len(g.beams) < 2 {
 		return 0
 	}

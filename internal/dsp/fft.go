@@ -54,12 +54,16 @@ func fftDir(x []complex128, inverse bool) error {
 	// old multiplicative recurrence w *= wBase, which accumulated O(N·ε)
 	// phase error across a stage. The inverse transform conjugates the
 	// table entry, which is exact.
+	// Twiddle 0 is exactly 1, so the k = 0 butterfly of every stage (all
+	// of stage 1) skips its multiply; the sums are the same bits.
 	tw := p.twiddle
 	for size := 2; size <= n; size <<= 1 {
 		half := size >> 1
 		stride := n / size
 		for start := 0; start < n; start += size {
-			for k, ti := 0, 0; k < half; k, ti = k+1, ti+stride {
+			a, b := x[start], x[start+half]
+			x[start], x[start+half] = a+b, a-b
+			for k, ti := 1, stride; k < half; k, ti = k+1, ti+stride {
 				w := tw[ti]
 				if inverse {
 					w = complex(real(w), -imag(w))

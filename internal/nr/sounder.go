@@ -179,8 +179,11 @@ func (s *Sounder) ProbeFromSplit(hRe, hIm []float64, dst cmx.Vector) cmx.Vector 
 	}
 	if theta != 0 || slope != 0 {
 		for k := range dst {
+			// e^{jφ} as (cos φ, sin φ): the same bits as cmplx.Exp of a
+			// purely imaginary argument, without its math.Exp(0).
 			frac := float64(k)/float64(s.NumSC) - 0.5
-			dst[k] *= cmplx.Exp(complex(0, theta+slope*frac))
+			sn, cs := math.Sincos(theta + slope*frac)
+			dst[k] *= complex(cs, sn)
 		}
 	}
 	s.Probes++
