@@ -386,3 +386,75 @@ func delayKernelInto(bw float64, n int, tau float64, dst cmx.Vector) cmx.Vector 
 	}
 	return dst
 }
+
+// TestPolyEvalMatchesDirectSum pins the split-Horner kernel against the
+// direct sum Σ_m r[m]·z^m with z^m from an exact exponential per term,
+// at the plain-Horner lengths (1, 2) and the four-chain ones (4, 64).
+func TestPolyEvalMatchesDirectSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, n := range []int{1, 2, 4, 64} {
+		r := make([]complex128, n)
+		for trial := 0; trial < 50; trial++ {
+			for m := range r {
+				r[m] = complex(rng.NormFloat64(), rng.NormFloat64())
+			}
+			theta := (rng.Float64()*2 - 1) * math.Pi
+			var want complex128
+			for m := range r {
+				want += r[m] * expi(float64(m)*theta)
+			}
+			got := polyEval(r, expi(theta))
+			scale := cmx.Vector(r).Norm()
+			if d := cmplx.Abs(got - want); d > 1e-12*scale {
+				t.Fatalf("n=%d θ=%g: polyEval %v vs direct %v (|Δ|=%g)", n, theta, got, want, d)
+			}
+		}
+	}
+}
+
+// TestSharedDiagonalMatchesEveryRow pins the shared diagonal (hypothesis
+// j's row j taken from hypothesis 0's row-0 correlation) against
+// evaluating every row of every hypothesis, for K = 1…5 paths over noisy
+// random channels: Amp and Residual within 1e-12, BaseDelay identical.
+func TestSharedDiagonalMatchesEveryRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	bw, n := 400e6, 64
+	ts := 1 / bw
+	col := make(cmx.Vector, n)
+	for k := 1; k <= 5; k++ {
+		for trial := 0; trial < 20; trial++ {
+			rel := make([]float64, k)
+			for i := 1; i < k; i++ {
+				rel[i] = (rng.Float64()*16 - 4) * ts
+			}
+			base := (rng.Float64()*2 - 1) * ts
+			cir := make(cmx.Vector, n)
+			for i := range cir {
+				cir[i] = complex(rng.NormFloat64(), rng.NormFloat64()) * 1e-2
+			}
+			for _, rd := range rel {
+				amp := cmplx.Rect(math.Pow(10, -rng.Float64()*0.5), rng.Float64()*2*math.Pi)
+				cir.AddScaled(amp, delayKernelInto(bw, n, 20*ts+base+rd, col))
+			}
+			all, err := extract(cir, rel, ts, DefaultConfig(), nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared, err := extract(cir, rel, ts, DefaultConfig(), nil, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shared.BaseDelay != all.BaseDelay {
+				t.Fatalf("K=%d trial %d: BaseDelay %g vs every-row %g", k, trial, shared.BaseDelay, all.BaseDelay)
+			}
+			if d := math.Abs(shared.Residual - all.Residual); d > 1e-12 {
+				t.Fatalf("K=%d trial %d: Residual %g vs every-row %g (|Δ|=%g)", k, trial, shared.Residual, all.Residual, d)
+			}
+			for i := range all.Amp {
+				if d := cmplx.Abs(shared.Amp[i] - all.Amp[i]); d > 1e-12 {
+					t.Fatalf("K=%d trial %d: Amp[%d] %v vs every-row %v (|Δ|=%g)", k, trial, i, shared.Amp[i], all.Amp[i], d)
+				}
+			}
+		}
+	}
+}

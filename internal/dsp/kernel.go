@@ -123,49 +123,6 @@ func PhasorFillCmplx(dst []complex128, theta0, dTheta float64) {
 	}
 }
 
-// PhasorDot returns Σ_k row[k]·e^{j(θ₀+kΔθ)} over the planar row — the
-// frequency-domain super-resolution candidate correlation.
-func PhasorDot(rowRe, rowIm []float64, theta0, dTheta float64) (re, im float64) {
-	n := len(rowRe)
-	s4, c4 := math.Sincos(4 * dTheta)
-	var a0r, a0i, a1r, a1i, a2r, a2i, a3r, a3i float64
-	for b := 0; b < n; b += PhasorReseed {
-		end := b + PhasorReseed
-		if end > n {
-			end = n
-		}
-		q0r, q0i, q1r, q1i, q2r, q2i, q3r, q3i := seedChains4(1, 0, theta0+float64(b)*dTheta, dTheta)
-		k := b
-		for ; k+3 < end; k += 4 {
-			a0r += rowRe[k]*q0r - rowIm[k]*q0i
-			a0i += rowRe[k]*q0i + rowIm[k]*q0r
-			a1r += rowRe[k+1]*q1r - rowIm[k+1]*q1i
-			a1i += rowRe[k+1]*q1i + rowIm[k+1]*q1r
-			a2r += rowRe[k+2]*q2r - rowIm[k+2]*q2i
-			a2i += rowRe[k+2]*q2i + rowIm[k+2]*q2r
-			a3r += rowRe[k+3]*q3r - rowIm[k+3]*q3i
-			a3i += rowRe[k+3]*q3i + rowIm[k+3]*q3r
-			q0r, q0i = fmadd(q0r, c4, -q0i*s4), fmadd(q0r, s4, q0i*c4)
-			q1r, q1i = fmadd(q1r, c4, -q1i*s4), fmadd(q1r, s4, q1i*c4)
-			q2r, q2i = fmadd(q2r, c4, -q2i*s4), fmadd(q2r, s4, q2i*c4)
-			q3r, q3i = fmadd(q3r, c4, -q3i*s4), fmadd(q3r, s4, q3i*c4)
-		}
-		if k < end {
-			a0r += rowRe[k]*q0r - rowIm[k]*q0i
-			a0i += rowRe[k]*q0i + rowIm[k]*q0r
-		}
-		if k+1 < end {
-			a1r += rowRe[k+1]*q1r - rowIm[k+1]*q1i
-			a1i += rowRe[k+1]*q1i + rowIm[k+1]*q1r
-		}
-		if k+2 < end {
-			a2r += rowRe[k+2]*q2r - rowIm[k+2]*q2i
-			a2i += rowRe[k+2]*q2i + rowIm[k+2]*q2r
-		}
-	}
-	return (a0r + a1r) + (a2r + a3r), (a0i + a1i) + (a2i + a3i)
-}
-
 // DotSplit returns the unconjugated dot Σ_n a[n]·w[n] of a planar vector
 // with an interleaved complex one (steering row × beam weights).
 func DotSplit(aRe, aIm []float64, w []complex128) (re, im float64) {

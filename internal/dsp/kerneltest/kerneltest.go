@@ -1,11 +1,10 @@
 // Package kerneltest holds the scalar reference of the planar dsp kernels
 // and the property-test harness that pins them to it: RunEquivalence checks
 // the ≤1e-12 contract across the full operation surface — phasor ramps at
-// carrier-scale seed phases, steering fills, candidate correlations, planar
-// dots, and the log-SNR reduction with overflow-range inputs. The dsp
-// package runs it under every build (-race, GOAMD64=v3 with its fused
-// multiply-adds), so each build-tag variant of the kernels carries the same
-// contract.
+// carrier-scale seed phases, steering fills, planar dots, and the log-SNR
+// reduction with overflow-range inputs. The dsp package runs it under
+// every build (-race, GOAMD64=v3 with its fused multiply-adds), so each
+// build-tag variant of the kernels carries the same contract.
 package kerneltest
 
 import (
@@ -46,7 +45,6 @@ func RunEquivalence(t *testing.T) {
 	t.Run("planar-vs-reference", func(t *testing.T) {
 		t.Run("PhasorRampAxpy", func(t *testing.T) { testPhasorRampAxpy(t, rng) })
 		t.Run("PhasorFillCmplx", testPhasorFillCmplx)
-		t.Run("PhasorDot", func(t *testing.T) { testPhasorDot(t, rng) })
 		t.Run("DotSplit", func(t *testing.T) { testDotSplit(t, rng) })
 		t.Run("SumLog2SNR", func(t *testing.T) { testSumLog2SNR(t, rng) })
 		t.Run("AmpFromDB", testAmpFromDB)
@@ -122,30 +120,6 @@ func testPhasorFillCmplx(t *testing.T) {
 					if d := relDiff(imag(a[i]), imag(b[i]), 1); d > Tol {
 						t.Fatalf("fillcmplx n=%d θ0=%g Δθ=%g: im[%d] rel %g", n, th0, dth, i, d)
 					}
-				}
-			}
-		}
-	}
-}
-
-func testPhasorDot(t *testing.T, rng *rand.Rand) {
-	t.Helper()
-	for _, n := range lengths {
-		for _, th0 := range phases {
-			for _, dth := range steps {
-				rowRe, rowIm := make([]float64, n), make([]float64, n)
-				scale := 0.0
-				for i := 0; i < n; i++ {
-					rowRe[i], rowIm[i] = rng.NormFloat64(), rng.NormFloat64()
-					scale += math.Hypot(rowRe[i], rowIm[i])
-				}
-				aRe, aIm := Reference.PhasorDot(rowRe, rowIm, th0, dth)
-				bRe, bIm := dsp.PhasorDot(rowRe, rowIm, th0, dth)
-				if d := relDiff(aRe, bRe, scale); d > Tol {
-					t.Fatalf("dot n=%d θ0=%g Δθ=%g: re %g vs %g (rel %g)", n, th0, dth, bRe, aRe, d)
-				}
-				if d := relDiff(aIm, bIm, scale); d > Tol {
-					t.Fatalf("dot n=%d θ0=%g Δθ=%g: im %g vs %g (rel %g)", n, th0, dth, bIm, aIm, d)
 				}
 			}
 		}

@@ -44,25 +44,6 @@ func (scalar) PhasorFillCmplx(dst []complex128, theta0, dTheta float64) {
 	}
 }
 
-// PhasorDot is the oracle of dsp.PhasorDot.
-func (scalar) PhasorDot(rowRe, rowIm []float64, theta0, dTheta float64) (re, im float64) {
-	// Mirrors the frequency-ramp + product-sum path of the FD
-	// super-resolution solver: reseeded unit-phasor recurrence, scalar
-	// complex accumulate.
-	rRe, rIm := math.Cos(dTheta), math.Sin(dTheta)
-	var pRe, pIm float64
-	for k := range rowRe {
-		if k%dsp.PhasorReseed == 0 {
-			th := theta0 + float64(k)*dTheta
-			pRe, pIm = math.Cos(th), math.Sin(th)
-		}
-		re += rowRe[k]*pRe - rowIm[k]*pIm
-		im += rowRe[k]*pIm + rowIm[k]*pRe
-		pRe, pIm = pRe*rRe-pIm*rIm, pRe*rIm+pIm*rRe
-	}
-	return re, im
-}
-
 // DotSplit is the oracle of dsp.DotSplit.
 func (scalar) DotSplit(aRe, aIm []float64, w []complex128) (re, im float64) {
 	for n := range aRe {

@@ -15,10 +15,12 @@ import (
 // kernels as monitor rounds, which moves the state digest by ulps); version
 // 5 is the one wideband-SNR reduction (the cluster monitor and the manager's
 // beam-set selection reduce on the planar product-form kernel) with the
-// span/(n−1) subcarrier phasor step, which moves the digest by ulps again.
+// span/(n−1) subcarrier phasor step, which moves the digest by ulps again;
+// version 6 is the split-Horner super-resolution search with the shared
+// diagonal and the stepped prefactor, whose fitted amplitudes move by ulps.
 const (
 	SnapshotFormat  = "mmserved-snapshot"
-	SnapshotVersion = 5
+	SnapshotVersion = 6
 )
 
 // snapshotFile is the versioned snapshot document. It is event-sourced:
