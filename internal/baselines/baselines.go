@@ -19,6 +19,7 @@ package baselines
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 
 	"mmreliable/internal/antenna"
@@ -417,6 +418,9 @@ type Oracle struct {
 	txLin, noiseLin float64 // hoisted budget.SNRTerms()
 	offsets         []float64
 	wbRe, wbIm      []float64 // planar wideband-response scratch
+	// cand holds the candidate beam under evaluation and rxW the genie UE
+	// beam; both are sized on first use, so Step is allocation-free after.
+	cand, rxW cmx.Vector
 }
 
 // NewOracle builds the oracle scheme.
@@ -440,30 +444,47 @@ func (o *Oracle) Name() string { return o.name }
 // so the oracle evaluates MRT at several in-band frequencies plus each
 // path's matched single beam and keeps the best.
 func (o *Oracle) Step(t float64, m *channel.Model) sim.Slot {
-	// Genie UE combining: matched to the strongest path's true AoA.
+	// Genie UE combining: matched to the strongest path's true AoA. The
+	// channel cache keys RX weights on slice identity, so rewriting the
+	// kept buffer in place must invalidate it.
 	if m.Rx != nil {
 		if k := m.StrongestPath(); k >= 0 {
-			m.RxWeights = m.Rx.SingleBeam(m.Paths[k].AoA)
+			if len(o.rxW) != m.Rx.N {
+				o.rxW = make(cmx.Vector, m.Rx.N)
+			}
+			m.RxWeights = m.Rx.SingleBeamInto(m.Paths[k].AoA, o.rxW)
+			m.InvalidateCache()
 		}
 	}
-	var cands []cmx.Vector
-	for _, f := range []float64{0, -o.budget.BandwidthHz / 4, o.budget.BandwidthHz / 4} {
-		h := m.PerAntennaCSI(f)
+	if len(o.cand) != m.Tx.N {
+		o.cand = make(cmx.Vector, m.Tx.N)
+	}
+	// Candidates in order — MRT at three in-band frequencies, then each
+	// path's matched single beam — each evaluated as it is built.
+	best := math.Inf(-1)
+	for _, f := range [...]float64{0, -o.budget.BandwidthHz / 4, o.budget.BandwidthHz / 4} {
+		h := m.PerAntennaCSIInto(f, o.cand)
 		if h.Norm() > 0 {
-			cands = append(cands, h.Conj().Normalize())
+			for i := range h {
+				h[i] = cmplx.Conj(h[i])
+			}
+			if snr := o.snr(m, h.Normalize()); snr > best {
+				best = snr
+			}
 		}
 	}
 	for i := range m.Paths {
-		cands = append(cands, m.Tx.SingleBeam(m.Paths[i].AoD))
-	}
-	best := math.Inf(-1)
-	for _, w := range cands {
-		m.EffectiveWidebandSplitInto(w, o.offsets, o.wbRe, o.wbIm)
-		if snr := link.WidebandSNRdB(o.wbRe, o.wbIm, o.txLin, o.noiseLin); snr > best {
+		if snr := o.snr(m, m.Tx.SingleBeamInto(m.Paths[i].AoD, o.cand)); snr > best {
 			best = snr
 		}
 	}
 	return sim.Slot{SNRdB: best, ThroughputBps: link.Throughput(best, o.budget.BandwidthHz, 0)}
+}
+
+// snr returns the wideband effective SNR of m under TX beam w.
+func (o *Oracle) snr(m *channel.Model, w cmx.Vector) float64 {
+	m.EffectiveWidebandSplitInto(w, o.offsets, o.wbRe, o.wbIm)
+	return link.WidebandSNRdB(o.wbRe, o.wbIm, o.txLin, o.noiseLin)
 }
 
 // Sanity guards: all baselines implement sim.Scheme.

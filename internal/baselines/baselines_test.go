@@ -254,3 +254,50 @@ func TestFastTrainingFindsCorrectBeam(t *testing.T) {
 		t.Fatalf("fast training slots %d not below exhaustive %d", b.TrainingSlots, b2.TrainingSlots)
 	}
 }
+
+// TestStepAllocs pins every baseline scheme's steady-state Step
+// allocation-free: once the link is established on a static channel, a
+// data slot (every slot, for the oracle) runs on the scheme's kept
+// buffers.
+func TestStepAllocs(t *testing.T) {
+	budget := link.DefaultBudget()
+	mk := []func() (sim.Scheme, error){
+		func() (sim.Scheme, error) {
+			return NewSingleBeamReactive(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(1)))
+		},
+		func() (sim.Scheme, error) {
+			return NewBeamSpy(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(1)))
+		},
+		func() (sim.Scheme, error) {
+			return NewWideBeam(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(1)))
+		},
+		func() (sim.Scheme, error) { return NewOracle(budget, 64), nil },
+	}
+	for _, newScheme := range mk {
+		s, err := newScheme()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(s.Name(), func(t *testing.T) {
+			sc := staticScenario(0.2)
+			if _, err := (sim.Runner{}).Run(sc, s); err != nil {
+				t.Fatal(err)
+			}
+			m := sc.ChannelAt(sc.Duration)
+			tick, slot := sc.Duration, sc.Num.SlotDuration()
+			for i := 0; i < 3; i++ {
+				tick += slot
+				s.Step(tick, m)
+			}
+			allocs := testing.AllocsPerRun(50, func() {
+				tick += slot
+				if out := s.Step(tick, m); out.Training {
+					t.Fatal("training slot on an established static link")
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("%s Step allocates %.1f per slot, want 0", s.Name(), allocs)
+			}
+		})
+	}
+}

@@ -150,10 +150,25 @@ func (m *Model) rxFactor(aoa float64) complex128 {
 
 // PerAntennaCSI returns h(fOff)[n] for each TX antenna n — the quantity the
 // oracle beamformer needs and that real analog arrays cannot observe
-// directly (one RF chain).
+// directly (one RF chain). It is PerAntennaCSIInto with a fresh vector.
 func (m *Model) PerAntennaCSI(fOff float64) cmx.Vector {
+	return m.PerAntennaCSIInto(fOff, nil)
+}
+
+// PerAntennaCSIInto is PerAntennaCSI writing into dst (allocated when nil;
+// otherwise its length must be Tx.N), the per-slot oracle's form.
+func (m *Model) PerAntennaCSIInto(fOff float64, dst cmx.Vector) cmx.Vector {
 	n := m.Tx.N
-	h := make(cmx.Vector, n)
+	h := dst
+	if h == nil {
+		h = make(cmx.Vector, n)
+	}
+	if len(h) != n {
+		panic(fmt.Sprintf("channel: per-antenna CSI dst length %d != %d elements", len(h), n))
+	}
+	for i := range h {
+		h[i] = 0
+	}
 	c := m.pathCache()
 	for l := range m.Paths {
 		g := m.PathGain(l, fOff)

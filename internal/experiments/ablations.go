@@ -58,7 +58,7 @@ func AblationQuantization(cfg Config) *stats.Table {
 	t := stats.NewTable("Ablation A1 — multi-beam SNR loss vs weight quantization",
 		"quantizer", "mean_snr_dB", "loss_vs_ideal_dB")
 	runs := cfg.runs(150)
-	perTrial := ParallelTrials(cfg, labelAblationA1, runs, func(_ int, rng *rand.Rand, _ *scratch.Workspace) []float64 {
+	perTrial := ParallelTrials(cfg, labelAblationA1, runs, func(_ int, rng *rand.Rand, ws *scratch.Workspace) []float64 {
 		m := channel.Cluster(rng, env.Band28GHz(), u, params)
 		var beams []multibeam.Beam
 		for k := range m.Paths {
@@ -69,13 +69,14 @@ func AblationQuantization(cfg Config) *stats.Table {
 		if err != nil {
 			return nil
 		}
+		snrOf := newSNREval(budget, offs, ws)
 		snrs := make([]float64, len(quants))
 		for qi, q := range quants {
 			wq := w
 			if q.q.PhaseBits > 0 || q.q.GainRangeDB > 0 {
 				wq = q.q.Apply(w)
 			}
-			snrs[qi] = widebandSNRdB(budget, m, wq, offs)
+			snrs[qi] = snrOf.dB(m, wq)
 		}
 		return snrs
 	})
@@ -99,33 +100,45 @@ func AblationMaintenancePeriod(cfg Config) *stats.Table {
 		"period_ms", "mean_rel", "mean_thr_Mbps", "retrains_per_s")
 	budget := sim.OutdoorBudget()
 	runs := cfg.runs(10)
+	periods := []float64{5, 10, 20, 40, 80}
 	type outcome struct{ rel, thr, retr float64 }
-	for _, periodMs := range []float64{5, 10, 20, 40, 80} {
-		periodMs := periodMs
-		// The trial stream depends only on the trial index (the label is
-		// shared across cadences), so every cadence replays the same
-		// scenario draws — the controlled sweep the ablation needs.
-		res := ParallelTrials(cfg, labelAblationA2, runs, func(_ int, rng *rand.Rand, ws *scratch.Workspace) outcome {
-			scenSeed := subSeed(rng)
+	// One trial is one scenario draw: a manager per cadence steps over the
+	// same channel in one run, and every manager is seeded with the same
+	// draw, so the cadences see the same probe noise as well — the
+	// controlled sweep the ablation needs.
+	res := ParallelTrials(cfg, labelAblationA2, runs, func(_ int, rng *rand.Rand, ws *scratch.Workspace) []outcome {
+		scenSeed := subSeed(rng)
+		mgrSeed := subSeed(rng)
+		mgrs := make([]*manager.Manager, len(periods))
+		schemes := make([]sim.Scheme, len(periods))
+		for i, periodMs := range periods {
 			mcfg := manager.DefaultConfig()
 			mcfg.MaintainPeriod = periodMs * 1e-3
-			mgr, err := manager.New("m", antenna.NewULA(8, 28e9), budget, nr.Mu3(), mcfg, subRNG(rng))
+			mgr, err := manager.New(stats.Fmt(periodMs), antenna.NewULA(8, 28e9), budget, nr.Mu3(), mcfg,
+				rand.New(rand.NewSource(mgrSeed)))
 			if err != nil {
 				panic(err)
 			}
 			mgr.UseWorkspace(ws)
-			out, err := sim.Runner{Warmup: sim.StandardWarmup}.Run(sim.ThinMarginOutdoor(scenSeed), mgr)
-			if err != nil {
-				panic(err)
-			}
-			s := out["m"].Summary
-			return outcome{rel: s.Reliability, thr: s.MeanThroughput, retr: float64(mgr.Retrains - 1)}
-		})
+			mgrs[i], schemes[i] = mgr, mgr
+		}
+		out, err := sim.Runner{Warmup: sim.StandardWarmup}.Run(sim.ThinMarginOutdoor(scenSeed), schemes...)
+		if err != nil {
+			panic(err)
+		}
+		outs := make([]outcome, len(periods))
+		for i, mgr := range mgrs {
+			s := out[mgr.Name()].Summary
+			outs[i] = outcome{rel: s.Reliability, thr: s.MeanThroughput, retr: float64(mgr.Retrains - 1)}
+		}
+		return outs
+	})
+	for i, periodMs := range periods {
 		var rel, thr, retr float64
-		for _, o := range res {
-			rel += o.rel
-			thr += o.thr
-			retr += o.retr
+		for _, outs := range res {
+			rel += outs[i].rel
+			thr += outs[i].thr
+			retr += outs[i].retr
 		}
 		n := float64(runs)
 		t.AddRow(stats.Fmt(periodMs), stats.Fmt(rel/n), stats.Fmt(thr/n/1e6), stats.Fmt(retr/n))
@@ -149,25 +162,22 @@ func AblationCorrelatedBlockage(cfg Config) *stats.Table {
 			genSeed := subSeed(rng)
 			mgrRng := subRNG(rng)
 			rcRng := subRNG(rng)
-			mkScenario := func() *sim.Scenario {
-				sc := sim.ThinMarginOutdoor(scenSeed)
-				gen := events.GenParams{
-					Horizon: 1.0, Rate: 1.5,
-					MinDuration: 0.1, MaxDuration: 0.5,
-					MinDepthDB: 20, MaxDepthDB: 30,
-					NumPaths: 1, AllPathProb: prob,
-				}
-				genRng := rand.New(rand.NewSource(genSeed))
-				var sched events.Schedule
-				for len(sched) == 0 {
-					sched = events.Generate(genRng, gen)
-				}
-				for j := range sched {
-					sched[j].Start += sim.StandardWarmup
-				}
-				sc.Blockage = sched
-				return sc
+			sc := sim.ThinMarginOutdoor(scenSeed)
+			gen := events.GenParams{
+				Horizon: 1.0, Rate: 1.5,
+				MinDuration: 0.1, MaxDuration: 0.5,
+				MinDepthDB: 20, MaxDepthDB: 30,
+				NumPaths: 1, AllPathProb: prob,
 			}
+			genRng := rand.New(rand.NewSource(genSeed))
+			var sched events.Schedule
+			for len(sched) == 0 {
+				sched = events.Generate(genRng, gen)
+			}
+			for j := range sched {
+				sched[j].Start += sim.StandardWarmup
+			}
+			sc.Blockage = sched
 			mgr, err := manager.New("m", antenna.NewULA(8, 28e9), budget, nr.Mu3(), manager.DefaultConfig(), mgrRng)
 			if err != nil {
 				panic(err)
@@ -178,16 +188,12 @@ func AblationCorrelatedBlockage(cfg Config) *stats.Table {
 			if err != nil {
 				panic(err)
 			}
-			runner := sim.Runner{Warmup: sim.StandardWarmup}
-			outM, err := runner.Run(mkScenario(), mgr)
+			// Both schemes step over the one scenario in one run.
+			out, err := sim.Runner{Warmup: sim.StandardWarmup}.Run(sc, mgr, rc)
 			if err != nil {
 				panic(err)
 			}
-			outR, err := runner.Run(mkScenario(), rc)
-			if err != nil {
-				panic(err)
-			}
-			return outcome{mm: outM["m"].Summary.Reliability, re: outR["reactive"].Summary.Reliability}
+			return outcome{mm: out["m"].Summary.Reliability, re: out["reactive"].Summary.Reliability}
 		})
 		var mmRel, reRel float64
 		for _, o := range res {

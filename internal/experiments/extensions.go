@@ -102,8 +102,8 @@ func ExtensionRateAdaptation(cfg Config) *stats.Table {
 	if err != nil {
 		panic(err)
 	}
-	offs := sounderOffsets(budget, 64)
-	txLin, noiseLin := budget.SNRTerms()
+	snrOf := newSNREval(budget, sounderOffsets(budget, 64), nil)
+	txLin, noiseLin := snrOf.txLin, snrOf.noiseLin
 	csi := make(cmx.Vector, 64)
 	csiRe, csiIm := make([]float64, 64), make([]float64, 64)
 
@@ -127,7 +127,7 @@ func ExtensionRateAdaptation(cfg Config) *stats.Table {
 		for s := 0; s < slots; s++ {
 			tm := float64(s) * num.SlotDuration()
 			m := sc.ChannelAt(tm)
-			truth := widebandSNRdB(budget, m, w, offs)
+			truth := snrOf.dB(m, w)
 			if s%every == 0 {
 				cmx.Split(sounder.ProbeInto(m, w, csi), csiRe, csiIm)
 				adapter.Observe(link.WidebandSNRdB(csiRe, csiIm, txLin, noiseLin))

@@ -56,7 +56,7 @@ func Fig15aPhaseScan(cfg Config) *stats.Table {
 	m := pr.m
 	u := m.Tx
 	delta, sigma := m.RelativeGain(1, 0)
-	offs := channel.SubcarrierOffsets(budget.BandwidthHz, 64)
+	snrOf := newSNREval(budget, channel.SubcarrierOffsets(budget.BandwidthHz, 64), nil)
 
 	t := stats.NewTable("Fig 15a — SNR vs second-beam phase", "phase_rad", "snr_dB")
 	best, bestPh := math.Inf(-1), 0.0
@@ -68,7 +68,7 @@ func Fig15aPhaseScan(cfg Config) *stats.Table {
 		if err != nil {
 			continue
 		}
-		snr := widebandSNRdB(budget, m, w, offs)
+		snr := snrOf.dB(m, w)
 		if snr > best {
 			best, bestPh = snr, ph
 		}
@@ -95,7 +95,7 @@ func Fig15bAmpScan(cfg Config) *stats.Table {
 	m := pr.m
 	u := m.Tx
 	_, sigma := m.RelativeGain(1, 0)
-	offs := channel.SubcarrierOffsets(budget.BandwidthHz, 64)
+	snrOf := newSNREval(budget, channel.SubcarrierOffsets(budget.BandwidthHz, 64), nil)
 
 	t := stats.NewTable("Fig 15b — SNR vs second-beam amplitude", "amp_dB", "snr_dB")
 	for _, ampDB := range stats.Linspace(-10, 2, 13) {
@@ -106,7 +106,7 @@ func Fig15bAmpScan(cfg Config) *stats.Table {
 		if err != nil {
 			continue
 		}
-		t.AddRow(stats.Fmt(ampDB), stats.Fmt(widebandSNRdB(budget, m, w, offs)))
+		t.AddRow(stats.Fmt(ampDB), stats.Fmt(snrOf.dB(m, w)))
 	}
 	m1 := pr.ProbeInto(u.SingleBeam(0), nil).Abs()
 	m2 := pr.ProbeInto(u.SingleBeam(dsp.Rad(30)), nil).Abs()
@@ -147,13 +147,34 @@ func Fig15cPhaseStability(cfg Config) *stats.Table {
 	return t
 }
 
-// widebandSNRdB returns the effective wideband SNR of channel m under TX
-// beam w over the subcarrier grid offs.
-func widebandSNRdB(budget link.Budget, m *channel.Model, w cmx.Vector, offs []float64) float64 {
-	re, im := make([]float64, len(offs)), make([]float64, len(offs))
-	m.EffectiveWidebandSplitInto(w, offs, re, im)
-	txLin, noiseLin := budget.SNRTerms()
-	return link.WidebandSNRdB(re, im, txLin, noiseLin)
+// snrEval evaluates the effective wideband SNR of a channel under a TX
+// beam over one subcarrier grid, on planar rows it holds and with the
+// budget's linear terms computed once. One evaluator serves one goroutine:
+// a table builds one, a Monte-Carlo trial one on its worker's workspace.
+type snrEval struct {
+	offs            []float64
+	re, im          []float64
+	txLin, noiseLin float64
+}
+
+// newSNREval builds an evaluator over offs whose rows come from ws, or
+// from the heap when ws is nil. Rows from ws live until ws is released
+// or reset.
+func newSNREval(budget link.Budget, offs []float64, ws *scratch.Workspace) snrEval {
+	e := snrEval{offs: offs}
+	if ws != nil {
+		e.re, e.im = ws.Float(len(offs)), ws.Float(len(offs))
+	} else {
+		e.re, e.im = make([]float64, len(offs)), make([]float64, len(offs))
+	}
+	e.txLin, e.noiseLin = budget.SNRTerms()
+	return e
+}
+
+// dB returns the effective wideband SNR of channel m under TX beam w.
+func (e snrEval) dB(m *channel.Model, w cmx.Vector) float64 {
+	m.EffectiveWidebandSplitInto(w, e.offs, e.re, e.im)
+	return link.WidebandSNRdB(e.re, e.im, e.txLin, e.noiseLin)
 }
 
 func combined(u *antenna.ULA, phiRef, phiK, psi float64) (cmx.Vector, float64) {
@@ -186,11 +207,12 @@ func Fig15dOracleGap(cfg Config) *stats.Table {
 		g2, g3, gSplit, gOracle float64
 		ok2, ok3, okS, okO      bool
 	}
-	trials := ParallelTrials(cfg, labelFig15d, cfg.runs(200), func(_ int, rng *rand.Rand, _ *scratch.Workspace) trial {
+	trials := ParallelTrials(cfg, labelFig15d, cfg.runs(200), func(_ int, rng *rand.Rand, ws *scratch.Workspace) trial {
 		m := channel.Cluster(rng, env.Band28GHz(), u, params)
 		// Order paths strongest first, as beam training would find them.
 		sortPathsByLoss(m)
-		single := widebandSNRdB(budget, m, u.SingleBeam(m.Paths[0].AoD), offs)
+		snrOf := newSNREval(budget, offs, ws)
+		single := snrOf.dB(m, u.SingleBeam(m.Paths[0].AoD))
 		mk := func(k int) []multibeam.Beam {
 			var beams []multibeam.Beam
 			for p := 0; p < k; p++ {
@@ -201,16 +223,16 @@ func Fig15dOracleGap(cfg Config) *stats.Table {
 		}
 		var tr trial
 		if w, err := multibeam.WeightsInto(u, mk(2), nil, nil); err == nil {
-			tr.g2, tr.ok2 = widebandSNRdB(budget, m, w, offs)-single, true
+			tr.g2, tr.ok2 = snrOf.dB(m, w)-single, true
 		}
 		if w, err := multibeam.WeightsInto(u, mk(3), nil, nil); err == nil {
-			tr.g3, tr.ok3 = widebandSNRdB(budget, m, w, offs)-single, true
+			tr.g3, tr.ok3 = snrOf.dB(m, w)-single, true
 		}
 		if w, err := multibeam.SubArraySplit(u, mk(3)); err == nil {
-			tr.gSplit, tr.okS = widebandSNRdB(budget, m, w, offs)-single, true
+			tr.gSplit, tr.okS = snrOf.dB(m, w)-single, true
 		}
 		if w, err := multibeam.Optimal(m.PerAntennaCSI(0)); err == nil {
-			tr.gOracle, tr.okO = widebandSNRdB(budget, m, w, offs)-single, true
+			tr.gOracle, tr.okO = snrOf.dB(m, w)-single, true
 		}
 		return tr
 	})

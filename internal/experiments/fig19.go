@@ -53,6 +53,7 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 	budget := link.DefaultBudget()
 	budget.TxPowerDBm -= 4
 	offs := channel.SubcarrierOffsets(budget.BandwidthHz, 32)
+	snrOf := newSNREval(budget, offs, nil)
 
 	wSingle := u.SingleBeam(paths[0].AoD)
 	var beams []multibeam.Beam
@@ -67,8 +68,7 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 	// mmReliable's beam-set selection: fall back to the single beam when
 	// wideband ripple makes the multi-beam no better on this channel (it
 	// then still wins through the §4.1 blockage response below).
-	if widebandSNRdB(budget, m, wMulti, offs) <
-		widebandSNRdB(budget, m, wSingle, offs) {
+	if snrOf.dB(m, wMulti) < snrOf.dB(m, wSingle) {
 		wMulti = wSingle
 	}
 	// The §4.1 response steady state: all power on the best unblocked path.
@@ -85,7 +85,7 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 	// identical fade realizations, keeping the band comparison controlled.
 	steps := cfg.runs(400)
 	type rates struct{ s, m float64 }
-	res := ParallelTrials(cfg, labelFig19, steps, func(i int, rng *rand.Rand, _ *scratch.Workspace) rates {
+	res := ParallelTrials(cfg, labelFig19, steps, func(i int, rng *rand.Rand, ws *scratch.Workspace) rates {
 		mm := m.Clone()
 		for k := range mm.Paths {
 			mm.Paths[k].ExtraLossDB += 1.0 * rng.NormFloat64()
@@ -102,9 +102,10 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 		if blocked {
 			wm = wBlocked
 		}
+		trialSNR := newSNREval(budget, offs, ws)
 		return rates{
-			s: link.Throughput(widebandSNRdB(budget, mm, wSingle, offs), budget.BandwidthHz, 0),
-			m: link.Throughput(widebandSNRdB(budget, mm, wm, offs), budget.BandwidthHz, 0),
+			s: link.Throughput(trialSNR.dB(mm, wSingle), budget.BandwidthHz, 0),
+			m: link.Throughput(trialSNR.dB(mm, wm), budget.BandwidthHz, 0),
 		}
 	})
 	var thrS, thrM float64

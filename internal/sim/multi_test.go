@@ -106,7 +106,8 @@ func (f multiFunc) Name() string                                  { return "func
 func (f multiFunc) StepMulti(t float64, ms []*channel.Model) Slot { return f(t, ms) }
 
 // TestRunMultiValidation: RunMulti refuses worlds that are not one slot
-// grid of independent per-gNB scenarios, and empty scheme lists.
+// grid of independent per-gNB scenarios, empty scheme lists, and two
+// schemes under one name (the results map would keep only one).
 func TestRunMultiValidation(t *testing.T) {
 	ok := multiFunc(func(float64, []*channel.Model) Slot { return Slot{} })
 	cases := []struct {
@@ -138,6 +139,7 @@ func TestRunMultiValidation(t *testing.T) {
 			return scs
 		}, []MultiScheme{ok}, "share one *Fading"},
 		{"no schemes", func() []*Scenario { return twoGNBWorld(0.01) }, nil, "no schemes"},
+		{"duplicate scheme names", func() []*Scenario { return twoGNBWorld(0.01) }, []MultiScheme{ok, ok}, `two schemes named "func"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -376,6 +376,8 @@ func (r Runner) Run(sc *Scenario, schemes ...Scheme) (map[string]Result, error) 
 // scenario, and a shared process would hand gNB 0's path k and gNB 1's
 // path k the same fade.
 //
+// Scheme names must be distinct, since they key the results.
+//
 // Each scenario writes one base model per slot. Each scheme steps on its
 // own persistent per-gNB models: cloned from the base on the first slot (so
 // schemes never share mutable state), then refreshed in place with
@@ -401,6 +403,13 @@ func (r Runner) RunMulti(scs []*Scenario, schemes ...MultiScheme) (map[string]Re
 	}
 	if len(schemes) == 0 {
 		return nil, fmt.Errorf("sim: no schemes")
+	}
+	for i, s := range schemes {
+		for _, prev := range schemes[:i] {
+			if s.Name() == prev.Name() {
+				return nil, fmt.Errorf("sim: two schemes named %q (results are keyed by name)", s.Name())
+			}
+		}
 	}
 	slotDur := scs[0].Num.SlotDuration()
 	nSlots := int(math.Ceil((scs[0].Duration + r.Warmup) / slotDur))
