@@ -67,33 +67,33 @@ func main() {
 	}
 
 	u := func() *antenna.ULA { return antenna.NewULA(8, 28e9) }
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(*seed)) }
+	// The scheme table: every name -schemes accepts, and how to build it.
+	mk := map[string]func() (sim.Scheme, error){
+		"mmreliable": func() (sim.Scheme, error) {
+			return manager.New("mmreliable", u(), budget, nr.Mu3(), manager.DefaultConfig(), rng())
+		},
+		"reactive": func() (sim.Scheme, error) { return baselines.NewSingleBeamReactive(u(), budget, nr.Mu3(), rng()) },
+		"beamspy":  func() (sim.Scheme, error) { return baselines.NewBeamSpy(u(), budget, nr.Mu3(), rng()) },
+		"widebeam": func() (sim.Scheme, error) { return baselines.NewWideBeam(u(), budget, nr.Mu3(), rng()) },
+		"oracle":   func() (sim.Scheme, error) { return baselines.NewOracle(budget, nr.NumSC), nil },
+	}
+	// Validate scheme names up front so bad -schemes fail before any replay;
+	// a repeated name would replay twice into one table row.
 	names := []string{}
+	seen := map[string]bool{}
 	for _, name := range strings.Split(*schemes, ",") {
-		names = append(names, strings.TrimSpace(name))
-	}
-	mkScheme := func(name string) (sim.Scheme, error) {
-		switch name {
-		case "mmreliable":
-			return manager.New("mmreliable", u(), budget, nr.Mu3(), manager.DefaultConfig(), rand.New(rand.NewSource(*seed)))
-		case "reactive":
-			return baselines.NewSingleBeamReactive(u(), budget, nr.Mu3(), baselines.DefaultOptions(), rand.New(rand.NewSource(*seed)))
-		case "beamspy":
-			return baselines.NewBeamSpy(u(), budget, nr.Mu3(), baselines.DefaultOptions(), rand.New(rand.NewSource(*seed)))
-		case "widebeam":
-			return baselines.NewWideBeam(u(), budget, nr.Mu3(), baselines.DefaultOptions(), rand.New(rand.NewSource(*seed)))
-		case "oracle":
-			return baselines.NewOracle(budget, 64), nil
-		default:
-			return nil, fmt.Errorf("unknown scheme %q", name)
-		}
-	}
-	// Validate scheme names up front so bad -schemes fail before any replay.
-	valid := map[string]bool{"mmreliable": true, "reactive": true, "beamspy": true, "widebeam": true, "oracle": true}
-	for _, name := range names {
-		if !valid[name] {
+		name = strings.TrimSpace(name)
+		if mk[name] == nil {
 			fmt.Fprintf(os.Stderr, "unknown scheme %q\n", name)
 			os.Exit(1)
 		}
+		if seen[name] {
+			fmt.Fprintf(os.Stderr, "duplicate scheme %q\n", name)
+			os.Exit(1)
+		}
+		seen[name] = true
+		names = append(names, name)
 	}
 
 	// Replay the scenario once per scheme, sharded through par.For.
@@ -113,7 +113,7 @@ func main() {
 			return
 		}
 		sc.Duration = *duration
-		s, err := mkScheme(names[i])
+		s, err := mk[names[i]]()
 		if err != nil {
 			errs[i] = err
 			return

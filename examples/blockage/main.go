@@ -28,8 +28,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	single, err := baselines.NewSingleBeamReactive(antenna.NewULA(8, 28e9), budget, nr.Mu3(),
-		baselines.DefaultOptions(), rand.New(rand.NewSource(seed)))
+	single, err := baselines.NewSingleBeamReactive(antenna.NewULA(8, 28e9), budget, nr.Mu3(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}

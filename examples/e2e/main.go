@@ -33,11 +33,11 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		rc, err := baselines.NewSingleBeamReactive(u(), budget, nr.Mu3(), baselines.DefaultOptions(), rand.New(rand.NewSource(seed)))
+		rc, err := baselines.NewSingleBeamReactive(u(), budget, nr.Mu3(), rand.New(rand.NewSource(seed)))
 		if err != nil {
 			panic(err)
 		}
-		wb, err := baselines.NewWideBeam(u(), budget, nr.Mu3(), baselines.DefaultOptions(), rand.New(rand.NewSource(seed)))
+		wb, err := baselines.NewWideBeam(u(), budget, nr.Mu3(), rand.New(rand.NewSource(seed)))
 		if err != nil {
 			panic(err)
 		}

@@ -61,8 +61,7 @@ func main() {
 	budget := sim.IndoorBudget()
 	u := func() *antenna.ULA { return antenna.NewULA(8, 28e9) }
 
-	ctrl, err := handover.New("handover", 2, u(), budget, nr.Mu3(),
-		handover.DefaultConfig(), rand.New(rand.NewSource(seed)))
+	ctrl, err := handover.New("handover", 2, u(), budget, nr.Mu3(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		panic(err)
 	}

@@ -40,7 +40,6 @@ type Common struct {
 	sounder *nr.Sounder
 	cb      *antenna.Codebook
 	offsets []float64
-	opt     Options
 
 	w               cmx.Vector
 	txLin, noiseLin float64    // hoisted budget.SNRTerms()
@@ -62,61 +61,39 @@ type Common struct {
 	Retrains int
 }
 
-// Options configures baseline construction.
-type Options struct {
-	CodebookSize int
-	ScanRangeDeg float64
-	NumSC        int
-	// SSBPeriod gates training starts: a reactive scheme can only begin
-	// beam training at the next SSB occasion (5G NR default 20 ms).
-	SSBPeriod float64
-	// OutageConfirmSlots is how many consecutive below-threshold slots a
-	// reactive scheme needs before it declares outage and reacts (BLER
-	// feedback latency).
-	OutageConfirmSlots int
-}
+// outageConfirmSlots is how many consecutive below-threshold slots a
+// reactive scheme needs before it declares outage and reacts (BLER
+// feedback latency).
+const outageConfirmSlots = 8
 
-// DefaultOptions matches the manager's training setup for fair comparison.
-func DefaultOptions() Options {
-	return Options{
-		CodebookSize:       33,
-		ScanRangeDeg:       60,
-		NumSC:              64,
-		SSBPeriod:          20e-3,
-		OutageConfirmSlots: 8,
-	}
-}
-
-func newCommon(name string, u *antenna.ULA, budget link.Budget, num nr.Numerology, opt Options, rng *rand.Rand) (*Common, error) {
-	s, err := nr.NewSounder(num, budget.BandwidthHz, opt.NumSC, budget.NoiseToTxAmpRatio(), nr.DefaultImpairments(), rng)
+// newCommon builds the shared plumbing on nr's SSB training setup, the
+// one the mmReliable manager trains with.
+func newCommon(name string, u *antenna.ULA, budget link.Budget, num nr.Numerology, rng *rand.Rand) (*Common, error) {
+	s, err := nr.NewSounder(num, budget.BandwidthHz, nr.NumSC, budget.NoiseToTxAmpRatio(), nr.DefaultImpairments(), rng)
 	if err != nil {
 		return nil, err
 	}
-	scan := dsp.Rad(opt.ScanRangeDeg)
+	scan := dsp.Rad(nr.ScanRangeDeg)
 	c := &Common{
 		name:    name,
 		u:       u,
 		budget:  budget,
 		num:     num,
 		sounder: s,
-		cb:      antenna.DFTCodebook(u, opt.CodebookSize, -scan, scan),
-		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, opt.NumSC),
-		opt:     opt,
-		wbRe:    make([]float64, opt.NumSC),
-		wbIm:    make([]float64, opt.NumSC),
-		csi:     make(cmx.Vector, opt.NumSC),
+		cb:      antenna.DFTCodebook(u, nr.CodebookSize, -scan, scan),
+		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, nr.NumSC),
+		wbRe:    make([]float64, nr.NumSC),
+		wbIm:    make([]float64, nr.NumSC),
+		csi:     make(cmx.Vector, nr.NumSC),
 	}
 	c.txLin, c.noiseLin = budget.SNRTerms()
 	return c, nil
 }
 
 // ssbWaitSlots returns the slots to wait from time t until the next SSB
-// occasion (0 when gating is disabled).
+// occasion: a reactive scheme can only begin beam training there.
 func (c *Common) ssbWaitSlots(t float64) int {
-	if c.opt.SSBPeriod <= 0 {
-		return 0
-	}
-	next := math.Ceil(t/c.opt.SSBPeriod) * c.opt.SSBPeriod
+	next := math.Ceil(t/nr.SSBPeriod) * nr.SSBPeriod
 	return int((next - t) / c.num.SlotDuration())
 }
 
@@ -128,7 +105,7 @@ func (c *Common) bindUE(m *channel.Model) {
 	}
 	if c.ueCB == nil {
 		c.ueArr = m.Rx
-		scan := dsp.Rad(c.opt.ScanRangeDeg)
+		scan := dsp.Rad(nr.ScanRangeDeg)
 		c.ueCB = antenna.DFTCodebook(m.Rx, 2*m.Rx.N+1, -scan, scan)
 	}
 	m.RxWeights = c.ueW
@@ -167,7 +144,7 @@ func (c *Common) outageConfirmed(bad bool) bool {
 		return false
 	}
 	c.badSlots++
-	if c.badSlots >= c.opt.OutageConfirmSlots {
+	if c.badSlots >= outageConfirmSlots {
 		c.badSlots = 0
 		return true
 	}
@@ -227,8 +204,8 @@ type SingleBeamReactive struct {
 }
 
 // NewSingleBeamReactive builds the reactive baseline.
-func NewSingleBeamReactive(u *antenna.ULA, budget link.Budget, num nr.Numerology, opt Options, rng *rand.Rand) (*SingleBeamReactive, error) {
-	c, err := newCommon("reactive", u, budget, num, opt, rng)
+func NewSingleBeamReactive(u *antenna.ULA, budget link.Budget, num nr.Numerology, rng *rand.Rand) (*SingleBeamReactive, error) {
+	c, err := newCommon("reactive", u, budget, num, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -251,8 +228,6 @@ func (b *SingleBeamReactive) beginTrain(t float64) {
 			// training time the reactive baseline is charged.
 			cfg := nr.DefaultHierConfig()
 			cfg.Keep = 1
-			cfg.ScanMin = -dsp.Rad(b.opt.ScanRangeDeg)
-			cfg.ScanMax = dsp.Rad(b.opt.ScanRangeDeg)
 			hres, err := nr.HierSweep(b.sounder, m, b.u, cfg)
 			if err != nil || len(hres.Angles) == 0 {
 				b.w = nil
@@ -301,8 +276,8 @@ type BeamSpy struct {
 }
 
 // NewBeamSpy builds the BeamSpy-style baseline.
-func NewBeamSpy(u *antenna.ULA, budget link.Budget, num nr.Numerology, opt Options, rng *rand.Rand) (*BeamSpy, error) {
-	c, err := newCommon("beamspy", u, budget, num, opt, rng)
+func NewBeamSpy(u *antenna.ULA, budget link.Budget, num nr.Numerology, rng *rand.Rand) (*BeamSpy, error) {
+	c, err := newCommon("beamspy", u, budget, num, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -364,8 +339,8 @@ type WideBeam struct {
 }
 
 // NewWideBeam builds the widebeam baseline with a quarter aperture.
-func NewWideBeam(u *antenna.ULA, budget link.Budget, num nr.Numerology, opt Options, rng *rand.Rand) (*WideBeam, error) {
-	c, err := newCommon("widebeam", u, budget, num, opt, rng)
+func NewWideBeam(u *antenna.ULA, budget link.Budget, num nr.Numerology, rng *rand.Rand) (*WideBeam, error) {
+	c, err := newCommon("widebeam", u, budget, num, rng)
 	if err != nil {
 		return nil, err
 	}

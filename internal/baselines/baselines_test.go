@@ -30,7 +30,7 @@ func staticScenario(dur float64) *sim.Scenario {
 }
 
 func TestReactiveEstablishesAndHolds(t *testing.T) {
-	b, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(1)))
+	b, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestReactiveEstablishesAndHolds(t *testing.T) {
 func TestReactiveSuffersFromBlockage(t *testing.T) {
 	// A 26 dB LOS blockage forces the single-beam link into outage and a
 	// reactive retrain; reliability takes the hit (Fig. 16/18a).
-	b, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(2)))
+	b, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestReactiveSuffersFromBlockage(t *testing.T) {
 }
 
 func TestBeamSpySwitchesWithoutFullRetrain(t *testing.T) {
-	bs, err := NewBeamSpy(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(3)))
+	bs, err := NewBeamSpy(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestBeamSpySwitchesWithoutFullRetrain(t *testing.T) {
 	rel := out["beamspy"].Summary.Reliability
 
 	// Compare with plain reactive under the identical scenario.
-	rc, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(3)))
+	rc, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(3)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestBeamSpySwitchesWithoutFullRetrain(t *testing.T) {
 }
 
 func TestWideBeamLowerGain(t *testing.T) {
-	wb, err := NewWideBeam(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(4)))
+	wb, err := NewWideBeam(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(4)))
+	rc, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(4)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWideBeamLowerGain(t *testing.T) {
 
 func TestOracleIsUpperBound(t *testing.T) {
 	o := NewOracle(link.DefaultBudget(), 64)
-	rc, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(5)))
+	rc, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +173,11 @@ func TestHeadlineComparison(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := NewSingleBeamReactive(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(seed)))
+		rc, err := NewSingleBeamReactive(ula8(), budget, nr.Mu3(), rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
-		wb, err := NewWideBeam(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(seed)))
+		wb, err := NewWideBeam(ula8(), budget, nr.Mu3(), rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestHeadlineComparison(t *testing.T) {
 func TestFastTrainingFindsCorrectBeam(t *testing.T) {
 	// The reactive baseline's hierarchical training must land on the LOS
 	// direction, not merely charge logarithmic time.
-	b, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(41)))
+	b, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(41)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestFastTrainingFindsCorrectBeam(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Within ~2 dB of the exhaustive-training variant.
-	b2, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(41)))
+	b2, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(41)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,13 +263,13 @@ func TestStepAllocs(t *testing.T) {
 	budget := link.DefaultBudget()
 	mk := []func() (sim.Scheme, error){
 		func() (sim.Scheme, error) {
-			return NewSingleBeamReactive(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(1)))
+			return NewSingleBeamReactive(ula8(), budget, nr.Mu3(), rand.New(rand.NewSource(1)))
 		},
 		func() (sim.Scheme, error) {
-			return NewBeamSpy(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(1)))
+			return NewBeamSpy(ula8(), budget, nr.Mu3(), rand.New(rand.NewSource(1)))
 		},
 		func() (sim.Scheme, error) {
-			return NewWideBeam(ula8(), budget, nr.Mu3(), DefaultOptions(), rand.New(rand.NewSource(1)))
+			return NewWideBeam(ula8(), budget, nr.Mu3(), rand.New(rand.NewSource(1)))
 		},
 		func() (sim.Scheme, error) { return NewOracle(budget, 64), nil },
 	}

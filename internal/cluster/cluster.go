@@ -56,11 +56,6 @@ type Config struct {
 	// frame the coordinator fires one wide-beam probe per (UE, non-attached
 	// cell) pair. Default 5 (one round per 100 ms at the 20 ms frame).
 	MonitorEvery int
-	// MonitorElems is the number of active array elements of the wide
-	// monitoring beam: fewer elements ⇒ wider beam ⇒ one probe covers the
-	// whole sector without per-cell training, at 10·log10(N/active) dB less
-	// gain (compensated in the reported estimate). Default 2.
-	MonitorElems int
 	// HysteresisDB is the margin by which a standby leg must beat the
 	// serving leg before a handover may trigger (the classic A3 offset).
 	HysteresisDB float64
@@ -102,7 +97,6 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		MonitorEvery:     5,
-		MonitorElems:     2,
 		HysteresisDB:     3,
 		DropTriggerDB:    6,
 		TimeToTrigger:    2,
@@ -204,8 +198,8 @@ func New(num nr.Numerology, cfg Config, dep Deployment) (*Cluster, error) {
 	if cfg.ArrayElems <= 0 {
 		cfg.ArrayElems = 8
 	}
-	if cfg.MonitorElems < 1 || cfg.MonitorElems > cfg.ArrayElems {
-		return nil, fmt.Errorf("cluster: MonitorElems %d outside [1,%d]", cfg.MonitorElems, cfg.ArrayElems)
+	if cfg.ArrayElems < monitorElems {
+		return nil, fmt.Errorf("cluster: ArrayElems %d < %d monitor-beam elements", cfg.ArrayElems, monitorElems)
 	}
 	if cfg.Warmup < 0 {
 		return nil, fmt.Errorf("cluster: negative warmup %g", cfg.Warmup)
@@ -217,7 +211,7 @@ func New(num nr.Numerology, cfg Config, dep Deployment) (*Cluster, error) {
 		cfg:       cfg,
 		num:       num,
 		dep:       dep,
-		monGainDB: 10 * math.Log10(float64(cfg.ArrayElems)/float64(cfg.MonitorElems)),
+		monGainDB: 10 * math.Log10(float64(cfg.ArrayElems)/monitorElems),
 		monWS:     scratch.New(),
 		monRe:     make([]float64, monitorNumSC),
 		monIm:     make([]float64, monitorNumSC),

@@ -241,9 +241,9 @@ func TestClusterAdmissionAndValidation(t *testing.T) {
 		t.Fatal("MonitorEvery 0 accepted")
 	}
 	bad = DefaultConfig()
-	bad.MonitorElems = 99
+	bad.ArrayElems = 1
 	if _, err := New(nr.Mu3(), bad, dep); err == nil {
-		t.Fatal("MonitorElems > ArrayElems accepted")
+		t.Fatal("ArrayElems below the monitor beam's aperture accepted")
 	}
 	cfg := DefaultConfig()
 	cfg.Station.Workers = 1

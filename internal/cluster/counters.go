@@ -24,12 +24,26 @@ type Counters struct {
 	// MonitorRowsReused counts monitor probes whose noiseless planar row was
 	// replayed from the pair's cache instead of re-evaluated (incremental
 	// engine only — 0 with MMR_INCREMENTAL=off). Diagnostic: deliberately
-	// mode-VARIANT, so it must never feed stdout or any decision.
-	MonitorRowsReused int
+	// mode-VARIANT, so it must never feed stdout, /status or any decision.
+	MonitorRowsReused int `json:"-"`
 	// UE lifecycle.
 	UEsAttached        int
 	UEsFinished        int
 	AdmissionDeferrals int
+}
+
+// Add folds o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.Frames += o.Frames
+	c.Handovers += o.Handovers
+	c.PingPongs += o.PingPongs
+	c.StandbyRetargets += o.StandbyRetargets
+	c.MonitorRounds += o.MonitorRounds
+	c.MonitorProbes += o.MonitorProbes
+	c.MonitorRowsReused += o.MonitorRowsReused
+	c.UEsAttached += o.UEsAttached
+	c.UEsFinished += o.UEsFinished
+	c.AdmissionDeferrals += o.AdmissionDeferrals
 }
 
 // UEOutcome is one UE's cluster-level result.

@@ -273,7 +273,7 @@ func (u *ue) refreshMonitorModel(cl *Cluster, c int, t float64) *channel.Model {
 	}
 	aod := m.Paths[m.StrongestPath()].Path.AoD
 	if u.monBeam[c] == nil || math.Abs(wrapAngle(aod-u.monAoD[c])) > monitorResteerRad {
-		u.monBeam[c] = antenna.WideBeam(m.Tx, aod, cl.cfg.MonitorElems)
+		u.monBeam[c] = antenna.WideBeam(m.Tx, aod, monitorElems)
 		u.monAoD[c] = aod
 	}
 	return m
@@ -347,9 +347,14 @@ func (u *ue) monitorProbe(cl *Cluster, c int, t float64) float64 {
 
 // Monitor tuning constants.
 const (
-	// monitorNumSC is the monitor sounding width (matches the manager's
-	// default CSI-RS width so estimates are comparable).
-	monitorNumSC = 64
+	// monitorNumSC is the monitor sounding width: the manager's CSI-RS
+	// width, so estimates are comparable.
+	monitorNumSC = nr.NumSC
+	// monitorElems is the number of active array elements of the wide
+	// monitoring beam: fewer elements ⇒ wider beam ⇒ one probe covers the
+	// whole sector without per-cell training, at 10·log10(N/active) dB less
+	// gain (compensated in the reported estimate).
+	monitorElems = 2
 	// monitorAlpha is the monitor EWMA constant: rounds are 100 ms apart,
 	// so a heavier weight on the newest probe keeps the estimate current.
 	monitorAlpha = 0.5

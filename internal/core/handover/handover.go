@@ -21,37 +21,24 @@ import (
 	"mmreliable/internal/sim"
 )
 
-// Config tunes the controller.
-type Config struct {
-	// OutageConfirm is how long (seconds) the serving link must stay in
+// Conservative handover parameters.
+const (
+	// outageConfirm is how long (seconds) the serving link must stay in
 	// outage before a handover evaluation starts — long enough for the
 	// serving manager's own retraining to have had its chance.
-	OutageConfirm float64
-	// EvalBeams is the sweep size used to score each candidate gNB.
-	EvalBeams int
-	// MinImprovementDB is the advantage a candidate must show over the
+	outageConfirm = 60e-3
+	// evalBeams is the sweep size used to score each candidate gNB.
+	evalBeams = 9
+	// minImprovementDB is the advantage a candidate must show over the
 	// serving cell's measured strength to win the handover (hysteresis
 	// against ping-pong).
-	MinImprovementDB float64
-	// Manager configures the per-gNB beam managers.
-	Manager manager.Config
-}
-
-// DefaultConfig returns conservative handover parameters.
-func DefaultConfig() Config {
-	return Config{
-		OutageConfirm:    60e-3,
-		EvalBeams:        9,
-		MinImprovementDB: 3,
-		Manager:          manager.DefaultConfig(),
-	}
-}
+	minImprovementDB = 3
+)
 
 // Controller runs one mmReliable manager per gNB and moves the link to
 // whichever gNB survives.
 type Controller struct {
 	name    string
-	cfg     Config
 	budget  link.Budget
 	num     nr.Numerology
 	mgrs    []*manager.Manager
@@ -74,29 +61,26 @@ type Controller struct {
 
 // New builds a controller over n gNBs. rng seeds the per-manager sounders
 // and the controller's evaluation sounder.
-func New(name string, n int, u *antenna.ULA, budget link.Budget, num nr.Numerology, cfg Config, rng *rand.Rand) (*Controller, error) {
+func New(name string, n int, u *antenna.ULA, budget link.Budget, num nr.Numerology, rng *rand.Rand) (*Controller, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("handover: need ≥1 gNB, got %d", n)
 	}
-	if cfg.OutageConfirm <= 0 || cfg.EvalBeams < 1 {
-		return nil, fmt.Errorf("handover: invalid config %+v", cfg)
-	}
-	c := &Controller{name: name, cfg: cfg, budget: budget, num: num}
+	c := &Controller{name: name, budget: budget, num: num}
 	for i := 0; i < n; i++ {
-		m, err := manager.New(fmt.Sprintf("%s-gnb%d", name, i), u, budget, num, cfg.Manager, rand.New(rand.NewSource(rng.Int63())))
+		m, err := manager.New(fmt.Sprintf("%s-gnb%d", name, i), u, budget, num, manager.DefaultConfig(), rand.New(rand.NewSource(rng.Int63())))
 		if err != nil {
 			return nil, err
 		}
 		c.mgrs = append(c.mgrs, m)
 	}
-	s, err := nr.NewSounder(num, budget.BandwidthHz, cfg.Manager.NumSC, budget.NoiseToTxAmpRatio(), nr.DefaultImpairments(), rand.New(rand.NewSource(rng.Int63())))
+	s, err := nr.NewSounder(num, budget.BandwidthHz, nr.NumSC, budget.NoiseToTxAmpRatio(), nr.DefaultImpairments(), rand.New(rand.NewSource(rng.Int63())))
 	if err != nil {
 		return nil, err
 	}
 	c.sounder = s
 	c.csi = make(cmx.Vector, s.NumSC)
-	scan := dsp.Rad(cfg.Manager.ScanRangeDeg)
-	c.cb = antenna.DFTCodebook(u, cfg.EvalBeams, -scan, scan)
+	scan := dsp.Rad(nr.ScanRangeDeg)
+	c.cb = antenna.DFTCodebook(u, evalBeams, -scan, scan)
 	return c, nil
 }
 
@@ -143,7 +127,7 @@ func (c *Controller) StepMulti(t float64, ms []*channel.Model) sim.Slot {
 }
 
 func (c *Controller) confirmSlots() int {
-	return int(math.Max(1, c.cfg.OutageConfirm/c.num.SlotDuration()))
+	return int(math.Max(1, outageConfirm/c.num.SlotDuration()))
 }
 
 func (c *Controller) slotsFor(airTime float64) int {
@@ -173,7 +157,7 @@ func (c *Controller) evaluate(ms []*channel.Model) {
 	if best == c.serving {
 		return
 	}
-	if servingRSS > 0 && 10*math.Log10(bestRSS/servingRSS) < c.cfg.MinImprovementDB {
+	if servingRSS > 0 && 10*math.Log10(bestRSS/servingRSS) < minImprovementDB {
 		return
 	}
 	c.serving = best

@@ -54,7 +54,7 @@ func twoGNBScenario(blockA bool) []*sim.Scenario {
 
 func newController(t *testing.T, n int, seed int64) *Controller {
 	t.Helper()
-	c, err := New("ho", n, antenna.NewULA(8, 28e9), link.DefaultBudget(), nr.Mu3(), DefaultConfig(), rand.New(rand.NewSource(seed)))
+	c, err := New("ho", n, antenna.NewULA(8, 28e9), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(seed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,13 +63,8 @@ func newController(t *testing.T, n int, seed int64) *Controller {
 
 func TestNewValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	if _, err := New("x", 0, antenna.NewULA(8, 28e9), link.DefaultBudget(), nr.Mu3(), DefaultConfig(), rng); err == nil {
+	if _, err := New("x", 0, antenna.NewULA(8, 28e9), link.DefaultBudget(), nr.Mu3(), rng); err == nil {
 		t.Fatal("0 gNBs should fail")
-	}
-	cfg := DefaultConfig()
-	cfg.OutageConfirm = 0
-	if _, err := New("x", 2, antenna.NewULA(8, 28e9), link.DefaultBudget(), nr.Mu3(), cfg, rng); err == nil {
-		t.Fatal("zero confirm should fail")
 	}
 }
 

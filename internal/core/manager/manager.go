@@ -49,38 +49,12 @@ type Config struct {
 	// fast enough to follow the per-path phase drift of a moving user,
 	// which rotates far too quickly for the 20 ms maintenance loop.
 	CCRefreshPeriod float64
-	// CodebookSize and ScanRangeDeg define the SSB training sweep.
-	CodebookSize int
-	ScanRangeDeg float64
-	// DynRangeDB is the peak-selection dynamic range during training.
-	DynRangeDB float64
-	// MinSepIdx is the minimum codebook separation between selected peaks.
-	MinSepIdx int
-	// MinRefineDeg suppresses re-alignment below this deviation.
-	MinRefineDeg float64
-	// RetrainBackoff is the wait before re-attempting a failed training.
-	RetrainBackoff float64
-	// SSBPeriod gates full retraining starts to SSB occasions (5G NR
-	// default 20 ms); CSI-RS maintenance is not gated.
-	SSBPeriod float64
-	// NumSC is the sounding subcarrier count (power of two).
-	NumSC int
-	// Superres and Track tune the respective modules.
-	Superres superres.Config
-	Track    track.Config
-	// Quant is the front-end weight quantizer.
-	Quant antenna.Quantizer
 	// HierarchicalTraining switches the initial/returning beam training
 	// from the exhaustive SSB sweep to the logarithmic hierarchical search
 	// (wide beams descending into the strongest sectors) — roughly 3×
 	// fewer probes at slightly coarser initial angles, which the §4.2
 	// refinement loop then polishes.
 	HierarchicalTraining bool
-	// SelectionTolDB is the SNR sacrifice accepted to keep an extra lobe
-	// during beam-set selection: more lobes mean more blockage resilience
-	// (the paper's reliability-first design), so the largest beam set
-	// within this many dB of the best-measured set wins.
-	SelectionTolDB float64
 	// ProactiveTracking enables the §4.2 mobility loop. Disabling it (the
 	// paper's "mmReliable w/o tracking" ablation, Fig. 18a) keeps blockage
 	// reallocation but never re-aligns angles.
@@ -90,6 +64,29 @@ type Config struct {
 	// amplitude, zero phase lobes.
 	ConstructiveCombining bool
 }
+
+// Training and maintenance constants; the SSB training setup itself
+// (codebook, scan range, subcarriers, SSB period) is nr's.
+const (
+	// dynRangeDB is the peak-selection dynamic range during training:
+	// 10 dB keeps the paper's 1–10 dB reflectors while rejecting the
+	// −12.8 dB sidelobes of an 8-element scanning beam.
+	dynRangeDB = 10
+	// minSepIdx is the minimum codebook separation between selected
+	// peaks: the mask radius must cover the scanning beam's main lobe
+	// (±11.25° at the 3.75° codebook step for an 8-element array).
+	minSepIdx = 4
+	// minRefineDeg suppresses re-alignment below this deviation.
+	minRefineDeg = 0.75
+	// retrainBackoff is the wait (seconds) before re-attempting a failed
+	// training.
+	retrainBackoff = 50e-3
+	// selectionTolDB is the SNR sacrifice accepted to keep an extra lobe
+	// during beam-set selection: more lobes mean more blockage resilience
+	// (the paper's reliability-first design), so the largest beam set
+	// within this many dB of the best-measured set wins.
+	selectionTolDB = 2.0
+)
 
 // Outage-reaction confirmation windows (slots): an emergency maintenance
 // round fires after a few bad slots; a full retrain only after the outage
@@ -103,28 +100,25 @@ const (
 // DefaultConfig returns the paper-matched configuration.
 func DefaultConfig() Config {
 	return Config{
-		MaxBeams:        3,
-		MaintainPeriod:  20e-3,
-		CCRefreshPeriod: 1e-3,
-		CodebookSize:    33,
-		ScanRangeDeg:    60,
-		// 10 dB keeps the paper's 1–10 dB reflectors while rejecting the
-		// −12.8 dB sidelobes of an 8-element scanning beam.
-		DynRangeDB: 10,
-		// Mask radius must cover the scanning beam's main lobe (±11.25° at
-		// the default 3.75° codebook step for an 8-element array).
-		MinSepIdx:             4,
-		MinRefineDeg:          0.75,
-		RetrainBackoff:        50e-3,
-		SSBPeriod:             20e-3,
-		NumSC:                 64,
-		SelectionTolDB:        2.0,
-		Superres:              superres.DefaultConfig(),
-		Track:                 track.DefaultConfig(),
-		Quant:                 antenna.DefaultQuantizer(),
+		MaxBeams:              3,
+		MaintainPeriod:        20e-3,
+		CCRefreshPeriod:       1e-3,
 		ProactiveTracking:     true,
 		ConstructiveCombining: true,
 	}
+}
+
+// Validate reports a configuration New refuses: MaxBeams outside
+// [1, nr.CodebookSize] (a sweep cannot select more peaks than it has
+// beams) or a non-positive MaintainPeriod.
+func (c Config) Validate() error {
+	if c.MaxBeams < 1 || c.MaxBeams > nr.CodebookSize {
+		return fmt.Errorf("manager: MaxBeams %d outside [1, %d]", c.MaxBeams, nr.CodebookSize)
+	}
+	if !(c.MaintainPeriod > 0) {
+		return fmt.Errorf("manager: MaintainPeriod %g is not positive", c.MaintainPeriod)
+	}
+	return nil
 }
 
 // Manager is the mmReliable beam manager for one gNB-UE link.
@@ -282,17 +276,14 @@ type Manager struct {
 
 // New builds a manager. rng seeds the sounder's noise and impairments.
 func New(name string, u *antenna.ULA, budget link.Budget, num nr.Numerology, cfg Config, rng *rand.Rand) (*Manager, error) {
-	if cfg.MaxBeams < 1 {
-		return nil, fmt.Errorf("manager: MaxBeams %d < 1", cfg.MaxBeams)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
-	if cfg.MaintainPeriod <= 0 || cfg.RetrainBackoff <= 0 {
-		return nil, fmt.Errorf("manager: non-positive periods")
-	}
-	s, err := nr.NewSounder(num, budget.BandwidthHz, cfg.NumSC, budget.NoiseToTxAmpRatio(), nr.DefaultImpairments(), rng)
+	s, err := nr.NewSounder(num, budget.BandwidthHz, nr.NumSC, budget.NoiseToTxAmpRatio(), nr.DefaultImpairments(), rng)
 	if err != nil {
 		return nil, err
 	}
-	scan := dsp.Rad(cfg.ScanRangeDeg)
+	scan := dsp.Rad(nr.ScanRangeDeg)
 	mgr := &Manager{
 		name:    name,
 		cfg:     cfg,
@@ -300,18 +291,18 @@ func New(name string, u *antenna.ULA, budget link.Budget, num nr.Numerology, cfg
 		budget:  budget,
 		num:     num,
 		sounder: s,
-		fe:      phasedarray.New(u, cfg.Quant),
-		cb:      antenna.DFTCodebook(u, cfg.CodebookSize, -scan, scan),
-		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, cfg.NumSC),
+		fe:      phasedarray.New(u, antenna.DefaultQuantizer()),
+		cb:      antenna.DFTCodebook(u, nr.CodebookSize, -scan, scan),
+		offsets: channel.SubcarrierOffsets(budget.BandwidthHz, nr.NumSC),
 	}
-	mgr.wbRe = make([]float64, cfg.NumSC)
-	mgr.wbIm = make([]float64, cfg.NumSC)
+	mgr.wbRe = make([]float64, nr.NumSC)
+	mgr.wbIm = make([]float64, nr.NumSC)
 	mgr.txLin, mgr.noiseLin = budget.SNRTerms()
 	mgr.mbScratch = make(cmx.Vector, u.N)
-	mgr.csiBuf = make(cmx.Vector, cfg.NumSC)
-	mgr.cirBuf = make(cmx.Vector, cfg.NumSC)
+	mgr.csiBuf = make(cmx.Vector, nr.NumSC)
+	mgr.cirBuf = make(cmx.Vector, nr.NumSC)
 	mgr.sbBuf = make(cmx.Vector, u.N)
-	mgr.csi2Buf = make(cmx.Vector, cfg.NumSC)
+	mgr.csi2Buf = make(cmx.Vector, nr.NumSC)
 	mgr.pwrBuf = make([]float64, 0, cfg.MaxBeams)
 	mgr.devIdx = make([]int, 0, cfg.MaxBeams)
 	mgr.devVal = make([]float64, 0, cfg.MaxBeams)
@@ -327,13 +318,13 @@ func New(name string, u *antenna.ULA, budget link.Budget, num nr.Numerology, cfg
 	mgr.delayStore = make([]float64, 0, cfg.MaxBeams)
 	mgr.relStore = make([]float64, 0, cfg.MaxBeams)
 	mgr.rssStore = make([]float64, 0, cfg.MaxBeams)
-	mgr.magsFlat = make([]float64, cfg.MaxBeams*cfg.NumSC)
+	mgr.magsFlat = make([]float64, cfg.MaxBeams*nr.NumSC)
 	mgr.magHeads = make([][]float64, 0, cfg.MaxBeams)
 	mgr.beamStore = make([]multibeam.Beam, 0, cfg.MaxBeams)
 	mgr.snrSel = make([]float64, cfg.MaxBeams+1)
 	mgr.selW = make(cmx.Vector, u.N)
-	sel := make([]float64, 2*cfg.NumSC)
-	mgr.magSel, mgr.zeroIm = sel[:cfg.NumSC:cfg.NumSC], sel[cfg.NumSC:]
+	sel := make([]float64, 2*nr.NumSC)
+	mgr.magSel, mgr.zeroIm = sel[:nr.NumSC:nr.NumSC], sel[nr.NumSC:]
 	mgr.activeStore = make([]bool, 0, cfg.MaxBeams)
 	mgr.establishFn = mgr.establish
 	mgr.retrySweepFn = func(t float64, m *channel.Model) { mgr.retrainCause(t, "sweep-empty") }
@@ -381,7 +372,7 @@ func (g *Manager) Offsets() []float64 { return g.offsets }
 // the serving cell after time away.
 func (g *Manager) Reset() {
 	g.w = nil
-	g.fe = phasedarray.New(g.u, g.cfg.Quant)
+	g.fe = phasedarray.New(g.u, antenna.DefaultQuantizer())
 	g.fullReset()
 	g.trainRemaining = 0
 	g.onTrainDone = nil
@@ -497,7 +488,7 @@ func (g *Manager) bindUE(m *channel.Model) {
 	}
 	if g.ueCB == nil {
 		g.ueArr = m.Rx
-		scan := dsp.Rad(g.cfg.ScanRangeDeg)
+		scan := dsp.Rad(nr.ScanRangeDeg)
 		g.ueCB = antenna.DFTCodebook(m.Rx, 2*m.Rx.N+1, -scan, scan)
 		g.ueScratch = make(cmx.Vector, m.Rx.N)
 	}
@@ -572,11 +563,8 @@ func (g *Manager) retrainCause(t float64, cause string) {
 	}
 	g.RetrainReasons[cause]++
 	g.Retrains++
-	wait := 0
-	if g.cfg.SSBPeriod > 0 {
-		next := math.Ceil(t/g.cfg.SSBPeriod) * g.cfg.SSBPeriod
-		wait = int((next - t) / g.num.SlotDuration())
-	}
+	next := math.Ceil(t/nr.SSBPeriod) * nr.SSBPeriod
+	wait := int((next - t) / g.num.SlotDuration())
 	sweepProbes := g.cb.Len()
 	if g.cfg.HierarchicalTraining {
 		sweepProbes = nr.HierProbeCount(g.hierConfig())
@@ -603,7 +591,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 		// Nothing viable: back off and retry.
 		g.w = nil
 		g.fullReset()
-		g.beginOp(g.slotsFor(g.cfg.RetrainBackoff), g.retrySweepFn)
+		g.beginOp(g.slotsFor(retrainBackoff), g.retrySweepFn)
 		return
 	}
 	g.bp.m = m
@@ -653,7 +641,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 	rss := g.rssStore[:0]
 	for k, a := range angles {
 		csi := pr.ProbeInto(g.u.SingleBeamInto(a, g.sbBuf), g.csiBuf)
-		mags = append(mags, csi.AbsInto(g.magsFlat[k*g.cfg.NumSC:(k+1)*g.cfg.NumSC]))
+		mags = append(mags, csi.AbsInto(g.magsFlat[k*nr.NumSC:(k+1)*nr.NumSC]))
 		rss = append(rss, nr.RSS(csi))
 		d, err := superres.EstimateDelayWS(g.sounder.CIRInto(csi, g.cirBuf), g.sounder.SampleSpacing(), g.ws)
 		if err != nil {
@@ -661,7 +649,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 		}
 		delays = append(delays, d)
 	}
-	span := float64(g.cfg.NumSC) * g.sounder.SampleSpacing()
+	span := float64(nr.NumSC) * g.sounder.SampleSpacing()
 	rel := g.relStore[:0]
 	for k := range delays {
 		rel = append(rel, superres.RelativeDelay(delays[k], delays[0], span))
@@ -676,7 +664,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 		if err := estimateWithMags(&g.estBuf, pr, g.u, angles, mags, rel, g.budget.BandwidthHz, g.ws); err != nil {
 			g.w = nil
 			g.fullReset()
-			g.beginOp(g.slotsFor(g.cfg.RetrainBackoff), g.retryEstFn)
+			g.beginOp(g.slotsFor(retrainBackoff), g.retryEstFn)
 			return
 		}
 		beams, _ = g.estBuf.BeamsInto(angles, g.beamStore)
@@ -726,7 +714,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 		// Reliability-first: the largest beam set within tolerance of the
 		// best measured SNR — but never sacrifice below the outage
 		// threshold when a smaller set clears it.
-		floor := maxSNR - g.cfg.SelectionTolDB
+		floor := maxSNR - selectionTolDB
 		if th := link.OutageThresholdDB + 0.5; floor < th && maxSNR >= th {
 			floor = th
 		}
@@ -769,7 +757,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 	if !g.applyWeights() {
 		g.w = nil
 		g.fullReset()
-		g.beginOp(g.slotsFor(g.cfg.RetrainBackoff), g.retryComposeFn)
+		g.beginOp(g.slotsFor(retrainBackoff), g.retryComposeFn)
 		return
 	}
 	// The tracker is kept across establishments: the next maintenance round
@@ -781,14 +769,9 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 }
 
 // hierConfig derives the hierarchical-search configuration from the
-// manager's scan setup.
+// manager's beam order.
 func (g *Manager) hierConfig() nr.HierConfig {
-	cfg := nr.DefaultHierConfig()
-	cfg.Keep = g.cfg.MaxBeams
-	cfg.ScanMin = -dsp.Rad(g.cfg.ScanRangeDeg)
-	cfg.ScanMax = dsp.Rad(g.cfg.ScanRangeDeg)
-	cfg.DynRangeDB = g.cfg.DynRangeDB
-	return cfg
+	return nr.HierConfig{Keep: g.cfg.MaxBeams, DynRangeDB: dynRangeDB}
 }
 
 // trainAngles runs the configured beam-training method and returns the
@@ -806,7 +789,7 @@ func (g *Manager) trainAngles(m *channel.Model) []float64 {
 		}
 		return append(g.angStore[:0], angles...)
 	}
-	res := nr.SweepInto(g.sounder, m, g.cb, g.cfg.MaxBeams, g.cfg.MinSepIdx, g.cfg.DynRangeDB, &g.swp)
+	res := nr.SweepInto(g.sounder, m, g.cb, g.cfg.MaxBeams, minSepIdx, dynRangeDB, &g.swp)
 	return res.AnglesInto(g.cb, g.angStore[:0])
 }
 
@@ -867,7 +850,7 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 	defer g.ws.Release(mk)
 	csi := g.sounder.ProbeInto(m, g.w, g.csiBuf)
 	cir := g.sounder.CIRInto(csi, g.cirBuf)
-	res, err := superres.ExtractInto(cir, g.relDelays, g.sounder.SampleSpacing(), g.cfg.Superres, g.ws)
+	res, err := superres.ExtractInto(cir, g.relDelays, g.sounder.SampleSpacing(), superres.DefaultConfig(), g.ws)
 	if err != nil {
 		g.retrainCause(t, "superres")
 		return
@@ -882,7 +865,7 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 				return
 			}
 		} else {
-			tr, err := track.New(g.u, g.cfg.Track, powers)
+			tr, err := track.New(g.u, track.DefaultConfig(), powers)
 			if err != nil {
 				g.retrainCause(t, "tracker")
 				return
@@ -961,7 +944,7 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 			maxDrop = math.Max(maxDrop, st.DropDB)
 		}
 		if nAct > 0 && minDrop >= 1.0 && (nAct == 1 || maxDrop-minDrop <= 2.0) {
-			if dev := track.RotationFromDrop(g.ueArr, minDrop); dev >= dsp.Rad(g.cfg.MinRefineDeg) {
+			if dev := track.RotationFromDrop(g.ueArr, minDrop); dev >= dsp.Rad(minRefineDeg) {
 				g.refineUE(t, m, dev)
 				return
 			}
@@ -970,7 +953,7 @@ func (g *Manager) maintain(t float64, m *channel.Model) {
 	deviated := g.devIdx[:0]
 	devs := g.devVal[:0]
 	for k, st := range sts {
-		if g.active[k] && st.Deviation >= dsp.Rad(g.cfg.MinRefineDeg) {
+		if g.active[k] && st.Deviation >= dsp.Rad(minRefineDeg) {
 			deviated = append(deviated, k)
 			devs = append(devs, st.Deviation)
 		}
@@ -991,7 +974,7 @@ func (g *Manager) ccRefresh(t float64, m *channel.Model) {
 	mk := g.ws.Mark()
 	defer g.ws.Release(mk)
 	csi := g.sounder.ProbeInto(m, g.w, g.csiBuf)
-	res, err := superres.ExtractInto(g.sounder.CIRInto(csi, g.cirBuf), g.relDelays, g.sounder.SampleSpacing(), g.cfg.Superres, g.ws)
+	res, err := superres.ExtractInto(g.sounder.CIRInto(csi, g.cirBuf), g.relDelays, g.sounder.SampleSpacing(), superres.DefaultConfig(), g.ws)
 	if err != nil {
 		return // transient: the next maintenance round will deal with it
 	}

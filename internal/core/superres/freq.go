@@ -133,14 +133,10 @@ func extract(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg Con
 	chol := cmx.CholeskyWith(own.Complex(k * k))
 	useChol := chol.Factor(&ridged) == nil
 
-	steps := cfg.SearchSteps
-	if steps < 1 {
-		steps = 1
-	}
 	corr := cmx.Vector(own.Complex(k))
 	alpha := cmx.Vector(own.Complex(k))
 	// diag[s] keeps hypothesis 0's row-0 correlation at coarse step s.
-	diag := cmx.Vector(own.Complex(steps))
+	diag := cmx.Vector(own.Complex(searchSteps))
 	invN := complex(1/float64(n), 0)
 	nf := float64(n)
 	rampRate := 2 * math.Pi * bw / nf
@@ -183,26 +179,20 @@ func extract(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg Con
 	}
 
 	bestRes, bestBase := math.Inf(1), 0.0
-	// search fits steps candidates across center ± span. hyp is the
+	// search fits searchSteps candidates across center ± span. hyp is the
 	// alignment hypothesis of a coarse pass, −1 for the fine pass. The
 	// prefactor advances by one phasor per step; z stays an exact
 	// exponential per candidate, since Horner raises it to the (N−1)-th
 	// power and a stepped z would carry its drift that far.
 	search := func(center, span float64, hyp int) {
-		lo, delta := center, 0.0
-		if steps > 1 {
-			lo, delta = center-span, 2*span/float64(steps-1)
-		}
+		lo, delta := center-span, 2*span/(searchSteps-1)
 		pre := expi(f0Rate*lo) * invN
 		step := expi(f0Rate * delta)
-		for s := 0; s < steps; s++ {
+		for s := 0; s < searchSteps; s++ {
 			if s > 0 {
 				pre *= step
 			}
-			base := center
-			if steps > 1 {
-				base = center - span + 2*span*float64(s)/float64(steps-1)
-			}
+			base := center - span + 2*span*float64(s)/(searchSteps-1)
 			if hyp < 0 && base == bestBase {
 				// Already fitted: the same base gives the same residual,
 				// which cannot beat itself.
@@ -230,10 +220,10 @@ func extract(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg Con
 	// per "the strongest tap is beam j" alignment hypothesis (hypothesis 0
 	// first, which fills diag), then a fine pass around the winner.
 	for j, rd := range relDelays {
-		search(-rd, cfg.SearchSpan, j)
+		search(-rd, searchSpan, j)
 	}
-	if steps > 1 && !math.IsInf(bestRes, 1) {
-		search(bestBase, 2*cfg.SearchSpan/float64(steps-1), -1)
+	if !math.IsInf(bestRes, 1) {
+		search(bestBase, 2*searchSpan/(searchSteps-1), -1)
 	}
 	if math.IsInf(bestRes, 1) {
 		return Result{}, fmt.Errorf("superres: every alignment candidate was degenerate")

@@ -249,10 +249,7 @@ func ExtractKernel(cir cmx.Vector, relDelays []float64, kernel KernelIntoFunc, s
 	_, peak := cir.MaxAbs()
 	aligned := rotate(cir, -peak)
 
-	steps := cfg.SearchSteps
-	if steps < 1 {
-		steps = 1
-	}
+	steps := searchSteps
 	norm := aligned.Norm()
 	if norm == 0 {
 		return Result{}, fmt.Errorf("superres: zero CIR")
@@ -312,17 +309,17 @@ func ExtractKernel(cir cmx.Vector, relDelays []float64, kernel KernelIntoFunc, s
 	// that tap belongs to is unknown (a blocked reference path may no
 	// longer be the strongest). Try one alignment hypothesis per beam —
 	// "the strongest tap is beam j", i.e. a global base delay of −rel[j] —
-	// with a coarse pass over ±SearchSpan and a fine pass around the
+	// with a coarse pass over ±searchSpan and a fine pass around the
 	// winner so fractional-sample timing drift (e.g. an SFO-induced shift)
 	// is matched to well under the grid step.
 	best := Result{Residual: math.Inf(1)}
 	for _, rd := range relDelays {
-		if cand := search(-rd, cfg.SearchSpan); cand.Residual < best.Residual {
+		if cand := search(-rd, searchSpan); cand.Residual < best.Residual {
 			best = cand
 		}
 	}
 	if steps > 1 && !math.IsInf(best.Residual, 1) {
-		fineSpan := 2 * cfg.SearchSpan / float64(steps-1)
+		fineSpan := 2 * searchSpan / float64(steps-1)
 		if fine := search(best.BaseDelay, fineSpan); fine.Residual < best.Residual {
 			best = fine
 		}

@@ -26,19 +26,22 @@ type Config struct {
 	// Lambda is the L2 (ridge) regularization weight of Eq. 23. It
 	// stabilizes the fit when two delays fall inside one resolution cell.
 	Lambda float64
-	// SearchSpan is the ± range (seconds) of the global alignment search
-	// around the peak-aligned position.
-	SearchSpan float64
-	// SearchSteps is the number of alignment candidates tried across the
-	// span (≥1; 1 disables the search).
-	SearchSteps int
 }
 
-// DefaultConfig suits a 400 MHz sounder (2.5 ns resolution): ±1 sample of
-// alignment search in 17 steps and mild regularization.
+// DefaultConfig is mild regularization.
 func DefaultConfig() Config {
-	return Config{Lambda: 1e-3, SearchSpan: 2.5e-9, SearchSteps: 17}
+	return Config{Lambda: 1e-3}
 }
+
+// The global alignment search suits a 400 MHz sounder (2.5 ns resolution):
+// ±1 sample around the peak-aligned position in 17 steps.
+const (
+	// searchSpan is the ± range (seconds) of the coarse search.
+	searchSpan = 2.5e-9
+	// searchSteps is the number of alignment candidates tried across the
+	// span.
+	searchSteps = 17
+)
 
 // Result is the outcome of one extraction.
 type Result struct {

@@ -15,42 +15,38 @@ import (
 
 // Config tunes the tracker.
 type Config struct {
-	// SmoothAlpha is the EWMA forgetting factor applied to per-beam power
-	// in dB (the paper's "time average with a forgetting factor").
-	SmoothAlpha float64
-	// BlockSlopeDBPerSec marks a blockage when power falls faster than
-	// this. The measured human-blocker onset is ~10 dB per 10 OFDM symbols
-	// ≈ 112,000 dB/s; anything within two orders of magnitude of that is
-	// unambiguous against mobility (tens of dB/s).
-	BlockSlopeDBPerSec float64
-	// BlockDropDB marks a blockage when a single inter-observation drop
-	// exceeds this many dB (backstop for sparse observations).
-	BlockDropDB float64
-	// UnblockRiseDB clears the blocked flag when power recovers to within
-	// this many dB of the anchor.
-	UnblockRiseDB float64
 	// DeviationDeadbandDB suppresses refinement for drops smaller than
 	// this (measurement noise).
 	DeviationDeadbandDB float64
-	// HistoryLen is the number of recent observations kept for slope
-	// estimation.
-	HistoryLen int
 }
 
-// DefaultConfig returns thresholds matched to the paper's measurements.
+// DefaultConfig returns the deadband matched to the paper's measurements.
 func DefaultConfig() Config {
-	return Config{
-		SmoothAlpha:        0.4,
-		BlockSlopeDBPerSec: 2000,
-		// 8 dB between consecutive observations: a human blocker produces
-		// ≥20 dB at the 20 ms maintenance cadence, while 4σ fading jumps
-		// stay below this.
-		BlockDropDB:         8,
-		UnblockRiseDB:       3,
-		DeviationDeadbandDB: 0.5,
-		HistoryLen:          8,
-	}
+	return Config{DeviationDeadbandDB: 0.5}
 }
+
+// Tracking thresholds matched to the paper's measurements.
+const (
+	// smoothAlpha is the EWMA forgetting factor applied to per-beam power
+	// in dB (the paper's "time average with a forgetting factor").
+	smoothAlpha = 0.4
+	// blockSlopeDBPerSec marks a blockage when power falls faster than
+	// this. The measured human-blocker onset is ~10 dB per 10 OFDM symbols
+	// ≈ 112,000 dB/s; anything within two orders of magnitude of that is
+	// unambiguous against mobility (tens of dB/s).
+	blockSlopeDBPerSec = 2000
+	// blockDropDB marks a blockage when a single inter-observation drop
+	// exceeds this many dB (backstop for sparse observations): a human
+	// blocker produces ≥20 dB at the 20 ms maintenance cadence, while 4σ
+	// fading jumps stay below this.
+	blockDropDB = 8
+	// unblockRiseDB clears the blocked flag when power recovers to within
+	// this many dB of the anchor.
+	unblockRiseDB = 3
+	// historyLen is the number of recent observations kept for slope
+	// estimation.
+	historyLen = 8
+)
 
 // Status is the tracker's verdict for one beam after an observation.
 type Status struct {
@@ -87,12 +83,6 @@ func New(u *antenna.ULA, cfg Config, initPowers []float64) (*Tracker, error) {
 	if len(initPowers) == 0 {
 		return nil, fmt.Errorf("track: no beams")
 	}
-	if cfg.SmoothAlpha <= 0 || cfg.SmoothAlpha > 1 {
-		return nil, fmt.Errorf("track: bad smoothing alpha %g", cfg.SmoothAlpha)
-	}
-	if cfg.HistoryLen < 2 {
-		return nil, fmt.Errorf("track: history length %d < 2", cfg.HistoryLen)
-	}
 	tr := &Tracker{u: u, cfg: cfg, bs: make([]beamState, len(initPowers))}
 	for k, p := range initPowers {
 		if p <= 0 {
@@ -101,13 +91,13 @@ func New(u *antenna.ULA, cfg Config, initPowers []float64) (*Tracker, error) {
 		db := dsp.DB(p)
 		tr.bs[k] = beamState{
 			anchorDB: db,
-			ewma:     dsp.NewEWMA(cfg.SmoothAlpha),
+			ewma:     dsp.NewEWMA(smoothAlpha),
 			// Full-capacity history up front: observeBeam trims in place at
-			// HistoryLen, so these never regrow — a tracker rebuilt on every
+			// historyLen, so these never regrow — a tracker rebuilt on every
 			// retrain would otherwise leak growth reallocations into the
 			// pinned-zero-alloc steady state.
-			times:  make([]float64, 0, cfg.HistoryLen+1),
-			powers: make([]float64, 0, cfg.HistoryLen+1),
+			times:  make([]float64, 0, historyLen+1),
+			powers: make([]float64, 0, historyLen+1),
 		}
 		tr.bs[k].ewma.Update(db)
 	}
@@ -152,9 +142,9 @@ func (tr *Tracker) observeBeam(k int, t, power float64) Status {
 	smooth := b.ewma.Update(db)
 	b.times = append(b.times, t)
 	b.powers = append(b.powers, smooth)
-	if len(b.times) > tr.cfg.HistoryLen {
+	if len(b.times) > historyLen {
 		// Trim by copying down instead of re-slicing forward: the backing
-		// arrays then stabilize at HistoryLen+1 and the appends above stop
+		// arrays then stabilize at historyLen+1 and the appends above stop
 		// allocating (the maintenance tick is pinned to zero allocations).
 		copy(b.times, b.times[1:])
 		b.times = b.times[:len(b.times)-1]
@@ -168,10 +158,10 @@ func (tr *Tracker) observeBeam(k int, t, power float64) Status {
 	instantDrop := rawPrev - db
 	slope := tr.slopeDBPerSec(b)
 	if !b.blocked {
-		if instantDrop >= tr.cfg.BlockDropDB || -slope >= tr.cfg.BlockSlopeDBPerSec {
+		if instantDrop >= blockDropDB || -slope >= blockSlopeDBPerSec {
 			b.blocked = true
 		}
-	} else if drop <= tr.cfg.UnblockRiseDB {
+	} else if drop <= unblockRiseDB {
 		b.blocked = false
 	}
 

@@ -183,8 +183,7 @@ func AblationCorrelatedBlockage(cfg Config) *stats.Table {
 				panic(err)
 			}
 			mgr.UseWorkspace(ws)
-			rc, err := baselines.NewSingleBeamReactive(antenna.NewULA(8, 28e9), budget, nr.Mu3(),
-				baselines.DefaultOptions(), rcRng)
+			rc, err := baselines.NewSingleBeamReactive(antenna.NewULA(8, 28e9), budget, nr.Mu3(), rcRng)
 			if err != nil {
 				panic(err)
 			}

@@ -398,8 +398,7 @@ func ExtensionHandover(cfg Config) *stats.Table {
 	rows := ParallelTrials(cfg, labelExtHandover, 2, func(trial int, rng *rand.Rand, ws *scratch.Workspace) outcome {
 		runner := sim.Runner{}
 		if trial == 0 {
-			ctrl, err := handover.New("handover", 2, antenna.NewULA(8, 28e9), budget, nr.Mu3(),
-				handover.DefaultConfig(), rng)
+			ctrl, err := handover.New("handover", 2, antenna.NewULA(8, 28e9), budget, nr.Mu3(), rng)
 			if err != nil {
 				panic(err)
 			}

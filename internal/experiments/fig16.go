@@ -35,7 +35,7 @@ func Fig16Blockage(cfg Config) *stats.Table {
 			}
 			scheme = mgr
 		} else {
-			scheme, err = baselines.NewSingleBeamReactive(antenna.NewULA(8, 28e9), budget, nr.Mu3(), baselines.DefaultOptions(), rng)
+			scheme, err = baselines.NewSingleBeamReactive(antenna.NewULA(8, 28e9), budget, nr.Mu3(), rng)
 		}
 		if err != nil {
 			panic(err)

@@ -38,11 +38,11 @@ func fig18Scheme(name string, budget link.Budget, withTracking bool, rng *rand.R
 		}
 		s = mgr
 	case "reactive":
-		s, err = baselines.NewSingleBeamReactive(u, budget, nr.Mu3(), baselines.DefaultOptions(), rng)
+		s, err = baselines.NewSingleBeamReactive(u, budget, nr.Mu3(), rng)
 	case "beamspy":
-		s, err = baselines.NewBeamSpy(u, budget, nr.Mu3(), baselines.DefaultOptions(), rng)
+		s, err = baselines.NewBeamSpy(u, budget, nr.Mu3(), rng)
 	case "widebeam":
-		s, err = baselines.NewWideBeam(u, budget, nr.Mu3(), baselines.DefaultOptions(), rng)
+		s, err = baselines.NewWideBeam(u, budget, nr.Mu3(), rng)
 	default:
 		panic("experiments: unknown fig18 scheme " + name)
 	}

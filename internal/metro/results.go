@@ -81,7 +81,7 @@ func (m *Metro) Results() Results {
 			st.cl.VisitUEs(sk.AddUE)
 			res.ResidentUEs += st.cl.ResidentUEs()
 			cr := st.cl.Results()
-			addCounters(&res.Counters, cr.Counters)
+			res.Counters.Add(cr.Counters)
 			for _, pc := range cr.PerCell {
 				trainSlots += int64(pc.Counters.TrainingSlots)
 				sessSlots += pc.Counters.SessionSlots
@@ -116,18 +116,6 @@ func (m *Metro) Results() Results {
 		res.OverheadPct = 100 * float64(trainSlots) / float64(sessSlots)
 	}
 	return res
-}
-
-func addCounters(dst *cluster.Counters, c cluster.Counters) {
-	dst.Frames += c.Frames
-	dst.Handovers += c.Handovers
-	dst.PingPongs += c.PingPongs
-	dst.StandbyRetargets += c.StandbyRetargets
-	dst.MonitorRounds += c.MonitorRounds
-	dst.MonitorProbes += c.MonitorProbes
-	dst.UEsAttached += c.UEsAttached
-	dst.UEsFinished += c.UEsFinished
-	dst.AdmissionDeferrals += c.AdmissionDeferrals
 }
 
 // Write renders the results as a deterministic text report (fixed field

@@ -136,7 +136,7 @@ func (m *Metro) ActiveSessions() int {
 func (m *Metro) CountersTotal() cluster.Counters {
 	var total cluster.Counters
 	for _, s := range m.sites {
-		addCounters(&total, s.cl.CountersSnapshot())
+		total.Add(s.cl.CountersSnapshot())
 	}
 	return total
 }
@@ -146,20 +146,7 @@ func (m *Metro) StationCountersTotal() station.Counters {
 	var total station.Counters
 	for _, s := range m.sites {
 		for c := 0; c < s.cl.Cells(); c++ {
-			sc := s.cl.CellCounters(c)
-			total.Frames += sc.Frames
-			total.SessionSlots += sc.SessionSlots
-			total.ProbesIssued += sc.ProbesIssued
-			total.Grants += sc.Grants
-			total.BudgetDenials += sc.BudgetDenials
-			total.Preemptions += sc.Preemptions
-			total.Realigns += sc.Realigns
-			total.Retrains += sc.Retrains
-			total.TrainingSlots += sc.TrainingSlots
-			total.BatchedEntryEvals += sc.BatchedEntryEvals
-			total.AttachesAdmitted += sc.AttachesAdmitted
-			total.AttachesRejected += sc.AttachesRejected
-			total.Detaches += sc.Detaches
+			total.Add(s.cl.CellCounters(c))
 		}
 	}
 	return total

@@ -8,6 +8,7 @@ import (
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
 	"mmreliable/internal/cmx"
+	"mmreliable/internal/dsp"
 )
 
 // Hierarchical beam training: instead of sweeping every narrow beam, probe
@@ -21,45 +22,38 @@ import (
 // For an N-element array with branching factor B, the search probes
 // B·K·ceil(log_B(#narrow beams)) beams instead of all #narrow beams.
 
+// The hierarchical search's shape: branching 4 with a final resolution of
+// 16 sectors over ±ScanRangeDeg — about the half-power beamwidth of an
+// 8-element array. Descending below the array's resolution is
+// counter-productive: a path's energy then spans several final sectors and
+// its neighbors crowd out genuinely distinct paths.
+const (
+	// hierBranch is the number of child sectors probed per parent.
+	hierBranch = 4
+	// hierNarrowBeams is the resolution of the final level (the equivalent
+	// exhaustive codebook size).
+	hierNarrowBeams = 16
+)
+
 // HierConfig tunes the hierarchical sweep.
 type HierConfig struct {
-	// Branch is the number of child sectors probed per parent (≥2).
-	Branch int
 	// Keep is how many sectors survive each level (≥1); ≥2 is needed to
 	// find multiple multipath directions.
 	Keep int
-	// NarrowBeams is the resolution of the final level (the equivalent
-	// exhaustive codebook size).
-	NarrowBeams int
-	// ScanMin and ScanMax bound the angular search (radians).
-	ScanMin, ScanMax float64
 	// DynRangeDB discards final beams weaker than this below the best.
 	DynRangeDB float64
 }
 
-// DefaultHierConfig uses branching 4 with two survivors and a final
-// resolution of 16 sectors over ±60° — about the half-power beamwidth of
-// an 8-element array. Descending below the array's resolution is
-// counter-productive: a path's energy then spans several final sectors and
-// its neighbors crowd out genuinely distinct paths.
+// DefaultHierConfig keeps two survivors per level and a 10 dB dynamic
+// range.
 func DefaultHierConfig() HierConfig {
-	return HierConfig{
-		Branch:      4,
-		Keep:        2,
-		NarrowBeams: 16,
-		ScanMin:     -math.Pi / 3,
-		ScanMax:     math.Pi / 3,
-		DynRangeDB:  10,
-	}
+	return HierConfig{Keep: 2, DynRangeDB: 10}
 }
 
 // Validate checks the configuration.
 func (c HierConfig) Validate() error {
-	if c.Branch < 2 || c.Keep < 1 || c.NarrowBeams < c.Branch {
-		return fmt.Errorf("nr: invalid hierarchical config %+v", c)
-	}
-	if c.ScanMax <= c.ScanMin {
-		return fmt.Errorf("nr: empty scan range")
+	if c.Keep < 1 {
+		return fmt.Errorf("nr: hierarchical Keep %d < 1", c.Keep)
 	}
 	return nil
 }
@@ -86,12 +80,9 @@ func HierSweep(s *Sounder, m *channel.Model, u *antenna.ULA, cfg HierConfig) (Hi
 		return HierResult{}, err
 	}
 	res := HierResult{}
-	// Depth so that Branch^depth ≥ NarrowBeams.
-	depth := int(math.Ceil(math.Log(float64(cfg.NarrowBeams)) / math.Log(float64(cfg.Branch))))
-	if depth < 1 {
-		depth = 1
-	}
-	live := []sector{{lo: cfg.ScanMin, hi: cfg.ScanMax}}
+	depth := hierDepth()
+	scan := dsp.Rad(ScanRangeDeg)
+	live := []sector{{lo: -scan, hi: scan}}
 	// One CSI buffer serves every probe of the descent: only the scalar RSS
 	// of each probe survives.
 	csi := make(cmx.Vector, s.NumSC)
@@ -101,8 +92,8 @@ func HierSweep(s *Sounder, m *channel.Model, u *antenna.ULA, cfg HierConfig) (Hi
 		active := int(math.Max(2, math.Round(frac*float64(u.N))))
 		var next []sector
 		for _, sec := range live {
-			step := (sec.hi - sec.lo) / float64(cfg.Branch)
-			for b := 0; b < cfg.Branch; b++ {
+			step := (sec.hi - sec.lo) / float64(hierBranch)
+			for b := 0; b < hierBranch; b++ {
 				lo := sec.lo + float64(b)*step
 				hi := lo + step
 				center := (lo + hi) / 2
@@ -152,14 +143,20 @@ func HierSweep(s *Sounder, m *channel.Model, u *antenna.ULA, cfg HierConfig) (Hi
 	return res, nil
 }
 
-// HierProbeCount returns the number of probes a hierarchical sweep issues
-// for the given configuration (for overhead accounting without running it).
-func HierProbeCount(cfg HierConfig) int {
-	depth := int(math.Ceil(math.Log(float64(cfg.NarrowBeams)) / math.Log(float64(cfg.Branch))))
+// hierDepth is the number of descent levels: the least depth with
+// hierBranch^depth ≥ hierNarrowBeams.
+func hierDepth() int {
+	depth := int(math.Ceil(math.Log(float64(hierNarrowBeams)) / math.Log(float64(hierBranch))))
 	if depth < 1 {
 		depth = 1
 	}
-	// Level 1 probes Branch sectors from the single root; afterwards each
-	// of the Keep survivors spawns Branch probes.
-	return cfg.Branch + (depth-1)*cfg.Keep*cfg.Branch
+	return depth
+}
+
+// HierProbeCount returns the number of probes a hierarchical sweep issues
+// for the given configuration (for overhead accounting without running it).
+func HierProbeCount(cfg HierConfig) int {
+	// Level 1 probes hierBranch sectors from the single root; afterwards
+	// each of the Keep survivors spawns hierBranch probes.
+	return hierBranch + (hierDepth()-1)*cfg.Keep*hierBranch
 }

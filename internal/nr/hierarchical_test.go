@@ -12,14 +12,9 @@ func TestHierConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := DefaultHierConfig()
-	bad.Branch = 1
+	bad.Keep = 0
 	if err := bad.Validate(); err == nil {
-		t.Fatal("branch 1 should fail")
-	}
-	bad = DefaultHierConfig()
-	bad.ScanMax = bad.ScanMin
-	if err := bad.Validate(); err == nil {
-		t.Fatal("empty range should fail")
+		t.Fatal("keep 0 should fail")
 	}
 }
 
@@ -74,8 +69,8 @@ func TestHierSweepCheaperThanExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.NumProbe >= cfg.NarrowBeams {
-		t.Fatalf("hierarchical used %d probes, exhaustive needs %d", res.NumProbe, cfg.NarrowBeams)
+	if res.NumProbe >= hierNarrowBeams {
+		t.Fatalf("hierarchical used %d probes, exhaustive needs %d", res.NumProbe, hierNarrowBeams)
 	}
 	if res.NumProbe != HierProbeCount(cfg) {
 		t.Fatalf("probe count %d != predicted %d", res.NumProbe, HierProbeCount(cfg))

@@ -8,6 +8,23 @@ import (
 	"mmreliable/internal/cmx"
 )
 
+// The paper's SSB training setup. The mmReliable manager, every baseline
+// and the handover controller train with these values, so the schemes are
+// compared on one setup by construction.
+const (
+	// CodebookSize is the number of beams the exhaustive SSB sweep probes,
+	// evenly spaced over ±ScanRangeDeg.
+	CodebookSize = 33
+	// ScanRangeDeg bounds every training sweep, in degrees either side of
+	// broadside.
+	ScanRangeDeg = 60
+	// NumSC is the sounding subcarrier count (a power of two).
+	NumSC = 64
+	// SSBPeriod gates full training starts to SSB occasions (5G NR's
+	// default 20 ms); CSI-RS maintenance is not gated.
+	SSBPeriod = 20e-3
+)
+
 // SweepResult is the outcome of an SSB beam-training sweep.
 type SweepResult struct {
 	RSS      []float64 // received signal strength per codebook entry

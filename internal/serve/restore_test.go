@@ -156,7 +156,8 @@ func checkJournalReplay(t *testing.T, cmds []Command) {
 }
 
 // TestRestoreRejectsTampering: a snapshot that lies about its history must
-// not serve. Each mutation corrupts one integrity anchor.
+// not serve. Each mutation corrupts one integrity anchor or records a config
+// the manager refuses; every one must be an error, none a panic.
 func TestRestoreRejectsTampering(t *testing.T) {
 	cfg := testConfig(1)
 	cfg.MaxFrames = 8
@@ -183,6 +184,11 @@ func TestRestoreRejectsTampering(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", name, err)
 		}
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s: Restore panicked: %v", name, p)
+			}
+		}()
 		if _, err := Restore(tampered, Runtime{}); err == nil {
 			t.Errorf("%s: Restore accepted a tampered snapshot", name)
 		}
@@ -197,6 +203,8 @@ func TestRestoreRejectsTampering(t *testing.T) {
 	mutate("draw count drifted", func(sf *snapshotFile) { sf.SiteDraws[0]++ })
 	mutate("arrival drifted", func(sf *snapshotFile) { sf.NextArrivalBits[0] ^= 1 })
 	mutate("script dropped", func(sf *snapshotFile) { sf.Config.Script = nil })
+	mutate("MaxBeams 0", func(sf *snapshotFile) { sf.Config.Metro.Cluster.Station.Manager.MaxBeams = 0 })
+	mutate("MaintainPeriod 0", func(sf *snapshotFile) { sf.Config.Metro.Cluster.Station.Manager.MaintainPeriod = 0 })
 	if _, err := Restore([]byte("{"), Runtime{}); err == nil {
 		t.Error("Restore accepted truncated JSON")
 	}

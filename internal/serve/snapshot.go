@@ -17,10 +17,12 @@ import (
 // beam-set selection reduce on the planar product-form kernel) with the
 // span/(n−1) subcarrier phasor step, which moves the digest by ulps again;
 // version 6 is the split-Horner super-resolution search with the shared
-// diagonal and the stepped prefactor, whose fitted amplitudes move by ulps.
+// diagonal and the stepped prefactor, whose fitted amplitudes move by ulps;
+// version 7 is the smaller config, whose fixed training and tracking setup
+// (codebook, subcarriers, thresholds, monitor aperture) left the document.
 const (
 	SnapshotFormat  = "mmserved-snapshot"
-	SnapshotVersion = 6
+	SnapshotVersion = 7
 )
 
 // snapshotFile is the versioned snapshot document. It is event-sourced:

@@ -45,6 +45,26 @@ type Counters struct {
 	SDMASlots       int64
 }
 
+// Add folds o into c, field by field.
+func (c *Counters) Add(o Counters) {
+	c.Frames += o.Frames
+	c.SessionSlots += o.SessionSlots
+	c.ProbesIssued += o.ProbesIssued
+	c.Grants += o.Grants
+	c.BudgetDenials += o.BudgetDenials
+	c.Preemptions += o.Preemptions
+	c.Realigns += o.Realigns
+	c.Retrains += o.Retrains
+	c.TrainingSlots += o.TrainingSlots
+	c.BatchedEntryEvals += o.BatchedEntryEvals
+	c.AttachesAdmitted += o.AttachesAdmitted
+	c.AttachesRejected += o.AttachesRejected
+	c.Detaches += o.Detaches
+	c.SDMAGroups += o.SDMAGroups
+	c.SDMAPairRejects += o.SDMAPairRejects
+	c.SDMASlots += o.SDMASlots
+}
+
 // sessionTally is the part of one session's cumulative accounting that
 // the station counters aggregate. The session-summed Counters fields are
 // kept live by folding each session's per-frame tally delta in at the

@@ -207,6 +207,11 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 	if cfg.SDMA.Chains < 1 || cfg.SDMA.Chains > sdmaMaxChains {
 		return nil, fmt.Errorf("station: SDMA.Chains %d outside [1, %d]", cfg.SDMA.Chains, sdmaMaxChains)
 	}
+	// Every attach builds a manager from cfg.Manager: a config it would
+	// refuse is refused here, before any session exists.
+	if err := cfg.Manager.Validate(); err != nil {
+		return nil, fmt.Errorf("station: %w", err)
+	}
 	st := &Station{
 		cfg:           cfg,
 		num:           num,
@@ -227,7 +232,7 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 	if cfg.SDMA.Chains >= 2 {
 		st.combiners = make([]*hybrid.Combiner, w)
 		for k := range st.combiners {
-			st.combiners[k] = hybrid.NewCombiner(cfg.SDMA.Chains, cfg.Manager.NumSC)
+			st.combiners[k] = hybrid.NewCombiner(cfg.SDMA.Chains, nr.NumSC)
 		}
 	}
 	st.runUnitFn = st.runUnit
