@@ -3,6 +3,8 @@ package manager
 import (
 	"testing"
 
+	"mmreliable/internal/antenna"
+	"mmreliable/internal/channel"
 	"mmreliable/internal/sim"
 )
 
@@ -17,36 +19,60 @@ import (
 // composition — allocates nothing once the manager's establishment stores
 // are warm. At metro scale blockage-driven data outages make retrains part
 // of the steady state, so this path matters as much as the maintenance
-// tick.
+// tick. The directional-UE case adds the per-beam UE codebook scan and the
+// UE weight composition; it runs on a persistent Reuse model, as the slot
+// loops do, and its single UE lobe re-composes to the same vector.
 func TestEstablishAllocs(t *testing.T) {
-	mgr := newManager(t, 7)
-	sc := staticScenario(0.2)
-	if _, err := (sim.Runner{}).Run(sc, mgr); err != nil {
-		t.Fatal(err)
-	}
-	m := sc.ChannelAt(sc.Duration)
-	tick := sc.Duration
-	// Warm re-establishments settle every store (and the tracker rebuild
-	// path, which only allocates when the beam count changes).
-	for i := 0; i < 3; i++ {
-		tick += mgr.cfg.MaintainPeriod
-		mgr.establish(tick, m)
-		mgr.maintain(tick+mgr.cfg.CCRefreshPeriod, m)
-	}
-	beams := mgr.NumBeams()
-	if beams < 2 {
-		t.Fatalf("established %d beams, want ≥2 in a reflective room", beams)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		tick += mgr.cfg.MaintainPeriod
-		mgr.establish(tick, m)
-		mgr.maintain(tick+mgr.cfg.CCRefreshPeriod, m)
-	})
-	if mgr.NumBeams() != beams {
-		t.Fatalf("beam count drifted %d → %d on a static channel", beams, mgr.NumBeams())
-	}
-	if allocs != 0 {
-		t.Fatalf("re-establishment allocates %.1f per op, want 0", allocs)
+	for _, tc := range []struct {
+		name     string
+		seed     int64
+		ue       *antenna.ULA
+		minBeams int
+	}{
+		{"omni", 7, nil, 2},
+		{"directional", 7, antenna.NewULA(8, 28e9), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mgr := newManager(t, tc.seed)
+			sc := staticScenario(0.2)
+			sc.UEArray = tc.ue
+			if _, err := (sim.Runner{}).Run(sc, mgr); err != nil {
+				t.Fatal(err)
+			}
+			m := sc.ChannelAt(sc.Duration)
+			if tc.ue != nil {
+				m = &channel.Model{Reuse: true}
+				sc.ChannelInto(sc.Duration, m)
+				mgr.bindUE(m)
+			}
+			if (mgr.ueCB != nil) != (tc.ue != nil) {
+				t.Fatalf("directional UE codebook present = %v", mgr.ueCB != nil)
+			}
+			tick := sc.Duration
+			// Warm re-establishments settle every store (and the tracker
+			// rebuild path, which only allocates when the beam count
+			// changes).
+			for i := 0; i < 3; i++ {
+				tick += mgr.cfg.MaintainPeriod
+				mgr.establish(tick, m)
+				mgr.maintain(tick+mgr.cfg.CCRefreshPeriod, m)
+			}
+			beams := mgr.NumBeams()
+			if beams < tc.minBeams {
+				t.Fatalf("established %d beams, want ≥%d", beams, tc.minBeams)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				tick += mgr.cfg.MaintainPeriod
+				mgr.establish(tick, m)
+				mgr.maintain(tick+mgr.cfg.CCRefreshPeriod, m)
+			})
+			if mgr.NumBeams() != beams {
+				t.Fatalf("beam count drifted %d → %d on a static channel", beams, mgr.NumBeams())
+			}
+			if allocs != 0 {
+				t.Fatalf("re-establishment allocates %.1f per op, want 0", allocs)
+			}
+		})
 	}
 }
 

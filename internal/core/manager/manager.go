@@ -137,10 +137,9 @@ type Manager struct {
 	// evaluates every slot (txLin/noiseLin are the budget's linear terms,
 	// hoisted at New so the slot loop skips two math.Pow per evaluation);
 	// mbScratch/ueScratch hold one lobe's matched beam during multi-beam
-	// synthesis. All are internal to a single call — the composed weight
-	// vectors themselves are always freshly allocated because they escape
-	// into the front end (fe.SetWeights) and the channel snapshot
-	// (m.RxWeights).
+	// synthesis. All are internal to a single call — a composed UE weight
+	// vector escapes into the channel snapshot (m.RxWeights) and is never
+	// written after composition (see composeUE).
 	wbRe, wbIm      []float64
 	txLin, noiseLin float64
 	mbScratch       cmx.Vector
@@ -219,8 +218,13 @@ type Manager struct {
 	ueArr    *antenna.ULA
 	ueCB     *antenna.Codebook
 	ueW      cmx.Vector
-	ueAngles []float64 // UE lobe angle per gNB beam
-	ueAmps   []float64 // UE lobe amplitude per gNB beam (MRC weighting)
+	ueAngles []float64        // UE lobe angle per gNB beam
+	ueAmps   []float64        // UE lobe amplitude per gNB beam (MRC weighting)
+	ueLobes  []multibeam.Beam // lobe list scratch of each UE weight composition
+	// ueLast/ueLastW are the lobe list of the last composed UE vector and
+	// that vector (see composeUE).
+	ueLast  []multibeam.Beam
+	ueLastW cmx.Vector
 
 	// Operation scheduling.
 	trainRemaining int
@@ -237,9 +241,9 @@ type Manager struct {
 	// Cached result of the last snr() fold, keyed on everything that feeds
 	// it: the model (identity + content stamp), the front end's program
 	// counter (Switches — slice identity is NOT sound, SetWeights
-	// double-buffers), and the UE combining weights' slice identity (composed
-	// UE vectors are always freshly allocated, see the scratch comment
-	// above). Consulted only under the incremental engine (incr.Enabled);
+	// double-buffers), and the UE combining weights' slice identity (a
+	// composed UE vector is never written after composition, see
+	// composeUE). Consulted only under the incremental engine (incr.Enabled);
 	// with MMR_INCREMENTAL=off every slot folds the full wideband response.
 	snrModel  *channel.Model
 	snrStamp  uint64
@@ -603,14 +607,17 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 	// runs under it, so the TX-side combining estimates absorb the UE-side
 	// per-path phases automatically.
 	if g.ueCB != nil {
-		ueAngles := make([]float64, len(angles))
-		ueAmps := make([]float64, len(angles))
+		// The lobe stores are rewritten in place: nothing outside the
+		// manager holds them (refineUE swaps in fresh slices, which the
+		// next establishment then reuses the same way).
+		ueAngles := resizeFloats(g.ueAngles, len(angles))
+		ueAmps := resizeFloats(g.ueAmps, len(angles))
 		for k, a := range angles {
-			wk := g.u.SingleBeam(a)
+			wk := g.u.SingleBeamInto(a, g.sbBuf)
 			bestIdx, bestRSS := -1, 0.0
 			for i, v := range g.ueCB.Weights {
 				m.RxWeights = v
-				if r := nr.RSS(pr.ProbeInto(wk, nil)); bestIdx == -1 || r > bestRSS {
+				if r := nr.RSS(pr.ProbeInto(wk, g.csiBuf)); bestIdx == -1 || r > bestRSS {
 					bestIdx, bestRSS = i, r
 				}
 			}
@@ -1117,7 +1124,7 @@ func (g *Manager) applyUEWeights(ueAngles []float64) bool {
 	if g.ueArr == nil || len(ueAngles) == 0 {
 		return false
 	}
-	var lobes []multibeam.Beam
+	lobes := g.ueLobes[:0]
 	for k, a := range ueAngles {
 		if k < len(g.active) && !g.active[k] {
 			continue
@@ -1130,12 +1137,8 @@ func (g *Manager) applyUEWeights(ueAngles []float64) bool {
 			lobes = append(lobes, multibeam.Beam{Angle: a, Amp: g.ueAmp(k)})
 		}
 	}
-	w, err := multibeam.WeightsInto(g.ueArr, lobes, nil, g.ueScratch)
-	if err != nil {
-		return false
-	}
-	g.ueW = w
-	return true
+	g.ueLobes = lobes
+	return g.composeUE(lobes)
 }
 
 // applyUEWeightsN composes the UE multi-beam from the first n lobes only
@@ -1147,16 +1150,60 @@ func (g *Manager) applyUEWeightsN(n int) bool {
 	if n <= 0 {
 		return false
 	}
-	lobes := make([]multibeam.Beam, n)
+	lobes := g.ueLobes[:0]
 	for k := 0; k < n; k++ {
-		lobes[k] = multibeam.Beam{Angle: g.ueAngles[k], Amp: g.ueAmp(k)}
+		lobes = append(lobes, multibeam.Beam{Angle: g.ueAngles[k], Amp: g.ueAmp(k)})
+	}
+	g.ueLobes = lobes
+	return g.composeUE(lobes)
+}
+
+// composeUE sets the UE combining vector to the multi-beam of lobes. A
+// composed vector is never written after composition: channel models, the
+// station's batch pass and snr() key their caches on its identity. So when
+// lobes is bit-identical to the list the last vector was composed from,
+// that vector is exactly what a fresh composition would produce, and
+// composeUE hands it out again instead of allocating. A single-lobe UE beam
+// (its amplitude is normalized to exactly 1) therefore re-establishes
+// without allocating; multi-lobe lists carry measured amplitudes that move
+// with every probe, so those still compose a fresh vector.
+func (g *Manager) composeUE(lobes []multibeam.Beam) bool {
+	if g.ueLastW != nil && sameLobes(g.ueLast, lobes) {
+		g.ueW = g.ueLastW
+		return true
 	}
 	w, err := multibeam.WeightsInto(g.ueArr, lobes, nil, g.ueScratch)
 	if err != nil {
 		return false
 	}
-	g.ueW = w
+	g.ueW, g.ueLastW = w, w
+	g.ueLast = append(g.ueLast[:0], lobes...)
 	return true
+}
+
+// sameLobes reports whether two lobe lists are bit-identical.
+func sameLobes(a, b []multibeam.Beam) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if math.Float64bits(x.Angle) != math.Float64bits(y.Angle) ||
+			math.Float64bits(x.Amp) != math.Float64bits(y.Amp) ||
+			math.Float64bits(x.Phase) != math.Float64bits(y.Phase) {
+			return false
+		}
+	}
+	return true
+}
+
+// resizeFloats returns s resized to n elements, reusing its backing array
+// when it is large enough.
+func resizeFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // ueAmp returns the MRC amplitude of UE lobe k (1 when unknown).

@@ -76,7 +76,7 @@ func extract(cir cmx.Vector, relDelays []float64, sampleSpacing float64, cfg Con
 		return Result{}, fmt.Errorf("superres: zero CIR")
 	}
 	norm := math.Sqrt(b2)
-	_, peak := cir.MaxAbs()
+	peak := peakIndex(cir)
 	k := len(relDelays)
 
 	own := ws
@@ -310,6 +310,45 @@ func applyFreqRamp(dst cmx.Vector, bw, tau float64) {
 		p *= step
 	}
 }
+
+// peakIndex returns the index cmx.Vector.MaxAbs reports — the first index
+// of the largest magnitude — without a hypot per tap: taps are ranked by
+// squared magnitude, and cmplx.Abs decides only when the squares of the
+// leader and the candidate are within peakTieTol of each other or outside
+// [peakSqMin, peakSqMax]. Inside that range each square is within 3u
+// (u = 2⁻⁵³) of the exact |x|², and hypot is within 4u of the exact |x|,
+// so squares that differ by more than peakTieTol = 2⁻⁴⁰ (relative) order
+// the hypots the same way, strictly. Ties, NaN and overflowing or
+// denormal squares all fall through to MaxAbs's own comparison.
+func peakIndex(v cmx.Vector) int {
+	const (
+		peakTieTol = 0x1p-40
+		peakSqMin  = 0x1p-1000
+		peakSqMax  = 0x1p1000
+	)
+	if len(v) == 0 {
+		return -1
+	}
+	best, bestSq := 0, sqAbs(v[0])
+	for i := 1; i < len(v); i++ {
+		s := sqAbs(v[i])
+		if s >= peakSqMin && s <= peakSqMax && bestSq >= peakSqMin && bestSq <= peakSqMax {
+			if s > bestSq*(1+peakTieTol) {
+				best, bestSq = i, s
+				continue
+			}
+			if s < bestSq*(1-peakTieTol) {
+				continue
+			}
+		}
+		if cmplx.Abs(v[i]) > cmplx.Abs(v[best]) {
+			best, bestSq = i, s
+		}
+	}
+	return best
+}
+
+func sqAbs(x complex128) float64 { return real(x)*real(x) + imag(x)*imag(x) }
 
 // applyRotationRamp multiplies dst[m] *= e^{j2π·shift·m/N} — the spectrum
 // of a circular rotation by −shift samples. The re-seed phase is reduced

@@ -1,7 +1,5 @@
 package env
 
-import "math"
-
 // IRS is an intelligent reflecting surface (§8 of the paper: future
 // deployments "where intelligent reflecting surfaces are deployed in the
 // environment to engineer strong reflections"). Unlike a passive wall, an
@@ -17,37 +15,42 @@ type IRS struct {
 	GainDB float64
 }
 
-// irsPath traces TX → IRS i → RX with occlusion checks on both legs.
-func (e *Environment) irsPath(tx, rx Pose, i int) (Path, bool) {
+// appendIRS appends TX → IRS i → RX, if it survives, with occlusion checks
+// on both legs.
+func (e *Environment) appendIRS(q *traceQuery, dst []Path, i int) []Path {
 	s := e.IRSs[i]
-	d1 := tx.Pos.Dist(s.Pos)
-	d2 := s.Pos.Dist(rx.Pos)
+	d1 := q.tx.Pos.Dist(s.Pos)
+	d2 := s.Pos.Dist(q.rx.Pos)
 	if d1 < 1e-9 || d2 < 1e-9 {
-		return Path{}, false
+		return dst
 	}
 	if e.MaxRangeM > 0 && d1+d2 > e.MaxRangeM {
-		return Path{}, false
+		return dst
 	}
-	t1, b1 := e.transmissionLoss(Segment{tx.Pos, s.Pos}, -1, -1)
+	dTx, dRx := s.Pos.Sub(q.tx.Pos), s.Pos.Sub(q.rx.Pos)
+	if q.backHalf(dTx, dRx) {
+		return dst
+	}
+	t1, b1 := e.transmissionLoss(Segment{q.tx.Pos, s.Pos}, -1, -1)
 	if b1 {
-		return Path{}, false
+		return dst
 	}
-	t2, b2 := e.transmissionLoss(Segment{s.Pos, rx.Pos}, -1, -1)
+	t2, b2 := e.transmissionLoss(Segment{s.Pos, q.rx.Pos}, -1, -1)
 	if b2 {
-		return Path{}, false
+		return dst
 	}
-	p := Path{
-		AoD:    relAngle(s.Pos.Sub(tx.Pos), tx.Facing),
-		AoA:    relAngle(s.Pos.Sub(rx.Pos), rx.Facing),
+	aod, aoa, ok := e.angles(q, dTx, dRx)
+	if !ok {
+		return dst
+	}
+	return append(dst, Path{
+		AoD:    aod,
+		AoA:    aoa,
 		Dist:   d1 + d2,
 		Delay:  (d1 + d2) / SpeedOfLight,
 		LossDB: e.Band.PathLossDB(d1) + e.Band.PathLossDB(d2) - s.GainDB + t1 + t2,
 		Refl:   1,
 		Via:    -2 - i, // IRS i is identified by Via = −2−i (see Path.ID)
 		Via2:   -1,
-	}
-	if e.FrontHalfOnly && (math.Abs(p.AoD) > math.Pi/2 || math.Abs(p.AoA) > math.Pi/2) {
-		return Path{}, false
-	}
-	return p, true
+	})
 }

@@ -18,6 +18,11 @@ import "math"
 //     wall order with the same hard-block early exit, so any ascending
 //     superset yields the same floating-point sum bit for bit.
 //
+// Leg sets exist only for candidates that reached the occlusion walks: a
+// reflection rejected earlier (out of range, or arriving behind either
+// array) leaves its slots untouched. Leg sets are supersets and never feed
+// the output, so this changes how often they are rebuilt, not a path.
+//
 // A cache belongs to one tx–rx pair (one sim.Scenario); it is not safe for
 // concurrent use. The zero value is ready to use.
 type TraceCache struct {
@@ -40,6 +45,10 @@ type TraceCache struct {
 
 	// Rebuilds counts enumeration rebuilds (disk-rectangle misses plus leg
 	// revalidation failures) so tests can assert reuse actually happens.
+	// Only candidates that pass the range test and the cheap front-half
+	// test walk their legs (see traceQuery), so a reflection arriving
+	// behind either array never builds or revalidates its leg sets and
+	// counts nothing.
 	Rebuilds int
 }
 

@@ -134,12 +134,12 @@ func (e *Environment) traceAppend(tc *TraceCache, dst []Path, tx, rx Pose) []Pat
 	if tc != nil {
 		tc.ensure(e.idx)
 	}
-	start := len(dst)
-	paths := dst
-	// LOS path.
-	if p, ok := e.losPath(tc, tx, rx); ok {
-		paths = append(paths, p)
+	q := traceQuery{tc: tc, tx: tx, rx: rx}
+	if e.FrontHalfOnly {
+		q.ftx, q.frx = broadside(tx.Facing), broadside(rx.Facing)
 	}
+	start := len(dst)
+	paths := e.appendLOS(&q, dst)
 	if ix := e.idx; ix != nil && e.MaxRangeM > 0 {
 		// Indexed reflection enumeration: every wall able to host a
 		// reflection point of a path with Dist ≤ MaxRangeM lies within
@@ -160,23 +160,16 @@ func (e *Environment) traceAppend(tc *TraceCache, dst []Path, tx, rx Pose) []Pat
 			cands = ix.diskCandidates(sc, mid, e.MaxRangeM/2)
 		}
 		for _, wi := range cands {
-			if p, ok := e.reflectedPath(tc, tx, rx, int(wi)); ok {
-				paths = append(paths, p)
-			}
+			paths = e.appendReflected(&q, paths, int(wi))
 		}
 		for i := range e.IRSs {
-			if p, ok := e.irsPath(tx, rx, i); ok {
-				paths = append(paths, p)
-			}
+			paths = e.appendIRS(&q, paths, i)
 		}
 		if e.MaxOrder >= 2 {
 			for _, wi := range cands {
 				for _, wj := range cands {
-					if wi == wj {
-						continue
-					}
-					if p, ok := e.doubleReflectedPath(tx, rx, int(wi), int(wj)); ok {
-						paths = append(paths, p)
+					if wi != wj {
+						paths = e.appendDoubleReflected(&q, paths, int(wi), int(wj))
 					}
 				}
 			}
@@ -187,25 +180,18 @@ func (e *Environment) traceAppend(tc *TraceCache, dst []Path, tx, rx Pose) []Pat
 	} else {
 		// First-order reflections via the image method.
 		for wi := range e.Walls {
-			if p, ok := e.reflectedPath(nil, tx, rx, wi); ok {
-				paths = append(paths, p)
-			}
+			paths = e.appendReflected(&q, paths, wi)
 		}
 		// Engineered reflections via intelligent reflecting surfaces.
 		for i := range e.IRSs {
-			if p, ok := e.irsPath(tx, rx, i); ok {
-				paths = append(paths, p)
-			}
+			paths = e.appendIRS(&q, paths, i)
 		}
 		// Second-order reflections via the image-of-image method.
 		if e.MaxOrder >= 2 {
 			for wi := range e.Walls {
 				for wj := range e.Walls {
-					if wi == wj {
-						continue
-					}
-					if p, ok := e.doubleReflectedPath(tx, rx, wi, wj); ok {
-						paths = append(paths, p)
+					if wi != wj {
+						paths = e.appendDoubleReflected(&q, paths, wi, wj)
 					}
 				}
 			}
@@ -225,6 +211,89 @@ func (e *Environment) traceAppend(tc *TraceCache, dst []Path, tx, rx Pose) []Pat
 		paths = paths[:start+e.MaxPaths]
 	}
 	return paths
+}
+
+// traceQuery is one trace's terminals and optional trace cache, plus the
+// broadside unit vectors of both arrays for the cheap front-half test
+// (zero vectors, which never reject, when FrontHalfOnly is off).
+//
+// Every path kind is admitted in the same order: geometry (the image-
+// method intersections), range, the cheap front-half test (backHalf), the
+// occlusion walks, the exact front-half test (angles), and last the path
+// loss. Each test is a pure function of the poses and the scene, so the
+// order decides only how early a doomed candidate is dropped, never which
+// candidates survive or their bits. Back-half reflections are the common
+// case (a panel sees half the reflectors around it), and rejecting them
+// first spares them the occlusion walks, two atan2 and a log10; the exact
+// test runs after the walks because it rarely rejects what backHalf
+// passed, and its two atan2 are wasted on a blocked path.
+type traceQuery struct {
+	tc       *TraceCache
+	tx, rx   Pose
+	ftx, frx Vec2
+}
+
+// backHalf reports whether a path that departs along dTx and arrives from
+// dRx (both pointing away from their terminal) certainly leaves or enters
+// an array through its back half space; see behind.
+func (q *traceQuery) backHalf(dTx, dRx Vec2) bool {
+	return behind(dTx, q.ftx) || behind(dRx, q.frx)
+}
+
+// maxCheapFacing bounds the facing (radians) for which the cheap front-half
+// test is armed; see behind.
+const maxCheapFacing = 1024
+
+// broadside returns the unit vector a facing points along, or the zero
+// vector (which disarms behind) for a facing beyond ±maxCheapFacing or
+// not finite.
+func broadside(facing float64) Vec2 {
+	if !(math.Abs(facing) <= maxCheapFacing) {
+		return Vec2{}
+	}
+	s, c := math.Sincos(facing)
+	return Vec2{c, s}
+}
+
+// behind is the cheap, conservative half of the front-half rule: it
+// reports true only when direction v points so clearly into the back half
+// space of broadside unit vector f that the exact test (relAngle beyond
+// ±π/2) must reject it too. Anything it does not reject goes on to the
+// exact test unchanged.
+//
+// The margin argument. Let L = |v.x|+|v.y| ≥ |v| and u = 2⁻⁵³. The
+// computed v·f is within 2u·L of the exact product with the computed f,
+// and Sincos's components lie within a few u of the true cos and sin, so
+// the computed v·f is within 1e-14·L of v·f for the true broadside. A
+// computed v·f < −1e-9·L therefore means the true angle θ between v and
+// the broadside has cos θ < −(1e-9 − 1e-14), i.e. |θ| > π/2 + 9.9e-10.
+// relAngle's atan2, subtraction and wrap loop (at most 164 turns of 2π for
+// |facing| ≤ maxCheapFacing, each rounding by at most u·(π+1024)) put the
+// computed angle within 2e-11 of θ, so it lands beyond ±π/2 too and the
+// exact test rejects. NaN or infinite components make the comparison
+// false, which defers to the exact test.
+func behind(v, f Vec2) bool {
+	return v.X*f.X+v.Y*f.Y < -1e-9*(math.Abs(v.X)+math.Abs(v.Y))
+}
+
+// angles returns the AoD and AoA of a path that departs along dTx and
+// arrives from dRx; ok is false when the exact front-half rule rejects it.
+func (e *Environment) angles(q *traceQuery, dTx, dRx Vec2) (aod, aoa float64, ok bool) {
+	aod = relAngle(dTx, q.tx.Facing)
+	if e.FrontHalfOnly && math.Abs(aod) > math.Pi/2 {
+		return 0, 0, false
+	}
+	aoa = relAngle(dRx, q.rx.Facing)
+	if e.FrontHalfOnly && math.Abs(aoa) > math.Pi/2 {
+		return 0, 0, false
+	}
+	return aod, aoa, true
+}
+
+// outOfRange reports whether a path of total length d is degenerate or
+// beyond MaxRangeM.
+func (e *Environment) outOfRange(d float64) bool {
+	return d < 1e-9 || (e.MaxRangeM > 0 && d > e.MaxRangeM)
 }
 
 // pathLess is the contractual path ordering: increasing loss, with exact
@@ -253,56 +322,67 @@ func (e *Environment) occlusion(tc *TraceCache, legKey int, leg Segment, skip1, 
 	return e.transmissionLoss(leg, skip1, skip2)
 }
 
-func (e *Environment) losPath(tc *TraceCache, tx, rx Pose) (Path, bool) {
-	d := tx.Pos.Dist(rx.Pos)
-	if d < 1e-9 || (e.MaxRangeM > 0 && d > e.MaxRangeM) {
-		return Path{}, false
+// appendLOS appends the direct path, if it survives.
+func (e *Environment) appendLOS(q *traceQuery, dst []Path) []Path {
+	d := q.tx.Pos.Dist(q.rx.Pos)
+	if e.outOfRange(d) {
+		return dst
 	}
-	leg := Segment{tx.Pos, rx.Pos}
-	trans, blockedEntirely := e.occlusion(tc, 0, leg, -1, -1)
+	dTx, dRx := q.rx.Pos.Sub(q.tx.Pos), q.tx.Pos.Sub(q.rx.Pos)
+	if q.backHalf(dTx, dRx) {
+		return dst
+	}
+	trans, blockedEntirely := e.occlusion(q.tc, 0, Segment{q.tx.Pos, q.rx.Pos}, -1, -1)
 	if blockedEntirely {
-		return Path{}, false
+		return dst
 	}
-	p := Path{
-		AoD:    relAngle(rx.Pos.Sub(tx.Pos), tx.Facing),
-		AoA:    relAngle(tx.Pos.Sub(rx.Pos), rx.Facing),
+	aod, aoa, ok := e.angles(q, dTx, dRx)
+	if !ok {
+		return dst
+	}
+	return append(dst, Path{
+		AoD:    aod,
+		AoA:    aoa,
 		Dist:   d,
 		Delay:  d / SpeedOfLight,
 		LossDB: e.Band.PathLossDB(d) + trans,
 		Via:    -1,
 		Via2:   -1,
-	}
-	if e.FrontHalfOnly && (math.Abs(p.AoD) > math.Pi/2 || math.Abs(p.AoA) > math.Pi/2) {
-		return Path{}, false
-	}
-	return p, true
+	})
 }
 
-func (e *Environment) reflectedPath(tc *TraceCache, tx, rx Pose, wi int) (Path, bool) {
-	w := e.Walls[wi]
-	img := w.Seg.mirror(tx.Pos)
+// appendReflected appends the single bounce off wall wi, if it survives.
+func (e *Environment) appendReflected(q *traceQuery, dst []Path, wi int) []Path {
+	w := &e.Walls[wi]
+	img := w.Seg.mirror(q.tx.Pos)
 	// The reflected ray exists iff the image→RX segment crosses the wall.
-	hit, ok := Segment{img, rx.Pos}.Intersects(w.Seg)
+	hit, ok := Segment{img, q.rx.Pos}.Intersects(w.Seg)
 	if !ok {
-		return Path{}, false
+		return dst
 	}
-	d := img.Dist(rx.Pos) // total path length TX→hit→RX
-	if d < 1e-9 || (e.MaxRangeM > 0 && d > e.MaxRangeM) {
-		return Path{}, false
+	d := img.Dist(q.rx.Pos) // total path length TX→hit→RX
+	if e.outOfRange(d) {
+		return dst
 	}
-	leg1 := Segment{tx.Pos, hit}
-	leg2 := Segment{hit, rx.Pos}
-	t1, b1 := e.occlusion(tc, 1+2*wi, leg1, wi, -1)
+	dTx, dRx := hit.Sub(q.tx.Pos), hit.Sub(q.rx.Pos)
+	if q.backHalf(dTx, dRx) {
+		return dst
+	}
+	t1, b1 := e.occlusion(q.tc, 1+2*wi, Segment{q.tx.Pos, hit}, wi, -1)
 	if b1 {
-		return Path{}, false
+		return dst
 	}
-	t2, b2 := e.occlusion(tc, 2+2*wi, leg2, wi, -1)
+	t2, b2 := e.occlusion(q.tc, 2+2*wi, Segment{hit, q.rx.Pos}, wi, -1)
 	if b2 {
-		return Path{}, false
+		return dst
 	}
-	p := Path{
-		AoD:     relAngle(hit.Sub(tx.Pos), tx.Facing),
-		AoA:     relAngle(hit.Sub(rx.Pos), rx.Facing),
+	aod, aoa, ok := e.angles(q, dTx, dRx)
+	if !ok {
+		return dst
+	}
+	return append(dst, Path{
+		AoD:     aod,
+		AoA:     aoa,
 		Dist:    d,
 		Delay:   d / SpeedOfLight,
 		LossDB:  e.Band.PathLossDB(d) + w.Mat.ReflLossDB + t1 + t2,
@@ -310,59 +390,59 @@ func (e *Environment) reflectedPath(tc *TraceCache, tx, rx Pose, wi int) (Path, 
 		Refl:    1,
 		Via:     wi,
 		Via2:    -1,
-	}
-	if e.FrontHalfOnly && (math.Abs(p.AoD) > math.Pi/2 || math.Abs(p.AoA) > math.Pi/2) {
-		return Path{}, false
-	}
-	return p, true
+	})
 }
 
-// doubleReflectedPath traces TX → wall wi → wall wj → RX via the
-// image-of-image method: TX's image across wi is mirrored across wj; the
-// ray img2→RX must cross wj (at q2), and the ray img1→q2 must cross wi (at
-// q1), with every leg checked for occlusion.
-func (e *Environment) doubleReflectedPath(tx, rx Pose, wi, wj int) (Path, bool) {
-	first, second := e.Walls[wi], e.Walls[wj]
-	img1 := first.Seg.mirror(tx.Pos)
+// appendDoubleReflected appends TX → wall wi → wall wj → RX, if it
+// survives, via the image-of-image method: TX's image across wi is
+// mirrored across wj; the ray img2→RX must cross wj (at q2), and the ray
+// img1→q2 must cross wi (at q1), with every leg checked for occlusion.
+func (e *Environment) appendDoubleReflected(q *traceQuery, dst []Path, wi, wj int) []Path {
+	first, second := &e.Walls[wi], &e.Walls[wj]
+	img1 := first.Seg.mirror(q.tx.Pos)
 	img2 := second.Seg.mirror(img1)
-	q2, ok := Segment{img2, rx.Pos}.Intersects(second.Seg)
+	q2, ok := Segment{img2, q.rx.Pos}.Intersects(second.Seg)
 	if !ok {
-		return Path{}, false
+		return dst
 	}
 	q1, ok := Segment{img1, q2}.Intersects(first.Seg)
 	if !ok {
-		return Path{}, false
+		return dst
 	}
-	d := img2.Dist(rx.Pos) // = |TX→q1| + |q1→q2| + |q2→RX|
-	if d < 1e-9 || (e.MaxRangeM > 0 && d > e.MaxRangeM) {
-		return Path{}, false
+	d := img2.Dist(q.rx.Pos) // = |TX→q1| + |q1→q2| + |q2→RX|
+	if e.outOfRange(d) {
+		return dst
 	}
-	t1, b1 := e.transmissionLoss(Segment{tx.Pos, q1}, wi, -1)
+	dTx, dRx := q1.Sub(q.tx.Pos), q2.Sub(q.rx.Pos)
+	if q.backHalf(dTx, dRx) {
+		return dst
+	}
+	t1, b1 := e.transmissionLoss(Segment{q.tx.Pos, q1}, wi, -1)
 	if b1 {
-		return Path{}, false
+		return dst
 	}
 	t2, b2 := e.transmissionLoss(Segment{q1, q2}, wi, wj)
 	if b2 {
-		return Path{}, false
+		return dst
 	}
-	t3, b3 := e.transmissionLoss(Segment{q2, rx.Pos}, wj, -1)
+	t3, b3 := e.transmissionLoss(Segment{q2, q.rx.Pos}, wj, -1)
 	if b3 {
-		return Path{}, false
+		return dst
 	}
-	p := Path{
-		AoD:    relAngle(q1.Sub(tx.Pos), tx.Facing),
-		AoA:    relAngle(q2.Sub(rx.Pos), rx.Facing),
+	aod, aoa, ok := e.angles(q, dTx, dRx)
+	if !ok {
+		return dst
+	}
+	return append(dst, Path{
+		AoD:    aod,
+		AoA:    aoa,
 		Dist:   d,
 		Delay:  d / SpeedOfLight,
 		LossDB: e.Band.PathLossDB(d) + first.Mat.ReflLossDB + second.Mat.ReflLossDB + t1 + t2 + t3,
 		Refl:   2, // two flips cancel: PhasePi stays false
 		Via:    wi,
 		Via2:   wj,
-	}
-	if e.FrontHalfOnly && (math.Abs(p.AoD) > math.Pi/2 || math.Abs(p.AoA) > math.Pi/2) {
-		return Path{}, false
-	}
-	return p, true
+	})
 }
 
 // transmissionLoss accumulates through-wall loss along a leg, skipping up

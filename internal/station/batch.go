@@ -7,9 +7,9 @@ import (
 )
 
 // rxWeightsHead returns the identity of a model's UE combining vector (nil
-// for quasi-omni). Composed UE weight vectors are always freshly allocated
-// (see the manager's scratch invariants), so head+length identity implies
-// unchanged content.
+// for quasi-omni). A composed UE weight vector is never written after
+// composition (see the manager's composeUE), so head+length identity
+// implies unchanged content.
 func rxWeightsHead(m *channel.Model) *complex128 {
 	if len(m.RxWeights) == 0 {
 		return nil
