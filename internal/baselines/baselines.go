@@ -108,7 +108,7 @@ func (c *Common) bindUE(m *channel.Model) {
 		scan := dsp.Rad(nr.ScanRangeDeg)
 		c.ueCB = antenna.DFTCodebook(m.Rx, 2*m.Rx.N+1, -scan, scan)
 	}
-	m.RxWeights = c.ueW
+	m.SetRxWeights(c.ueW)
 }
 
 // ueScanSlots returns the extra training slots a directional UE costs.
@@ -120,20 +120,21 @@ func (c *Common) ueScanSlots() int {
 }
 
 // scanUE sweeps the UE codebook under TX beam w and locks the best
-// combining beam.
+// combining beam, rewriting the kept beam in place (the model holds its own
+// copy).
 func (c *Common) scanUE(m *channel.Model, w cmx.Vector) {
 	if c.ueCB == nil || w == nil {
 		return
 	}
 	bestIdx, bestRSS := -1, 0.0
 	for i, v := range c.ueCB.Weights {
-		m.RxWeights = v
+		m.SetRxWeights(v)
 		if r := nr.RSS(c.sounder.ProbeInto(m, w, c.csi)); bestIdx == -1 || r > bestRSS {
 			bestIdx, bestRSS = i, r
 		}
 	}
-	c.ueW = c.ueArr.SingleBeam(c.ueCB.Angles[bestIdx])
-	m.RxWeights = c.ueW
+	c.ueW = c.ueArr.SingleBeamInto(c.ueCB.Angles[bestIdx], c.ueW)
+	m.SetRxWeights(c.ueW)
 }
 
 // outageConfirmed folds one below-threshold data slot into the detector
@@ -419,16 +420,13 @@ func (o *Oracle) Name() string { return o.name }
 // so the oracle evaluates MRT at several in-band frequencies plus each
 // path's matched single beam and keeps the best.
 func (o *Oracle) Step(t float64, m *channel.Model) sim.Slot {
-	// Genie UE combining: matched to the strongest path's true AoA. The
-	// channel cache keys RX weights on slice identity, so rewriting the
-	// kept buffer in place must invalidate it.
+	// Genie UE combining: matched to the strongest path's true AoA.
 	if m.Rx != nil {
 		if k := m.StrongestPath(); k >= 0 {
 			if len(o.rxW) != m.Rx.N {
 				o.rxW = make(cmx.Vector, m.Rx.N)
 			}
-			m.RxWeights = m.Rx.SingleBeamInto(m.Paths[k].AoA, o.rxW)
-			m.InvalidateCache()
+			m.SetRxWeights(m.Rx.SingleBeamInto(m.Paths[k].AoA, o.rxW))
 		}
 	}
 	if len(o.cand) != m.Tx.N {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mmreliable/internal/antenna"
+	"mmreliable/internal/channel"
 	"mmreliable/internal/core/manager"
 	"mmreliable/internal/env"
 	"mmreliable/internal/events"
@@ -299,5 +300,30 @@ func TestStepAllocs(t *testing.T) {
 				t.Fatalf("%s Step allocates %.1f per slot, want 0", s.Name(), allocs)
 			}
 		})
+	}
+}
+
+// TestScanUEAllocs pins the directional-UE codebook scan: once the UE beam
+// exists, a rescan rewrites it in place (the channel model keeps its own
+// copy of whatever beam it is bound to).
+func TestScanUEAllocs(t *testing.T) {
+	b, err := NewSingleBeamReactive(ula8(), link.DefaultBudget(), nr.Mu3(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := staticScenario(0.2)
+	sc.UEArray = ula8()
+	if _, err := (sim.Runner{}).Run(sc, b); err != nil {
+		t.Fatal(err)
+	}
+	m := &channel.Model{Reuse: true}
+	sc.ChannelInto(sc.Duration, m)
+	b.bindUE(m)
+	if b.w == nil || b.ueW == nil {
+		t.Fatal("no trained TX and UE beam on a static link")
+	}
+	b.scanUE(m, b.w)
+	if allocs := testing.AllocsPerRun(20, func() { b.scanUE(m, b.w) }); allocs != 0 {
+		t.Fatalf("UE rescan allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -40,11 +40,8 @@ type Model struct {
 	Band env.Band
 	Tx   *antenna.ULA
 	Rx   *antenna.ULA // nil for a quasi-omni UE
-	// RxWeights is the UE combining beam; ignored when Rx is nil. When Rx
-	// is non-nil and RxWeights is nil, the UE is treated as quasi-omni
-	// (single reference element).
-	RxWeights cmx.Vector
-	Paths     []PathState
+	// Paths are the propagation paths and their time-varying conditions.
+	Paths []PathState
 
 	// Reuse opts this model into single-goroutine cache recycling: when
 	// set, a cache rebuild overwrites the previous snapshot's backing
@@ -57,13 +54,17 @@ type Model struct {
 	// workers might share.
 	Reuse bool
 
-	// epoch is bumped by InvalidateCache; the factored-kernel cache below
-	// is only reused when its epoch matches. Mutators that go around the
-	// cheap per-path snapshot check (e.g. editing RxWeights elements in
-	// place, or mutating Tx geometry) must call InvalidateCache.
+	// rxW is the UE combining beam (SetRxWeights), the model's own copy;
+	// ignored when Rx is nil. Empty means a quasi-omni UE (single reference
+	// element).
+	rxW cmx.Vector
+	// epoch is bumped by SetRxWeights; the factored-kernel cache below
+	// is only reused when its epoch matches. It moves only when the UE beam
+	// changes value: everything else the cache derives from is visible to
+	// the per-path snapshot check.
 	epoch uint64
 	// stamp is the model's content version: writers bump it (BumpStamp,
-	// CopyStateFrom, InvalidateCache) whenever the channel state may have
+	// CopyStateFrom, SetRxWeights) whenever the channel state may have
 	// changed, and consumers key derived-value caches on it (the manager's
 	// per-slot SNR fold, the station's batch-entry skip). An unchanged stamp
 	// guarantees unchanged content; the converse need not hold — a bump with
@@ -98,8 +99,8 @@ func (m *Model) Validate() error {
 		if err := m.Rx.Validate(); err != nil {
 			return err
 		}
-		if m.RxWeights != nil && len(m.RxWeights) != m.Rx.N {
-			return fmt.Errorf("channel: RX weights length %d != %d elements", len(m.RxWeights), m.Rx.N)
+		if len(m.rxW) != 0 && len(m.rxW) != m.Rx.N {
+			return fmt.Errorf("channel: RX weights length %d != %d elements", len(m.rxW), m.Rx.N)
 		}
 	}
 	if m.Band.CarrierHz <= 0 {
@@ -142,10 +143,44 @@ func (m *Model) carrierPhase(l int) float64 {
 }
 
 func (m *Model) rxFactor(aoa float64) complex128 {
-	if m.Rx == nil || m.RxWeights == nil {
+	if m.Rx == nil || len(m.rxW) == 0 {
 		return 1
 	}
-	return m.Rx.SteeringInto(aoa, nil).Dot(m.RxWeights)
+	return m.Rx.SteeringInto(aoa, nil).Dot(m.rxW)
+}
+
+// SetRxWeights binds the UE combining beam; nil selects a quasi-omni UE.
+// The model copies v into storage it owns, so the caller may rewrite v
+// afterwards. Only a change of value (bit for bit) bumps the stamp and
+// invalidates the path cache, so a scheme can rebind its beam every slot
+// for the price of one compare.
+func (m *Model) SetRxWeights(v cmx.Vector) {
+	if len(v) == len(m.rxW) {
+		same := true
+		for i := range v {
+			if math.Float64bits(real(v[i])) != math.Float64bits(real(m.rxW[i])) ||
+				math.Float64bits(imag(v[i])) != math.Float64bits(imag(m.rxW[i])) {
+				same = false
+				break
+			}
+		}
+		if same {
+			return
+		}
+	}
+	m.rxW = append(m.rxW[:0], v...)
+	m.epoch++
+	m.stamp++
+}
+
+// RxWeights returns the UE combining beam (nil for a quasi-omni UE). The
+// vector is the model's own storage: read-only, valid until the next
+// SetRxWeights.
+func (m *Model) RxWeights() cmx.Vector {
+	if len(m.rxW) == 0 {
+		return nil
+	}
+	return m.rxW
 }
 
 // PerAntennaCSI returns h(fOff)[n] for each TX antenna n — the quantity the
@@ -231,8 +266,6 @@ type modelCache struct {
 	carrier float64
 	tx      *antenna.ULA
 	rx      *antenna.ULA
-	rxHead  *complex128 // first element of RxWeights at build time (nil if none)
-	rxLen   int
 	snaps   []pathSnap
 	coef    []complex128 // amp·e^{jθ}·rxFactor; 0 for dead paths
 	delays  []float64
@@ -258,10 +291,8 @@ type modelCache struct {
 // valid reports whether c still describes m. The per-path snapshot compare
 // is O(L) float equality checks (L is 2–4 in every scenario) — far cheaper
 // than one steering dot — and catches direct mutation of
-// Paths[l].ExtraLossDB/ExtraPhase even without an InvalidateCache call.
-// RxWeights are compared by slice identity: rebinding a different UE beam
-// (m.RxWeights = v) is caught, in-place element edits require
-// InvalidateCache.
+// Paths[l].ExtraLossDB/ExtraPhase without any explicit invalidation; a UE
+// beam change moves the epoch (SetRxWeights).
 func (c *modelCache) valid(m *Model) bool {
 	if !c.geomValid(m) {
 		return false
@@ -283,13 +314,6 @@ func (c *modelCache) valid(m *Model) bool {
 // and refreshLoss can renew coef in place without a full rebuild.
 func (c *modelCache) geomValid(m *Model) bool {
 	if c.epoch != m.epoch || c.carrier != m.Band.CarrierHz || c.tx != m.Tx || c.rx != m.Rx {
-		return false
-	}
-	var head *complex128
-	if len(m.RxWeights) > 0 {
-		head = &m.RxWeights[0]
-	}
-	if c.rxHead != head || c.rxLen != len(m.RxWeights) {
 		return false
 	}
 	if len(c.snaps) != len(m.Paths) {
@@ -321,14 +345,6 @@ func (c *modelCache) refreshLoss(m *Model) {
 		c.coef[l] = complex(amp*c.unitRe[l], amp*c.unitIm[l]) * c.rxf[l]
 	}
 }
-
-// InvalidateCache marks the factored-kernel cache stale. Callers that
-// mutate path state through the exported fields get automatic invalidation
-// via the per-path snapshot check; InvalidateCache is the explicit escape
-// hatch for mutations the snapshot cannot see (in-place RxWeights element
-// edits, Tx/Rx geometry changes). It requires the same exclusive access as
-// any other Model mutation.
-func (m *Model) InvalidateCache() { m.epoch++; m.stamp++ }
 
 // Stamp returns the model's content version (see the stamp field).
 func (m *Model) Stamp() uint64 { return m.stamp }
@@ -397,11 +413,6 @@ func (m *Model) buildCache() *modelCache {
 	c.carrier = m.Band.CarrierHz
 	c.tx = m.Tx
 	c.rx = m.Rx
-	c.rxHead = nil
-	c.rxLen = len(m.RxWeights)
-	if len(m.RxWeights) > 0 {
-		c.rxHead = &m.RxWeights[0]
-	}
 	for l := range m.Paths {
 		p := &m.Paths[l]
 		c.snaps[l] = pathSnap{
@@ -411,8 +422,8 @@ func (m *Model) buildCache() *modelCache {
 		c.delays[l] = p.Delay
 		amp := dsp.AmpFromLossDB(p.LossDB + p.ExtraLossDB)
 		rxf := complex128(1)
-		if m.Rx != nil && m.RxWeights != nil {
-			rxf = m.Rx.SteeringInto(p.AoA, c.scratch[:m.Rx.N]).Dot(m.RxWeights)
+		if m.Rx != nil && len(m.rxW) != 0 {
+			rxf = m.Rx.SteeringInto(p.AoA, c.scratch[:m.Rx.N]).Dot(m.rxW)
 		}
 		c.rxf[l] = rxf
 		// cmplx.Rect(amp, θ) is exactly complex(amp·cosθ, amp·sinθ); keeping
@@ -527,58 +538,33 @@ func SubcarrierOffsets(bw float64, nsc int) []float64 {
 	return out
 }
 
-// Clone returns a deep copy of the model (paths copied, arrays shared).
-// The factored-kernel cache is not carried over: the clone rebuilds its own
-// on first wideband evaluation, so clone and original never contend on the
-// atomic cache slot.
+// Clone returns a deep copy of the model (paths and UE beam copied, arrays
+// shared). The factored-kernel cache is not carried over: the clone
+// rebuilds its own on first wideband evaluation, so clone and original
+// never contend on the atomic cache slot.
 func (m *Model) Clone() *Model {
-	out := &Model{
+	return &Model{
 		Band:  m.Band,
 		Tx:    m.Tx,
 		Rx:    m.Rx,
 		Paths: append([]PathState(nil), m.Paths...),
+		rxW:   append(cmx.Vector(nil), m.rxW...),
 	}
-	if m.RxWeights != nil {
-		out.RxWeights = m.RxWeights.Clone()
-	}
-	return out
 }
 
-// CopyStateFrom overwrites this model's channel state (band, arrays, UE
-// weights, paths) with src's, reusing the receiver's existing Paths and
-// RxWeights capacity — the steady-state companion of Clone for per-worker
-// persistent models: clone once, then CopyStateFrom every slot without
-// touching the allocator. The receiver's Reuse flag and cache backing are
-// kept; src is not mutated and its cache is never shared. The cache is
-// invalidated only when the in-place RxWeights copy changed element values
-// (the one mutation the per-path snapshot check cannot see) — everything
-// else the copy touches is snapshot-visible, so an unchanged-weights copy
-// keeps loss-only cache refreshes (refreshLoss) available to the slot loop.
+// CopyStateFrom overwrites this model's propagation state (band, arrays,
+// paths) with src's, reusing the receiver's existing Paths capacity — the
+// steady-state companion of Clone for per-worker persistent models: clone
+// once, then CopyStateFrom every slot without touching the allocator. The
+// receiver's UE beam, Reuse flag and cache backing are kept (the beam is
+// the stepping scheme's, rebound every slot); src is not mutated and its
+// cache is never shared. Everything the copy touches is visible to the
+// per-path snapshot check, so loss-only cache refreshes (refreshLoss) stay
+// available to the slot loop.
 func (m *Model) CopyStateFrom(src *Model) {
 	m.Band = src.Band
 	m.Tx = src.Tx
 	m.Rx = src.Rx
-	if src.RxWeights == nil {
-		m.RxWeights = nil
-	} else {
-		rxSame := len(m.RxWeights) == len(src.RxWeights)
-		if rxSame {
-			for i := range src.RxWeights {
-				if m.RxWeights[i] != src.RxWeights[i] {
-					rxSame = false
-					break
-				}
-			}
-		}
-		if cap(m.RxWeights) < len(src.RxWeights) {
-			m.RxWeights = make(cmx.Vector, len(src.RxWeights))
-		}
-		m.RxWeights = m.RxWeights[:len(src.RxWeights)]
-		copy(m.RxWeights, src.RxWeights)
-		if !rxSame {
-			m.InvalidateCache()
-		}
-	}
 	if cap(m.Paths) < len(src.Paths) {
 		m.Paths = make([]PathState, len(src.Paths))
 	}

@@ -186,13 +186,13 @@ func TestRxArrayFactor(t *testing.T) {
 
 	rx := antenna.NewULA(4, 28e9)
 	m.Rx = rx
-	m.RxWeights = rx.SingleBeam(dsp.Rad(-25))
+	m.SetRxWeights(rx.SingleBeam(dsp.Rad(-25)))
 	combined := cmplx.Abs(m.PathGain(0, 0))
 	if math.Abs(combined/omni-math.Sqrt(4)) > 1e-9 {
 		t.Fatalf("RX combining gain %g want %g", combined/omni, math.Sqrt(4))
 	}
 	// Rx set but no weights → quasi-omni.
-	m.RxWeights = nil
+	m.SetRxWeights(nil)
 	if got := cmplx.Abs(m.PathGain(0, 0)); math.Abs(got-omni) > 1e-12 {
 		t.Fatalf("nil RX weights should be omni: %g vs %g", got, omni)
 	}
@@ -210,7 +210,7 @@ func TestValidate(t *testing.T) {
 	}
 	m = twoPath(3, 0)
 	m.Rx = antenna.NewULA(4, 28e9)
-	m.RxWeights = make(cmx.Vector, 3)
+	m.SetRxWeights(make(cmx.Vector, 3))
 	if err := m.Validate(); err == nil {
 		t.Fatal("mismatched RX weights should fail")
 	}

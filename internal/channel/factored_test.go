@@ -84,7 +84,7 @@ func factoredCases(t *testing.T) []struct {
 
 	withUE := Cluster(rng, env.Band28GHz(), u, DefaultClusterParams())
 	withUE.Rx = antenna.NewULA(4, 28e9)
-	withUE.RxWeights = withUE.Rx.SingleBeam(0.2)
+	withUE.SetRxWeights(withUE.Rx.SingleBeam(0.2))
 
 	dead := twoPath(3, 0.5)
 	dead.Paths[1].ExtraLossDB = math.Inf(1) // amp underflows to 0
@@ -145,8 +145,8 @@ func TestEffectiveWidebandFactoredEquivalence(t *testing.T) {
 }
 
 // TestCacheInvalidationOnMutation verifies the epoch/snapshot contract: after
-// the cache is built, direct mutation of ExtraLossDB/ExtraPhase/Delay or
-// rebinding RxWeights must be reflected in the next evaluation.
+// the cache is built, direct mutation of ExtraLossDB/ExtraPhase/Delay or a
+// new UE beam must be reflected in the next evaluation.
 func TestCacheInvalidationOnMutation(t *testing.T) {
 	u := testArray()
 	fOffs := SubcarrierOffsets(400e6, 64)
@@ -174,16 +174,48 @@ func TestCacheInvalidationOnMutation(t *testing.T) {
 	m.Paths[1].AoD += 0.05
 	check("AoD")
 
-	// RxWeights rebinding is caught by slice identity...
+	// A UE beam of new value is caught by SetRxWeights, also when the
+	// caller rewrote its own vector in place and binds it again.
 	m.Rx = antenna.NewULA(4, 28e9)
-	m.RxWeights = m.Rx.SingleBeam(0.3)
+	v := m.Rx.SingleBeam(0.3)
+	m.SetRxWeights(v)
 	check("RxWeights bind")
-	m.RxWeights = m.Rx.SingleBeam(-0.2)
+	m.SetRxWeights(m.Rx.SingleBeam(-0.2))
 	check("RxWeights rebind")
-	// ...but in-place element edits need the explicit escape hatch.
-	m.RxWeights[0] *= complex(0, 1)
-	m.InvalidateCache()
-	check("RxWeights in-place + InvalidateCache")
+	v[0] *= complex(0, 1)
+	m.SetRxWeights(v)
+	check("RxWeights in-place edit + rebind")
+}
+
+// TestSetRxWeights pins the model's ownership of the UE beam: it copies the
+// vector it is given, bumps the stamp only on a change of value, and reads
+// back nil for a quasi-omni UE.
+func TestSetRxWeights(t *testing.T) {
+	m := twoPath(3, 0.4)
+	m.Rx = antenna.NewULA(4, 28e9)
+	if m.RxWeights() != nil {
+		t.Fatal("a fresh model is not quasi-omni")
+	}
+	v := m.Rx.SingleBeam(0.3)
+	stamp := m.Stamp()
+	m.SetRxWeights(v)
+	if m.Stamp() == stamp {
+		t.Fatal("a new beam did not bump the stamp")
+	}
+	stamp = m.Stamp()
+	m.SetRxWeights(m.Rx.SingleBeam(0.3)) // same values, another vector
+	if m.Stamp() != stamp {
+		t.Fatal("an equal-value rebind bumped the stamp")
+	}
+	want := v[0]
+	v[0] = 7
+	if got := m.RxWeights()[0]; got != want {
+		t.Fatalf("the model aliased the caller's vector: %v, want %v", got, want)
+	}
+	m.SetRxWeights(nil)
+	if m.RxWeights() != nil || m.Stamp() == stamp {
+		t.Fatal("binding nil did not select quasi-omni with a new stamp")
+	}
 }
 
 // TestModelConcurrentReadOnly exercises the lock-free cache under concurrent
@@ -286,11 +318,12 @@ func TestCopyStateFrom(t *testing.T) {
 	fOffs := SubcarrierOffsets(400e6, 64)
 	w := u.SingleBeam(0.1)
 	src := Cluster(rand.New(rand.NewSource(9)), env.Band28GHz(), u, DefaultClusterParams())
-	src.RxWeights = cmx.Vector{1} // exercise the RxWeights copy
 	src.Rx = antenna.NewULA(1, 28e9)
+	src.SetRxWeights(cmx.Vector{1})
 
 	dstM := &Model{Reuse: true}
 	dstM.CopyStateFrom(src)
+	dstM.SetRxWeights(cmx.Vector{1}) // the UE beam is the receiver's own
 	gRe, gIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
 	wRe, wIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
 	dstM.EffectiveWidebandSplitInto(w, fOffs, gRe, gIm)
@@ -303,10 +336,6 @@ func TestCopyStateFrom(t *testing.T) {
 	dstM.Paths[0].ExtraLossDB += 10
 	if src.Paths[0].ExtraLossDB != before {
 		t.Fatal("CopyStateFrom aliased Paths with src")
-	}
-	dstM.RxWeights[0] = 2
-	if src.RxWeights[0] == 2 {
-		t.Fatal("CopyStateFrom aliased RxWeights with src")
 	}
 	// Steady-state CopyStateFrom + evaluation must not allocate.
 	dstM.CopyStateFrom(src)

@@ -166,27 +166,31 @@ func TestRefreshLossPath(t *testing.T) {
 	}
 }
 
-// TestCopyStateFromInvalidation pins the RxWeights-aware invalidation:
-// copies that keep the weight values must reuse the cache (zero allocs,
-// covered in TestCopyStateFrom) yet still track every snapshot-visible
-// mutation; copies that change weight values must invalidate.
+// TestCopyStateFromInvalidation pins the cache across persistent-model
+// copies: CopyStateFrom keeps the receiver's own UE beam, copies that leave
+// it alone must reuse the cache (zero allocs, covered in TestCopyStateFrom)
+// yet still track every snapshot-visible mutation, and a change of the
+// beam's value must invalidate.
 func TestCopyStateFromInvalidation(t *testing.T) {
 	u := testArray()
 	fOffs := SubcarrierOffsets(400e6, 64)
 	w := u.SingleBeam(0.1)
 	src := Cluster(rand.New(rand.NewSource(21)), env.Band28GHz(), u, DefaultClusterParams())
 	src.Rx = antenna.NewULA(4, 28e9)
-	src.RxWeights = src.Rx.SingleBeam(0.2)
+	src.SetRxWeights(src.Rx.SingleBeam(0.7)) // src's beam is never copied
 
 	dstM := &Model{Reuse: true}
 	dstM.CopyStateFrom(src)
+	dstM.SetRxWeights(src.Rx.SingleBeam(0.2))
 	gRe, gIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
 	wRe, wIm := make([]float64, len(fOffs)), make([]float64, len(fOffs))
 	check := func(name string) {
 		t.Helper()
 		dstM.CopyStateFrom(src)
 		dstM.EffectiveWidebandSplitInto(w, fOffs, gRe, gIm)
-		src.Clone().EffectiveWidebandSplitInto(w, fOffs, wRe, wIm)
+		fresh := src.Clone()
+		fresh.SetRxWeights(dstM.RxWeights())
+		fresh.EffectiveWidebandSplitInto(w, fOffs, wRe, wIm)
 		if k := samePlanar(gRe, gIm, wRe, wIm); k >= 0 {
 			t.Fatalf("%s: subcarrier %d copy (%g,%g) vs fresh (%g,%g)", name, k, gRe[k], gIm[k], wRe[k], wIm[k])
 		}
@@ -196,10 +200,9 @@ func TestCopyStateFromInvalidation(t *testing.T) {
 	check("loss mutation")
 	src.Paths[1].ExtraPhase += 0.9
 	check("phase mutation")
-	src.RxWeights = src.Rx.SingleBeam(-0.15) // new values: must invalidate
+	dstM.SetRxWeights(src.Rx.SingleBeam(-0.15)) // new values: must invalidate
 	check("rx-weights value change")
-	same := src.Rx.SingleBeam(-0.15) // equal values, different backing array
-	src.RxWeights = same
+	dstM.SetRxWeights(src.Rx.SingleBeam(-0.15)) // equal values, another vector
 	check("rx-weights equal-value rebind")
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
+	"mmreliable/internal/dsp"
 	"mmreliable/internal/sim"
 )
 
@@ -19,9 +20,11 @@ import (
 // composition — allocates nothing once the manager's establishment stores
 // are warm. At metro scale blockage-driven data outages make retrains part
 // of the steady state, so this path matters as much as the maintenance
-// tick. The directional-UE case adds the per-beam UE codebook scan and the
-// UE weight composition; it runs on a persistent Reuse model, as the slot
-// loops do, and its single UE lobe re-composes to the same vector.
+// tick. The directional-UE cases add the per-beam UE codebook scan, the UE
+// weight composition and a UE re-alignment round (refineUE); they run on a
+// persistent Reuse model, as the slot loops do. One settles on a single UE
+// lobe, the other on three, so every composition writes a multi-lobe beam
+// into the manager's one UE buffer.
 func TestEstablishAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -31,6 +34,7 @@ func TestEstablishAllocs(t *testing.T) {
 	}{
 		{"omni", 7, nil, 2},
 		{"directional", 7, antenna.NewULA(8, 28e9), 1},
+		{"directional-multilobe", 2, antenna.NewULA(8, 28e9), 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mgr := newManager(t, tc.seed)
@@ -49,23 +53,28 @@ func TestEstablishAllocs(t *testing.T) {
 				t.Fatalf("directional UE codebook present = %v", mgr.ueCB != nil)
 			}
 			tick := sc.Duration
+			round := func() {
+				tick += mgr.cfg.MaintainPeriod
+				mgr.establish(tick, m)
+				mgr.maintain(tick+mgr.cfg.CCRefreshPeriod, m)
+				if tc.ue != nil {
+					mgr.refineUE(tick+2*mgr.cfg.CCRefreshPeriod, m, dsp.Rad(2))
+				}
+			}
 			// Warm re-establishments settle every store (and the tracker
 			// rebuild path, which only allocates when the beam count
 			// changes).
 			for i := 0; i < 3; i++ {
-				tick += mgr.cfg.MaintainPeriod
-				mgr.establish(tick, m)
-				mgr.maintain(tick+mgr.cfg.CCRefreshPeriod, m)
+				round()
 			}
 			beams := mgr.NumBeams()
 			if beams < tc.minBeams {
 				t.Fatalf("established %d beams, want ≥%d", beams, tc.minBeams)
 			}
-			allocs := testing.AllocsPerRun(20, func() {
-				tick += mgr.cfg.MaintainPeriod
-				mgr.establish(tick, m)
-				mgr.maintain(tick+mgr.cfg.CCRefreshPeriod, m)
-			})
+			if tc.ue != nil && len(mgr.ueAngles) != beams {
+				t.Fatalf("UE beam has %d lobes for %d gNB beams", len(mgr.ueAngles), beams)
+			}
+			allocs := testing.AllocsPerRun(20, round)
 			if mgr.NumBeams() != beams {
 				t.Fatalf("beam count drifted %d → %d on a static channel", beams, mgr.NumBeams())
 			}

@@ -48,7 +48,7 @@ func TestCCUpdatableCache(t *testing.T) {
 		for _, k := range beams {
 			m.Paths[nearestPath(m, mgr.angles[k])].ExtraLossDB = db
 		}
-		m.InvalidateCache()
+		m.BumpStamp()
 	}
 	round() // settle the tracker anchor on the clean channel
 	check("anchor")

@@ -133,7 +133,7 @@ func TestEmergencyRequestsPreemption(t *testing.T) {
 	for i := range m.Paths {
 		m.Paths[i].ExtraLossDB += 60
 	}
-	m.InvalidateCache()
+	m.BumpStamp()
 	probes := mgr.ProbesUsed()
 	slotDur := sc.Num.SlotDuration()
 	tick := sc.Duration

@@ -137,9 +137,7 @@ type Manager struct {
 	// evaluates every slot (txLin/noiseLin are the budget's linear terms,
 	// hoisted at New so the slot loop skips two math.Pow per evaluation);
 	// mbScratch/ueScratch hold one lobe's matched beam during multi-beam
-	// synthesis. All are internal to a single call — a composed UE weight
-	// vector escapes into the channel snapshot (m.RxWeights) and is never
-	// written after composition (see composeUE).
+	// synthesis. All are internal to a single call.
 	wbRe, wbIm      []float64
 	txLin, noiseLin float64
 	mbScratch       cmx.Vector
@@ -215,16 +213,17 @@ type Manager struct {
 
 	// Directional-UE state (§4.4); nil/zero for a quasi-omni UE. The UE
 	// forms its own multi-beam with one lobe per gNB beam (Fig. 12).
+	// ueW is the composed UE beam (nil = quasi-omni): it aliases ueBuf,
+	// which every composition rewrites, since the channel model copies the
+	// beam it is bound to. ueCand holds refineUE's two candidate angle sets.
 	ueArr    *antenna.ULA
 	ueCB     *antenna.Codebook
 	ueW      cmx.Vector
+	ueBuf    cmx.Vector
 	ueAngles []float64        // UE lobe angle per gNB beam
 	ueAmps   []float64        // UE lobe amplitude per gNB beam (MRC weighting)
 	ueLobes  []multibeam.Beam // lobe list scratch of each UE weight composition
-	// ueLast/ueLastW are the lobe list of the last composed UE vector and
-	// that vector (see composeUE).
-	ueLast  []multibeam.Beam
-	ueLastW cmx.Vector
+	ueCand   []float64
 
 	// Operation scheduling.
 	trainRemaining int
@@ -239,19 +238,16 @@ type Manager struct {
 	probeGrant ProbeGrant
 
 	// Cached result of the last snr() fold, keyed on everything that feeds
-	// it: the model (identity + content stamp), the front end's program
-	// counter (Switches — slice identity is NOT sound, SetWeights
-	// double-buffers), and the UE combining weights' slice identity (a
-	// composed UE vector is never written after composition, see
-	// composeUE). Consulted only under the incremental engine (incr.Enabled);
-	// with MMR_INCREMENTAL=off every slot folds the full wideband response.
-	snrModel  *channel.Model
-	snrStamp  uint64
-	snrFEVer  int
-	snrRxHead *complex128
-	snrRxLen  int
-	snrVal    float64
-	snrValid  bool
+	// it: the model (identity + content stamp, which a UE beam change moves)
+	// and the front end's program counter (Switches — slice identity is NOT
+	// sound, SetWeights double-buffers). Consulted only under the
+	// incremental engine (incr.Enabled); with MMR_INCREMENTAL=off every slot
+	// folds the full wideband response.
+	snrModel *channel.Model
+	snrStamp uint64
+	snrFEVer int
+	snrVal   float64
+	snrValid bool
 	// thrSNR/thrVal memoise the data slot's link.Throughput on its SNR
 	// (the bandwidth is fixed), so a quiescent link skips the MCS lookup.
 	thrSNR   float64
@@ -495,15 +491,18 @@ func (g *Manager) bindUE(m *channel.Model) {
 		scan := dsp.Rad(nr.ScanRangeDeg)
 		g.ueCB = antenna.DFTCodebook(m.Rx, 2*m.Rx.N+1, -scan, scan)
 		g.ueScratch = make(cmx.Vector, m.Rx.N)
+		g.ueBuf = make(cmx.Vector, m.Rx.N)
+		g.ueCand = make([]float64, 0, 2*g.cfg.MaxBeams)
 	}
-	m.RxWeights = g.ueW // nil = quasi-omni until the UE beam is trained
+	m.SetRxWeights(g.ueW) // nil = quasi-omni until the UE beam is trained
 }
 
 // snr returns the wideband effective SNR of the current beam over the true
 // channel (−Inf before establishment). Under the incremental engine the
-// fold is cached: a slot whose channel stamp, front-end program and UE
-// weights are all unchanged returns the previous value — which is exactly
-// what the full fold would recompute, every input being bit-identical.
+// fold is cached: a slot whose channel stamp (UE beam included) and
+// front-end program are unchanged returns the previous value — which is
+// exactly what the full fold would recompute, every input being
+// bit-identical.
 func (g *Manager) snr(m *channel.Model) float64 {
 	w := g.fe.ActiveView() // read-only: the wideband evaluation only reads w
 	if w == nil {
@@ -513,19 +512,13 @@ func (g *Manager) snr(m *channel.Model) float64 {
 		m.EffectiveWidebandSplitInto(w, g.offsets, g.wbRe, g.wbIm)
 		return link.WidebandSNRdB(g.wbRe, g.wbIm, g.txLin, g.noiseLin)
 	}
-	var rxHead *complex128
-	if len(m.RxWeights) > 0 {
-		rxHead = &m.RxWeights[0]
-	}
 	ver := g.fe.Switches()
-	if g.snrValid && g.snrModel == m && g.snrStamp == m.Stamp() && g.snrFEVer == ver &&
-		g.snrRxHead == rxHead && g.snrRxLen == len(m.RxWeights) {
+	if g.snrValid && g.snrModel == m && g.snrStamp == m.Stamp() && g.snrFEVer == ver {
 		return g.snrVal
 	}
 	m.EffectiveWidebandSplitInto(w, g.offsets, g.wbRe, g.wbIm)
 	v := link.WidebandSNRdB(g.wbRe, g.wbIm, g.txLin, g.noiseLin)
 	g.snrModel, g.snrStamp, g.snrFEVer = m, m.Stamp(), ver
-	g.snrRxHead, g.snrRxLen = rxHead, len(m.RxWeights)
 	g.snrVal, g.snrValid = v, true
 	return v
 }
@@ -608,15 +601,14 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 	// per-path phases automatically.
 	if g.ueCB != nil {
 		// The lobe stores are rewritten in place: nothing outside the
-		// manager holds them (refineUE swaps in fresh slices, which the
-		// next establishment then reuses the same way).
+		// manager holds them.
 		ueAngles := resizeFloats(g.ueAngles, len(angles))
 		ueAmps := resizeFloats(g.ueAmps, len(angles))
 		for k, a := range angles {
 			wk := g.u.SingleBeamInto(a, g.sbBuf)
 			bestIdx, bestRSS := -1, 0.0
 			for i, v := range g.ueCB.Weights {
-				m.RxWeights = v
+				m.SetRxWeights(v)
 				if r := nr.RSS(pr.ProbeInto(wk, g.csiBuf)); bestIdx == -1 || r > bestRSS {
 					bestIdx, bestRSS = i, r
 				}
@@ -636,10 +628,8 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 			}
 		}
 		g.ueAngles, g.ueAmps = ueAngles, ueAmps
-		if !g.applyUEWeights(ueAngles) {
-			g.ueW = nil
-		}
-		m.RxWeights = g.ueW
+		g.applyUEWeights(ueAngles)
+		m.SetRxWeights(g.ueW)
 	}
 
 	// Per-beam single probes: magnitudes + delays.
@@ -691,7 +681,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 		bindK := func(k int) {
 			// Couple the UE lobe count to the TX beam count under test.
 			if g.ueCB != nil && g.applyUEWeightsN(k) {
-				m.RxWeights = g.ueW
+				m.SetRxWeights(g.ueW)
 			}
 		}
 		// Every candidate is scored on its measured magnitude row.
@@ -747,7 +737,7 @@ func (g *Manager) establish(t float64, m *channel.Model) {
 				g.ueAmps = g.ueAmps[:bestK]
 			}
 			if g.applyUEWeights(g.ueAngles) {
-				m.RxWeights = g.ueW
+				m.SetRxWeights(g.ueW)
 			}
 		}
 	}
@@ -1080,39 +1070,36 @@ func (g *Manager) countCCUpdatable() int {
 }
 
 // refineUE re-aligns the UE combining beam after a detected common-mode
-// drop: one probe per rotation direction candidate (§4.4).
+// drop: one probe per rotation direction candidate (§4.4). It runs off
+// retained storage: the candidates live in ueCand, the probes land in
+// csiBuf/csi2Buf.
 func (g *Manager) refineUE(t float64, m *channel.Model, dev float64) {
 	g.Refinements++
-	pr := &boundProber{s: g.sounder, m: m}
-	shifted := func(d float64) []float64 {
-		out := make([]float64, len(g.ueAngles))
-		for i, a := range g.ueAngles {
-			out[i] = a + d
-		}
-		return out
+	g.bp.m = m
+	n := len(g.ueAngles)
+	cand1, cand2 := g.ueCand[:n], g.ueCand[n:2*n]
+	for i, a := range g.ueAngles {
+		cand1[i], cand2[i] = a+dev, a+(-dev)
 	}
-	cand1, cand2 := shifted(dev), shifted(-dev)
-	prev := g.ueW
 	var r1, r2 float64
 	if g.applyUEWeights(cand1) {
-		m.RxWeights = g.ueW
-		r1 = nr.RSS(pr.ProbeInto(g.w, nil))
+		m.SetRxWeights(g.ueW)
+		r1 = nr.RSS(g.bp.ProbeInto(g.w, g.csiBuf))
 	}
 	if g.applyUEWeights(cand2) {
-		m.RxWeights = g.ueW
-		r2 = nr.RSS(pr.ProbeInto(g.w, nil))
+		m.SetRxWeights(g.ueW)
+		r2 = nr.RSS(g.bp.ProbeInto(g.w, g.csi2Buf))
 	}
 	switch {
 	case r1 == 0 && r2 == 0:
-		g.ueW = prev
+		// Neither candidate heard anything: keep the angles.
 	case r1 >= r2:
-		g.ueAngles = cand1
-		g.applyUEWeights(cand1)
+		copy(g.ueAngles, cand1)
 	default:
-		g.ueAngles = cand2
-		g.applyUEWeights(cand2)
+		copy(g.ueAngles, cand2)
 	}
-	m.RxWeights = g.ueW
+	g.applyUEWeights(g.ueAngles)
+	m.SetRxWeights(g.ueW)
 	g.needAnch = true
 }
 
@@ -1158,43 +1145,13 @@ func (g *Manager) applyUEWeightsN(n int) bool {
 	return g.composeUE(lobes)
 }
 
-// composeUE sets the UE combining vector to the multi-beam of lobes. A
-// composed vector is never written after composition: channel models, the
-// station's batch pass and snr() key their caches on its identity. So when
-// lobes is bit-identical to the list the last vector was composed from,
-// that vector is exactly what a fresh composition would produce, and
-// composeUE hands it out again instead of allocating. A single-lobe UE beam
-// (its amplitude is normalized to exactly 1) therefore re-establishes
-// without allocating; multi-lobe lists carry measured amplitudes that move
-// with every probe, so those still compose a fresh vector.
+// composeUE composes the UE combining beam from lobes into ueBuf. A failed
+// composition leaves the UE quasi-omni (ueW nil); lobes with positive
+// amplitudes, which is all the MRC weighting produces, never fail.
 func (g *Manager) composeUE(lobes []multibeam.Beam) bool {
-	if g.ueLastW != nil && sameLobes(g.ueLast, lobes) {
-		g.ueW = g.ueLastW
-		return true
-	}
-	w, err := multibeam.WeightsInto(g.ueArr, lobes, nil, g.ueScratch)
-	if err != nil {
-		return false
-	}
-	g.ueW, g.ueLastW = w, w
-	g.ueLast = append(g.ueLast[:0], lobes...)
-	return true
-}
-
-// sameLobes reports whether two lobe lists are bit-identical.
-func sameLobes(a, b []multibeam.Beam) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		x, y := &a[i], &b[i]
-		if math.Float64bits(x.Angle) != math.Float64bits(y.Angle) ||
-			math.Float64bits(x.Amp) != math.Float64bits(y.Amp) ||
-			math.Float64bits(x.Phase) != math.Float64bits(y.Phase) {
-			return false
-		}
-	}
-	return true
+	w, err := multibeam.WeightsInto(g.ueArr, lobes, g.ueBuf, g.ueScratch)
+	g.ueW = w
+	return err == nil
 }
 
 // resizeFloats returns s resized to n elements, reusing its backing array

@@ -94,8 +94,6 @@ func fig19Throughputs(cfg Config, band env.Band) (single, multi float64) {
 		if blocked {
 			mm.Paths[0].ExtraLossDB += 25
 		}
-		// Paths were mutated in place: invalidate cached per-path state.
-		mm.InvalidateCache()
 		// The multi-beam reallocates away from the blocked lobe (the §4.1
 		// response); model the steady state of that response.
 		wm := wMulti

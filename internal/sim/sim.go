@@ -62,9 +62,9 @@ type Scenario struct {
 	Num      nr.Numerology
 	TxArray  *antenna.ULA
 	// UEArray, when non-nil, gives the UE a directional phased array (the
-	// §4.4 scenario). Schemes see it as Model.Rx and must manage their own
-	// UE-side combining beam via Model.RxWeights; nil means a quasi-omni
-	// UE.
+	// §4.4 scenario). Schemes see it as Model.Rx and bind their own
+	// UE-side combining beam with Model.SetRxWeights at every Step; nil
+	// means a quasi-omni UE.
 	UEArray *antenna.ULA
 	// MaxPaths caps the modeled paths per slot (0 = no cap).
 	MaxPaths int
@@ -239,7 +239,6 @@ func (sc *Scenario) ChannelInto(t float64, m *channel.Model) {
 	m.Band = sc.Env.Band
 	m.Tx = sc.TxArray
 	m.Rx = sc.UEArray
-	m.RxWeights = nil
 	if cap(m.Paths) < len(paths) {
 		m.Paths = make([]channel.PathState, len(paths))
 	}
@@ -273,11 +272,10 @@ func (sc *Scenario) ChannelInto(t float64, m *channel.Model) {
 		sc.lastValid = false
 	}
 	m.BumpStamp()
-	// No InvalidateCache here: every mutation above is visible to the
-	// model's per-path snapshot validation, and leaving the epoch alone is
-	// what lets a loss-only slot (fading/blockage on static geometry) renew
-	// its cached coefficients in place instead of rebuilding steering
-	// vectors and carrier phasors.
+	// Every mutation above is visible to the model's per-path snapshot
+	// validation, and leaving the epoch alone is what lets a loss-only slot
+	// (fading/blockage on static geometry) renew its cached coefficients in
+	// place instead of rebuilding steering vectors and carrier phasors.
 }
 
 // maxStableIDs bounds the stable-id map: a long mobile run keeps meeting

@@ -1,21 +1,9 @@
 package station
 
 import (
-	"mmreliable/internal/channel"
 	"mmreliable/internal/incr"
 	"mmreliable/internal/link"
 )
-
-// rxWeightsHead returns the identity of a model's UE combining vector (nil
-// for quasi-omni). A composed UE weight vector is never written after
-// composition (see the manager's composeUE), so head+length identity
-// implies unchanged content.
-func rxWeightsHead(m *channel.Model) *complex128 {
-	if len(m.RxWeights) == 0 {
-		return nil
-	}
-	return &m.RxWeights[0]
-}
 
 // batchFrameEntry runs the frame-barrier planar batch pass: every
 // grant-holding established session's active beam is evaluated over its
@@ -63,15 +51,13 @@ func (st *Station) batchFrameEntry() {
 			continue
 		}
 		// Incremental skip: if every input of the row's eval is unchanged
-		// since entrySNR was last computed — channel content stamp, front-end
-		// program counter, UE combining weights — the eval would reproduce
+		// since entrySNR was last computed — channel content stamp (UE beam
+		// included) and front-end program counter — the eval would reproduce
 		// entrySNR bit for bit. Renew the snapshot frame and charge the
 		// counter as if evaluated, so observability is mode-invariant.
 		if incr.Enabled && ss.entryValid &&
 			ss.entryStamp == ss.model.Stamp() &&
-			ss.entryFEVer == ss.mgr.WeightsVersion() &&
-			ss.entryRxHead == rxWeightsHead(ss.model) &&
-			ss.entryRxLen == len(ss.model.RxWeights) {
+			ss.entryFEVer == ss.mgr.WeightsVersion() {
 			ss.entrySNRFrame = st.frame
 			reused++
 			continue
@@ -93,8 +79,6 @@ func (st *Station) batchFrameEntry() {
 		ss.entrySNRFrame = st.frame
 		ss.entryStamp = ss.model.Stamp()
 		ss.entryFEVer = ss.mgr.WeightsVersion()
-		ss.entryRxHead = rxWeightsHead(ss.model)
-		ss.entryRxLen = len(ss.model.RxWeights)
 		ss.entryValid = true
 	}
 	st.counters.BatchedEntryEvals += int64(st.batch.Len())

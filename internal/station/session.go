@@ -86,14 +86,12 @@ type Session struct {
 	entrySNR        float64
 	entrySNRFrame   int // frame index of entrySNR, −1 before the first eval
 	// Batch-entry reuse keys (incremental engine only): the inputs entrySNR
-	// was last computed from. While the model stamp, front-end program
-	// counter and UE-weights identity are all unchanged, the batched eval
-	// would reproduce entrySNR bit for bit, so the row is skipped.
-	entryStamp  uint64
-	entryFEVer  int
-	entryRxHead *complex128
-	entryRxLen  int
-	entryValid  bool
+	// was last computed from. While the model stamp and front-end program
+	// counter are both unchanged, the batched eval would reproduce entrySNR
+	// bit for bit, so the row is skipped.
+	entryStamp uint64
+	entryFEVer int
+	entryValid bool
 
 	// Scheduler inputs. Written by the worker that owns the session inside
 	// a frame, read by the coordinator at the barrier (par.For's return
