@@ -66,7 +66,7 @@ type Model struct {
 	// stamp is the model's content version: writers bump it (BumpStamp,
 	// CopyStateFrom, SetRxWeights) whenever the channel state may have
 	// changed, and consumers key derived-value caches on it (the manager's
-	// per-slot SNR fold, the station's batch-entry skip). An unchanged stamp
+	// per-slot SNR fold, the cluster's monitor rows). An unchanged stamp
 	// guarantees unchanged content; the converse need not hold — a bump with
 	// identical content merely costs one redundant recompute.
 	stamp uint64

@@ -352,16 +352,9 @@ func (g *Manager) NumBeams() int { return len(g.beams) }
 
 // ActiveWeightsView returns the live transmit weights without copying (nil
 // before establishment). Read-only; do not retain across a weight reload.
-// Frame-barrier batch evaluation uses this to register beams with a
-// channel.WidebandBatch without one clone per session per frame.
+// The station's SDMA stage reads co-scheduled beams through it without one
+// clone per session per slot.
 func (g *Manager) ActiveWeightsView() cmx.Vector { return g.fe.ActiveView() }
-
-// WeightsVersion returns the front end's program counter: it advances on
-// every SetWeights, so an unchanged version guarantees the active
-// weight CONTENT is unchanged — a guarantee slice identity cannot give,
-// since SetWeights double-buffers into recycled backing arrays. Stamp-keyed
-// consumers (the station's batch-entry skip) pair this with Model.Stamp.
-func (g *Manager) WeightsVersion() int { return g.fe.Switches() }
 
 // Offsets returns the subcarrier offset grid the manager evaluates wideband
 // SNR on. The slice is the manager's own grid: treat as read-only.

@@ -19,10 +19,11 @@ import (
 // version 6 is the split-Horner super-resolution search with the shared
 // diagonal and the stepped prefactor, whose fitted amplitudes move by ulps;
 // version 7 is the smaller config, whose fixed training and tracking setup
-// (codebook, subcarriers, thresholds, monitor aperture) left the document.
+// (codebook, subcarriers, thresholds, monitor aperture) left the document;
+// version 8 no longer folds the station's retired frame-entry batch counter.
 const (
 	SnapshotFormat  = "mmserved-snapshot"
-	SnapshotVersion = 7
+	SnapshotVersion = 8
 )
 
 // snapshotFile is the versioned snapshot document. It is event-sourced:

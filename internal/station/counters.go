@@ -28,8 +28,9 @@ type Counters struct {
 	Retrains int
 	// TrainingSlots is the total slots consumed by beam management.
 	TrainingSlots int
-	// BatchedEntryEvals is the total number of session rows the frame-entry
-	// planar batch pass evaluated (batchFrameEntry).
+	// BatchedEntryEvals is always 0: the frame-entry batch pass it counted
+	// is gone. The field stays only because the repository benchmark
+	// (perfbench) still reads it.
 	BatchedEntryEvals int64
 	// Admission-control outcomes.
 	AttachesAdmitted int

@@ -55,7 +55,6 @@ func (st *Station) Digest(d *core.Digest) {
 	d.Int(c.Realigns)
 	d.Int(c.Retrains)
 	d.Int(c.TrainingSlots)
-	d.Int64(c.BatchedEntryEvals)
 	d.Int(c.AttachesAdmitted)
 	d.Int(c.AttachesRejected)
 	d.Int(c.Detaches)

@@ -2,7 +2,6 @@ package station
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"mmreliable/internal/channel"
@@ -78,20 +77,7 @@ type Session struct {
 	slotsRun           int64
 	frameSlots         []sim.Slot // last frame's per-slot outcomes (KeepFrameSlots)
 
-	// Frame-entry batch snapshot (batchFrameEntry): the wideband SNR of the
-	// session's active beam at the frame boundary, evaluated by the
-	// coordinator's planar batch pass. Observability only — never an input
-	// to scheduling or stepping, so the determinism contract is untouched.
 	txLin, noiseLin float64 // hoisted link.Budget.SNRTerms()
-	entrySNR        float64
-	entrySNRFrame   int // frame index of entrySNR, −1 before the first eval
-	// Batch-entry reuse keys (incremental engine only): the inputs entrySNR
-	// was last computed from. While the model stamp and front-end program
-	// counter are both unchanged, the batched eval would reproduce entrySNR
-	// bit for bit, so the row is skipped.
-	entryStamp uint64
-	entryFEVer int
-	entryValid bool
 
 	// Scheduler inputs. Written by the worker that owns the session inside
 	// a frame, read by the coordinator at the barrier (par.For's return
@@ -134,17 +120,15 @@ func (st *Station) Attach(cfg SessionConfig) (int, error) {
 		return 0, err
 	}
 	ss := &Session{
-		id:            id,
-		sc:            cfg.Scenario,
-		budget:        cfg.Budget,
-		mgr:           mgr,
-		model:         &channel.Model{Reuse: true},
-		meter:         link.NewMeter(),
-		attachAt:      cfg.AttachAt,
-		detachAt:      cfg.DetachAt,
-		state:         sessionPending,
-		entrySNR:      math.Inf(-1),
-		entrySNRFrame: -1,
+		id:       id,
+		sc:       cfg.Scenario,
+		budget:   cfg.Budget,
+		mgr:      mgr,
+		model:    &channel.Model{Reuse: true},
+		meter:    link.NewMeter(),
+		attachAt: cfg.AttachAt,
+		detachAt: cfg.DetachAt,
+		state:    sessionPending,
 	}
 	ss.txLin, ss.noiseLin = cfg.Budget.SNRTerms()
 	if st.cfg.KeepFrameSlots {

@@ -30,7 +30,6 @@ import (
 	"math"
 	"runtime"
 
-	"mmreliable/internal/channel"
 	"mmreliable/internal/hybrid"
 	"mmreliable/internal/nr"
 	"mmreliable/internal/scratch"
@@ -163,11 +162,6 @@ type Station struct {
 	schedIdx  []int
 	schedPrio []float64
 
-	// Frame-entry batch state (batchFrameEntry): one planar wideband pass
-	// over every grant-holding established session at the frame barrier.
-	batch    channel.WidebandBatch
-	batchIdx []int // active[] indices of this frame's batch rows
-
 	// Slot-sharing state (sdma.go). units/unitStore are rebuilt by
 	// planFrameUnits every frame from preallocated backing, so the steady
 	// state stays off the allocator.
@@ -220,7 +214,6 @@ func New(num nr.Numerology, cfg Config) (*Station, error) {
 		workers:       w,
 		schedIdx:      make([]int, cfg.MaxSessions),
 		schedPrio:     make([]float64, cfg.MaxSessions),
-		batchIdx:      make([]int, 0, cfg.MaxSessions),
 		units:         make([][]int, 0, cfg.MaxSessions),
 		unitStore:     make([]int, 0, cfg.MaxSessions),
 		sdmaAssigned:  make([]bool, cfg.MaxSessions),
@@ -262,7 +255,6 @@ func (st *Station) AdvanceFrame() {
 	st.processEvents(t0)
 	st.scheduleFrame(t1)
 	st.planFrameUnits()
-	st.batchFrameEntry()
 	st.frameT0 = t0
 	st.runSessions()
 	st.harvestFrame()
