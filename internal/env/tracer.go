@@ -102,7 +102,7 @@ func NewEnvironment(band Band, walls ...Wall) *Environment {
 // Trace returns all zero- and first-order propagation paths from tx to rx,
 // sorted by increasing loss (strongest first). It never returns an empty,
 // non-nil slice: if every path is occluded beyond recovery the result is
-// empty.
+// empty. A terminal whose facing is not finite gets no path.
 func (e *Environment) Trace(tx, rx Pose) []Path {
 	return e.TraceAppend(nil, tx, rx)
 }
@@ -131,6 +131,9 @@ func (e *Environment) TraceAppendCached(tc *TraceCache, dst []Path, tx, rx Pose)
 }
 
 func (e *Environment) traceAppend(tc *TraceCache, dst []Path, tx, rx Pose) []Path {
+	if !finiteFacing(tx) || !finiteFacing(rx) {
+		return dst // no broadside, so no angle of departure or arrival
+	}
 	if tc != nil {
 		tc.ensure(e.idx)
 	}
@@ -240,6 +243,9 @@ func (q *traceQuery) backHalf(dTx, dRx Vec2) bool {
 	return behind(dTx, q.ftx) || behind(dRx, q.frx)
 }
 
+// finiteFacing reports whether a pose's facing is a finite angle.
+func finiteFacing(p Pose) bool { return math.Abs(p.Facing) <= math.MaxFloat64 }
+
 // maxCheapFacing bounds the facing (radians) for which the cheap front-half
 // test is armed; see behind.
 const maxCheapFacing = 1024
@@ -267,11 +273,13 @@ func broadside(facing float64) Vec2 {
 // the computed v·f is within 1e-14·L of v·f for the true broadside. A
 // computed v·f < −1e-9·L therefore means the true angle θ between v and
 // the broadside has cos θ < −(1e-9 − 1e-14), i.e. |θ| > π/2 + 9.9e-10.
-// relAngle's atan2, subtraction and wrap loop (at most 164 turns of 2π for
-// |facing| ≤ maxCheapFacing, each rounding by at most u·(π+1024)) put the
-// computed angle within 2e-11 of θ, so it lands beyond ±π/2 too and the
-// exact test rejects. NaN or infinite components make the comparison
-// false, which defers to the exact test.
+// relAngle's atan2 and subtraction round by at most u·(π+1024) for
+// |facing| ≤ maxCheapFacing, and its wrap is either at most two loop turns
+// of 2π or one exact math.Remainder by the rounded 2π (at most 164 turns'
+// worth of its 2.5e-16 representation error) plus at most one turn; that
+// puts the computed angle within 1e-12 of θ, so it lands beyond ±π/2 too
+// and the exact test rejects. NaN or infinite components make the
+// comparison false, which defers to the exact test.
 func behind(v, f Vec2) bool {
 	return v.X*f.X+v.Y*f.Y < -1e-9*(math.Abs(v.X)+math.Abs(v.Y))
 }

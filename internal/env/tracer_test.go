@@ -328,3 +328,29 @@ func TestFacingFrom(t *testing.T) {
 		t.Fatalf("FacingFrom = %g", got)
 	}
 }
+
+// TestRelAngleAnyFacing pins relAngle beyond the wrap loop's ±4π domain:
+// a large finite facing wraps into (−π, π] in one reduction, pointing where
+// the unreduced offset points, and a facing that is not finite yields NaN
+// at once instead of looping.
+func TestRelAngleAnyFacing(t *testing.T) {
+	dir := Vec2{1, 2}
+	for _, f := range []float64{13, -13, 1e6, -1e6, 1e17, -1e300} {
+		a := relAngle(dir, f)
+		if !(a > -math.Pi && a <= math.Pi) {
+			t.Fatalf("facing %g: angle %g outside (−π, π]", f, a)
+		}
+		if f > 1e16 || f < -1e16 {
+			continue // the offset itself has rounded away the direction
+		}
+		raw := dir.Angle() - f
+		if math.Abs(math.Sin(a)-math.Sin(raw)) > 1e-9 || math.Abs(math.Cos(a)-math.Cos(raw)) > 1e-9 {
+			t.Fatalf("facing %g: wrapped angle %g does not point along %g", f, a, raw)
+		}
+	}
+	for _, f := range []float64{math.Inf(1), math.Inf(-1), math.NaN()} {
+		if a := relAngle(dir, f); !math.IsNaN(a) {
+			t.Fatalf("facing %g: angle %g, want NaN", f, a)
+		}
+	}
+}
