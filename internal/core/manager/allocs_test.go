@@ -1,11 +1,14 @@
 package manager
 
 import (
+	"math/rand"
 	"testing"
 
 	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
 	"mmreliable/internal/dsp"
+	"mmreliable/internal/link"
+	"mmreliable/internal/nr"
 	"mmreliable/internal/sim"
 )
 
@@ -113,5 +116,35 @@ func TestMaintainTickAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("maintenance tick allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// BenchmarkManagerMaintainTick measures a steady-state maintenance round
+// through the public Step path on an established static indoor link: one
+// CSI-RS probe, OFDM round trip, CIR, frequency-domain super-resolution
+// fit, and tracker observation per iteration (the allocation floor of the
+// inner round is pinned exactly by TestMaintainTickAllocs).
+func BenchmarkManagerMaintainTick(b *testing.B) {
+	mcfg := DefaultConfig()
+	mgr, err := New("m", antenna.NewULA(8, 28e9), link.DefaultBudget(), nr.Mu3(), mcfg, rand.New(rand.NewSource(9)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	sc := sim.StaticIndoor(5)
+	if _, err := (sim.Runner{}).Run(sc, mgr); err != nil {
+		b.Fatal(err)
+	}
+	m := sc.ChannelAt(sc.Duration)
+	t := sc.Duration
+	// Warm: settle any anchor rebuild before measuring.
+	for i := 0; i < 3; i++ {
+		t += mcfg.MaintainPeriod
+		mgr.Step(t, m)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t += mcfg.MaintainPeriod
+		mgr.Step(t, m)
 	}
 }

@@ -1,8 +1,13 @@
 package superres
 
 import (
+	"math/rand"
 	"testing"
 
+	"mmreliable/internal/antenna"
+	"mmreliable/internal/channel"
+	"mmreliable/internal/env"
+	"mmreliable/internal/nr"
 	"mmreliable/internal/scratch"
 )
 
@@ -72,5 +77,34 @@ func TestExtractIntoAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ExtractInto with workspace allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// BenchmarkSuperresExtractInto is the frequency-domain fit on a
+// per-worker workspace — the steady-state maintenance-tick cost (0
+// allocs/op, pinned by TestExtractIntoAllocs as well) — on a three-path
+// scripted channel probed under its MRT beam.
+func BenchmarkSuperresExtractInto(b *testing.B) {
+	m := channel.FromSpecs(env.Band28GHz(), antenna.NewULA(8, 28e9), 80, []channel.PathSpec{
+		{AoDDeg: 0, DelayNs: 20},
+		{AoDDeg: 30, RelAttDB: 4, PhaseRad: 1.0, DelayNs: 28},
+		{AoDDeg: -25, RelAttDB: 7, PhaseRad: -0.5, DelayNs: 35},
+	})
+	s, err := nr.NewSounder(nr.Mu3(), 400e6, 64, 1e-6, nr.DefaultImpairments(), rand.New(rand.NewSource(2)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := m.PerAntennaCSI(0).Conj().Normalize()
+	cir := s.CIR(s.Probe(m, w))
+	rel := []float64{0, 8e-9, 15e-9}
+	ws := scratch.New()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mk := ws.Mark()
+		if _, err := ExtractInto(cir, rel, s.SampleSpacing(), DefaultConfig(), ws); err != nil {
+			b.Fatal(err)
+		}
+		ws.Release(mk)
 	}
 }

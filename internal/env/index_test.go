@@ -179,3 +179,15 @@ func BenchmarkTraceReference(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRayTrace is one brute-force trace of the conference room: the
+// gNB to a UE at the room's far side.
+func BenchmarkRayTrace(b *testing.B) {
+	e := ConferenceRoom(Band28GHz())
+	gnb := GNBPose(true)
+	ue := Pose{Pos: Vec2{X: 6, Y: 2.6}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = e.Trace(gnb, ue)
+	}
+}

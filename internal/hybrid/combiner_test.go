@@ -287,3 +287,40 @@ func TestCombinerSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("warm combiner slot allocates %.1f times, want 0", allocs)
 	}
 }
+
+// BenchmarkMMSECombiner measures one digital-combining round in isolation:
+// a 4-user group over 64 subcarriers — cross-channel fill excluded, so this
+// is the Gram build + Cholesky solve + per-user wideband SINR fold. Must
+// report 0 allocs/op (TestCombinerSteadyStateAllocs pins it).
+func BenchmarkMMSECombiner(b *testing.B) {
+	const k, nsc = 4, 64
+	c := NewCombiner(k, nsc)
+	rng := rand.New(rand.NewSource(9))
+	c.Begin(k)
+	for u := 0; u < k; u++ {
+		for v := 0; v < k; v++ {
+			re, im := c.Entry(u, v)
+			amp := 1e-4
+			if u != v {
+				amp *= 0.1
+			}
+			ph := rng.Float64()
+			for s := 0; s < nsc; s++ {
+				re[s] = amp * math.Cos(ph+0.01*float64(s))
+				im[s] = amp * math.Sin(ph+0.01*float64(s))
+			}
+		}
+	}
+	const txLin, noiseLin = 1.0, 1e-10
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Begin(k)
+		if err := c.Solve(txLin, noiseLin); err != nil {
+			b.Fatal(err)
+		}
+		for u := 0; u < k; u++ {
+			_ = c.UserSINRdB(u, txLin, noiseLin)
+		}
+	}
+}

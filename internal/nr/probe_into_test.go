@@ -4,8 +4,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"mmreliable/internal/antenna"
 	"mmreliable/internal/channel"
 	"mmreliable/internal/cmx"
+	"mmreliable/internal/env"
 	"mmreliable/internal/scratch"
 )
 
@@ -116,5 +118,34 @@ func TestDelayKernelIntoMatches(t *testing.T) {
 				t.Fatalf("tau %g: kernels diverge at tap %d", tau, k)
 			}
 		}
+	}
+}
+
+// benchChannel is the three-path scripted channel the probe and
+// super-resolution benchmarks run on.
+func benchChannel() *channel.Model {
+	return channel.FromSpecs(env.Band28GHz(), antenna.NewULA(8, 28e9), 80, []channel.PathSpec{
+		{AoDDeg: 0, DelayNs: 20},
+		{AoDDeg: 30, RelAttDB: 4, PhaseRad: 1.0, DelayNs: 28},
+		{AoDDeg: -25, RelAttDB: 7, PhaseRad: -0.5, DelayNs: 35},
+	})
+}
+
+// BenchmarkProbe is the steady-state cost of one CSI-RS probe on the
+// factored wideband kernel (0 allocs/op, pinned by TestProbeIntoAllocs as
+// well).
+func BenchmarkProbe(b *testing.B) {
+	m := benchChannel()
+	s, err := NewSounder(Mu3(), 400e6, 64, 1e-6, DefaultImpairments(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	w := m.Tx.SingleBeam(0)
+	dst := make(cmx.Vector, s.NumSC)
+	s.ProbeInto(m, w, dst) // warm FFT plan + channel cache
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = s.ProbeInto(m, w, dst)
 	}
 }

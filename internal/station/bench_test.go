@@ -114,3 +114,47 @@ func BenchmarkStationFrameParallel(b *testing.B) {
 		st.AdvanceFrame()
 	}
 }
+
+// BenchmarkHybridSlot measures the hybrid SDMA tier's steady-state per-
+// session-slot cost: 4 fading-free spread UEs forced into shared slots
+// (thresholds wide open) on the inline single-worker path, so every owned
+// data slot runs the per-slot MMSE combine. Must report 0 allocs/op —
+// TestHybridSlotAllocs pins the same loop exactly.
+func BenchmarkHybridSlot(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.Workers = 1
+	cfg.SDMA = SDMAConfig{Chains: 4, MinSeparationDeg: 0, MinSINRdB: -100}
+	st, err := New(nr.Mu3(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const ues = 4
+	for i := 0; i < ues; i++ {
+		s := seeds.Mix(43, int64(i))
+		sc := sim.SpreadStaticIndoor(s, float64(i)/(ues-1))
+		sc.Fading = nil
+		if _, err := st.Attach(SessionConfig{
+			Scenario: sc,
+			Budget:   sim.IndoorBudget(),
+			Seed:     s,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		st.AdvanceFrame()
+	}
+	if st.CountersSnapshot().SDMAGroups == 0 {
+		b.Fatal("warmup never grouped — the benchmark would not cover the combiner")
+	}
+	slotsPerOp := ues * st.SlotsPerFrame()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.AdvanceFrame()
+	}
+	b.StopTimer()
+	perSlot := float64(b.Elapsed().Nanoseconds()) / float64(b.N*slotsPerOp)
+	b.ReportMetric(perSlot, "ns/sessionslot")
+	b.ReportMetric(1e9/perSlot, "sessionslots/s")
+}
