@@ -1072,7 +1072,7 @@ func (g *Manager) refineUE(t float64, m *channel.Model, dev float64) {
 	n := len(g.ueAngles)
 	cand1, cand2 := g.ueCand[:n], g.ueCand[n:2*n]
 	for i, a := range g.ueAngles {
-		cand1[i], cand2[i] = a+dev, a+(-dev)
+		cand1[i], cand2[i] = a+dev, a-dev
 	}
 	var r1, r2 float64
 	if g.applyUEWeights(cand1) {
