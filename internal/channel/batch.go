@@ -9,8 +9,8 @@ import (
 
 // WidebandBatch evaluates the effective wideband channel for many
 // (model, beam) pairs over one shared subcarrier grid in a single pass —
-// the frame-barrier gather the station and cluster coordinators run so a
-// whole frame's worth of UEs goes through the planar DSP kernels together
+// the frame-barrier gather the cluster coordinator's monitor round runs so
+// a whole frame's worth of UEs goes through the planar DSP kernels together
 // instead of interleaving per-UE evaluations with bookkeeping.
 //
 // Ownership rules (see DESIGN.md "Planar DSP backend"):

@@ -92,10 +92,10 @@ func (s Segment) mirror(p Vec2) Vec2 {
 }
 
 // relAngle returns the angle of direction dir relative to a broadside
-// orientation facing, wrapped to (−π, π]. Within ±4π, which covers every
-// facing the scenes and motion traces produce, the wrap loop turns at most
-// twice; a larger offset is first reduced by one exact math.Remainder, so
-// the loop never runs long. A facing that is not finite gives NaN (the
+// orientation facing, wrapped to (−π, π]. Within ±4π the wrap loop turns
+// at most twice; a larger offset (a facing beyond about ±3π, such as a UE
+// rotated for many seconds) is first reduced by one exact math.Remainder,
+// so the loop never runs long. A facing that is not finite gives NaN (the
 // tracer traces no path for one).
 func relAngle(dir Vec2, facing float64) float64 {
 	a := dir.Angle() - facing

@@ -217,7 +217,7 @@ func (sc *Scenario) ChannelInto(t float64, m *channel.Model) {
 	// value already written into m — then m holds bit-for-bit the state this
 	// call would produce, every write below is a no-op by value, and the
 	// model's stamp legitimately stays unchanged (which is what lets the
-	// manager's SNR fold and the station's batch-entry pass skip too).
+	// manager's SNR fold and the cluster's monitor rows skip too).
 	if incr.Enabled && posed && sc.lastValid && m == sc.lastModel && sc.Fading == nil {
 		if len(sc.Blockage) == 0 {
 			return
